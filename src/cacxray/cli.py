@@ -1,55 +1,48 @@
 """Command-line front end.
 
 Subcommands: synth, train, evaluate, crossval, survival, explain. Settings
-come from an INI file (--config) merged over built-in desk-scale defaults;
-unknown sections or keys are rejected by name. A single master seed (--seed or
-[run] seed) feeds every random stream through fixed offsets: synth +0,
+come from an INI file (--config) merged over built-in desk-scale defaults.
+Each section is a dataclass (_PRESETS): its fields are the keys, its desk
+preset holds the defaults and each value is parsed by its field's type;
+unknown sections or keys are rejected by name. A single master seed (--seed
+or [run] seed) feeds every random stream through fixed offsets: synth +0,
 train/test split +1, weight init +2, batch shuffling +3, bootstrap +4,
 cross-validation folds +5.
 
-Exit codes: 0 success, 2 configuration or schema error, 3 training failure,
-4 I/O or unreadable input file, 5 degenerate data (single class, no events,
+Exit codes come from the category of the error raised (see errors.py):
+0 success, 2 configuration or schema error, 3 training failure, 4 I/O or
+unreadable input file (including a damaged weights, sidecar, statistics or
+split file in a model directory), 5 degenerate data (single class, no events,
 zero variance, non-convergence).
 
 Every command writes its outputs atomically (temp file + rename) into --out,
-plus manifest.json describing the run and effective.cfg echoing the merged
-configuration.
+plus manifest.json describing the run and effective.cfg holding every setting
+it ran with, master seed included, so that passing it back as --config
+repeats the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import json
 import sys
+import typing
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, atomic
 from .errors import (
-    AllGridDegenerateError,
-    BadMagicError,
     CacXrayError,
-    ConstantCovariateError,
-    DegenerateDatasetError,
-    DegenerateLabelsError,
-    DivergedError,
+    ConfigError,
     EmptyCohortError,
     EmptyDatasetError,
     InvalidConfigError,
     MalformedFileError,
-    MissingRequiredTagError,
-    NegativeScoreError,
-    NoEventsError,
-    NoPositivesError,
-    OneClassOnlyError,
-    ShapeMismatchError,
-    TooFewSamplesError,
-    TrainingFailedError,
-    TruncatedFileError,
-    UnsupportedPhotometricError,
-    UnsupportedTransferSyntaxError,
+    UnreadableInputError,
 )
 from .explain import export_saliency, gradcam
 from .labels import fit_label_transform, transform, transform_threshold
@@ -67,12 +60,11 @@ from .metrics import (
     roc_auc,
 )
 from .model import (
-    DenseNetConfig,
     TrainConfig,
+    desk_config,
     init_model,
     load_weights,
     predict,
-    save_weights,
     sidecar_from_json,
     sidecar_to_json,
     train,
@@ -99,187 +91,126 @@ from .synthgen import SynthConfig, generate_samples, generate_survival, read_dat
 
 _SEED_OFFSETS = {"synth": 0, "split": 1, "init": 2, "shuffle": 3, "bootstrap": 4, "folds": 5}
 
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "run": {"seed": "0"},
-    "synth": {
-        "n": "400",
-        "image_dim": "96",
-        "zero_fraction": "0.3",
-        "cac_max": "2000",
-        "blob_count_range": "1,3",
-        "blob_radius_range": "2,5",
-        "blob_peak": "400",
-        "mass_scale": "4000",
-        "baseline_hazard": "0.03",
-        "hazard_ratio": "2.5",
-        "max_followup_years": "5.0",
-    },
-    "preprocess": {"resize_dim": "78", "crop_dim": "64", "eq_levels": "256"},
-    "model": {
-        "input_dim": "64",
-        "init_channels": "16",
-        "growth_rate": "8",
-        "block_layers": "2,2,2",
-        "compression": "0.5",
-        "head_hidden": "64",
-        "use_batchnorm": "true",
-    },
-    "train": {
-        "epochs": "30",
-        "batch_size": "4",
-        "learning_rate": "0.0003",
-        "weight_decay": "0.0001",
-        "freeze_policy": "none",
-        "train_fraction": "0.8",
-    },
-    "evaluate": {
-        "truth_threshold": "0",
-        "rauc_grid": "0,100,400",
-        "calibration_edges": "0,100,400",
-        "bootstrap_resamples": "2000",
-        "confidence_level": "0.95",
-    },
-    "crossval": {"folds": "5"},
-    "survival": {"group": "ai_cac_category", "adjust": "esc_class", "horizon_years": "5.0"},
+
+@dataclass(frozen=True)
+class _RunSection:
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class _TrainSection(TrainConfig):
+    train_fraction: float = 0.8
+
+
+@dataclass(frozen=True)
+class _EvaluateSection:
+    truth_threshold: float = 0.0
+    rauc_grid: tuple[float, ...] = (0.0, 100.0, 400.0)
+    calibration_edges: tuple[float, ...] = (0.0, 100.0, 400.0)
+    bootstrap_resamples: int = 2000
+    confidence_level: float = 0.95
+
+
+@dataclass(frozen=True)
+class _CrossvalSection:
+    folds: int = 5
+
+
+@dataclass(frozen=True)
+class _SurvivalSection:
+    group: str = "ai_cac_category"
+    adjust: str = "esc_class"
+    horizon_years: float = 5.0
+
+
+# The INI schema: each section's keys are the fields of its desk preset.
+_PRESETS = {
+    "run": _RunSection(),
+    "synth": SynthConfig(),
+    "preprocess": PreprocessConfig(resize_dim=78, crop_dim=64, eq_levels=256),
+    "model": desk_config(),
+    "train": _TrainSection(epochs=30),
+    "evaluate": _EvaluateSection(),
+    "crossval": _CrossvalSection(),
+    "survival": _SurvivalSection(),
 }
+# A seed in these sections is no key: it is the master seed plus the offset of
+# the named stream.
+_SEEDED = {"synth": "synth", "train": "shuffle"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "text"}
 
 
-def _load_config(path: str | None) -> dict[str, dict[str, str]]:
-    merged = {sect: dict(keys) for sect, keys in _DEFAULTS.items()}
-    if path is None:
-        return merged
-    cp = configparser.ConfigParser()
+def _keys(sect: str) -> list[str]:
+    return [f.name for f in fields(_PRESETS[sect]) if not (f.name == "seed" and sect in _SEEDED)]
+
+
+def _parse_value(hint, text: str, where: str):
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        parts = [part.strip() for part in text.split(",") if part.strip()]
+        if args[-1] is not Ellipsis and len(parts) != len(args):
+            raise InvalidConfigError(f"{where} needs {len(args)} comma-separated values, got {text!r}")
+        return tuple(_parse_value(args[0], part, where) for part in parts)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh)
-    except configparser.Error as exc:
-        raise InvalidConfigError(f"cannot parse config file: {exc}") from exc
-    for sect in cp.sections():
-        if sect not in merged:
-            raise InvalidConfigError(f"unknown config section [{sect}]")
-        for key, value in cp[sect].items():
-            if key not in merged[sect]:
-                raise InvalidConfigError(f"unknown key {key!r} in section [{sect}]")
-            merged[sect][key] = value
-    return merged
+        return _BOOLEANS[text.strip().lower()] if hint is bool else hint(text)
+    except (KeyError, ValueError):
+        raise InvalidConfigError(f"{where} must be {_KINDS[hint]}, got {text!r}") from None
 
 
-def _as_int(cfg, sect, key):
-    try:
-        return int(cfg[sect][key])
-    except ValueError as exc:
-        raise InvalidConfigError(f"[{sect}] {key} must be an integer, got {cfg[sect][key]!r}") from exc
+def _load_config(args) -> dict:
+    """Each section's preset with the --config values parsed over it, [run]
+    seed replaced by --seed when given and the derived seeds filled in."""
+    cfg = dict(_PRESETS)
+    if args.config is not None:
+        cp = configparser.ConfigParser(interpolation=None)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cp.read_file(fh)
+        except configparser.Error as exc:
+            raise InvalidConfigError(f"cannot parse config file: {exc}") from exc
+        for sect in cp.sections():
+            if sect not in _PRESETS:
+                raise InvalidConfigError(f"unknown config section [{sect}]")
+            hints = typing.get_type_hints(type(_PRESETS[sect]))
+            parsed = {}
+            for key, value in cp[sect].items():
+                if key not in _keys(sect):
+                    raise InvalidConfigError(f"unknown key {key!r} in section [{sect}]")
+                parsed[key] = _parse_value(hints[key], value, f"[{sect}] {key}")
+            cfg[sect] = replace(_PRESETS[sect], **parsed)
+    if args.seed is not None:
+        cfg["run"] = _RunSection(seed=args.seed)
+    for sect, stream in _SEEDED.items():
+        cfg[sect] = replace(cfg[sect], seed=_seed(cfg, stream))
+    return cfg
 
 
-def _as_float(cfg, sect, key):
-    try:
-        return float(cfg[sect][key])
-    except ValueError as exc:
-        raise InvalidConfigError(f"[{sect}] {key} must be a number, got {cfg[sect][key]!r}") from exc
+def _seed(cfg, stream: str) -> int:
+    return cfg["run"].seed + _SEED_OFFSETS[stream]
 
 
-def _as_bool(cfg, sect, key):
-    v = cfg[sect][key].strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise InvalidConfigError(f"[{sect}] {key} must be a boolean, got {cfg[sect][key]!r}")
-
-
-def _as_tuple(cfg, sect, key, conv):
-    try:
-        return tuple(conv(part.strip()) for part in cfg[sect][key].split(",") if part.strip())
-    except ValueError as exc:
-        raise InvalidConfigError(f"[{sect}] {key} must be a comma list, got {cfg[sect][key]!r}") from exc
-
-
-def _seed(cfg, args, stream: str) -> int:
-    base = args.seed if args.seed is not None else _as_int(cfg, "run", "seed")
-    return base + _SEED_OFFSETS[stream]
-
-
-def _synth_config(cfg, args) -> SynthConfig:
-    counts = _as_tuple(cfg, "synth", "blob_count_range", int)
-    radii = _as_tuple(cfg, "synth", "blob_radius_range", int)
-    if len(counts) != 2 or len(radii) != 2:
-        raise InvalidConfigError("blob count/radius ranges need exactly two values")
-    return SynthConfig(
-        n=_as_int(cfg, "synth", "n"),
-        image_dim=_as_int(cfg, "synth", "image_dim"),
-        zero_fraction=_as_float(cfg, "synth", "zero_fraction"),
-        cac_max=_as_float(cfg, "synth", "cac_max"),
-        blob_count_range=counts,
-        blob_radius_range=radii,
-        blob_peak=_as_float(cfg, "synth", "blob_peak"),
-        mass_scale=_as_float(cfg, "synth", "mass_scale"),
-        baseline_hazard=_as_float(cfg, "synth", "baseline_hazard"),
-        hazard_ratio=_as_float(cfg, "synth", "hazard_ratio"),
-        max_followup_years=_as_float(cfg, "synth", "max_followup_years"),
-        seed=_seed(cfg, args, "synth"),
-    )
-
-
-def _preprocess_config(cfg) -> PreprocessConfig:
-    return PreprocessConfig(
-        resize_dim=_as_int(cfg, "preprocess", "resize_dim"),
-        crop_dim=_as_int(cfg, "preprocess", "crop_dim"),
-        eq_levels=_as_int(cfg, "preprocess", "eq_levels"),
-    )
-
-
-def _net_config(cfg) -> DenseNetConfig:
-    return DenseNetConfig(
-        input_dim=_as_int(cfg, "model", "input_dim"),
-        init_channels=_as_int(cfg, "model", "init_channels"),
-        growth_rate=_as_int(cfg, "model", "growth_rate"),
-        block_layers=_as_tuple(cfg, "model", "block_layers", int),
-        compression=_as_float(cfg, "model", "compression"),
-        head_hidden=_as_int(cfg, "model", "head_hidden"),
-        use_batchnorm=_as_bool(cfg, "model", "use_batchnorm"),
-    )
-
-
-def _train_config(cfg, args) -> TrainConfig:
-    return TrainConfig(
-        epochs=_as_int(cfg, "train", "epochs"),
-        batch_size=_as_int(cfg, "train", "batch_size"),
-        learning_rate=_as_float(cfg, "train", "learning_rate"),
-        weight_decay=_as_float(cfg, "train", "weight_decay"),
-        seed=_seed(cfg, args, "shuffle"),
-        freeze_policy=cfg["train"]["freeze_policy"],
-    )
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+def _format_value(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def _echo_config(out: Path, cfg: dict) -> None:
-    cp = configparser.ConfigParser()
-    for sect, keys in cfg.items():
-        cp[sect] = dict(keys)
-    buf = []
-
-    class _Sink:
-        def write(self, s):
-            buf.append(s)
-
-    cp.write(_Sink())
-    _atomic_write_text(out / "effective.cfg", "".join(buf))
+    cp = configparser.ConfigParser(interpolation=None)
+    for sect, section in cfg.items():
+        cp[sect] = {key: _format_value(getattr(section, key)) for key in _keys(sect)}
+    buf = io.StringIO()
+    cp.write(buf)
+    atomic.write_text(out / "effective.cfg", buf.getvalue())
 
 
-def _write_manifest(out: Path, command: str, seed: int, inputs: dict, extras: dict | None = None) -> None:
-    doc = {"command": command, "seed": seed, "inputs": inputs, "version": __version__}
-    if extras:
-        doc.update(extras)
-    _atomic_write_text(out / "manifest.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _write_json(path: Path, doc) -> None:
+    atomic.write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _write_manifest(out: Path, command: str, cfg: dict, inputs: dict, extras: dict) -> None:
+    doc = {"command": command, "seed": cfg["run"].seed, "inputs": inputs, "version": __version__}
+    _write_json(out / "manifest.json", {**doc, **extras})
 
 
 def _prepare_out(args, cfg) -> Path:
@@ -289,7 +220,8 @@ def _prepare_out(args, cfg) -> Path:
     return out
 
 
-def _load_preprocessed(data_dir, pp_cfg):
+def _load_preprocessed(data_dir, pp_cfg: PreprocessConfig):
+    pp_cfg.validate()
     ids, dicoms, records = read_dataset(data_dir)
     crops = [preprocess_uncalibrated(d, pp_cfg) for d in dicoms]
     cacs = []
@@ -300,13 +232,44 @@ def _load_preprocessed(data_dir, pp_cfg):
     return ids, crops, np.asarray(cacs), records
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"{path.name} is not UTF-8 text") from exc
+
+
+def _load_model_dir(model_dir):
+    """Parameters, label transform and pixel statistics of a train output;
+    a damaged file raises an UnreadableInputError."""
+    model_dir = Path(model_dir)
+    net_cfg, lt = sidecar_from_json(_read_text(model_dir / "sidecar.json"))
+    params = load_weights(model_dir / "weights.cacw", net_cfg)
+    stats = stats_from_csv(_read_text(model_dir / "stats.csv"))
+    return params, lt, stats
+
+
+def _read_test_ids(model_dir) -> list[str]:
+    split_path = Path(model_dir) / "split.json"
+    if not split_path.exists():
+        raise InvalidConfigError("--split internal needs split.json in the model directory")
+    try:
+        doc = json.loads(_read_text(split_path))
+    except json.JSONDecodeError as exc:
+        raise MalformedFileError(f"split.json is not JSON: {exc}") from exc
+    ids = doc.get("test_ids") if type(doc) is dict else None
+    if type(ids) is not list or not all(type(i) is str for i in ids):
+        raise MalformedFileError("split.json holds no list of test ids")
+    return ids
+
+
 # --- commands -----------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     out = _prepare_out(args, cfg)
-    synth_cfg = _synth_config(cfg, args)
+    synth_cfg = cfg["synth"]
     samples = generate_samples(synth_cfg)
     generate_survival(synth_cfg, samples)
     write_dataset(synth_cfg, samples, out)
@@ -316,18 +279,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     out = _prepare_out(args, cfg)
-    pp_cfg = _preprocess_config(cfg)
-    net_cfg = _net_config(cfg)
-    tc = _train_config(cfg, args)
-    frac = _as_float(cfg, "train", "train_fraction")
+    tc = cfg["train"]
+    frac = tc.train_fraction
     if not 0.0 < frac <= 1.0:
         raise InvalidConfigError(f"train_fraction must lie in (0, 1], got {frac}")
 
-    ids, crops, cacs, _ = _load_preprocessed(args.data, pp_cfg)
+    ids, crops, cacs, _ = _load_preprocessed(args.data, cfg["preprocess"])
     n = len(ids)
-    split_seed = _seed(cfg, args, "split")
+    split_seed = _seed(cfg, "split")
     perm = np.random.default_rng(split_seed).permutation(n)
     n_train = int(round(frac * n))
     train_idx, test_idx = perm[:n_train], perm[n_train:]
@@ -338,61 +299,34 @@ def cmd_train(args) -> int:
     lt = fit_label_transform(cacs[train_idx])
     xtr = [standardize(crops[i], stats) for i in train_idx]
     ytr = transform(cacs[train_idx], lt)
-    params = init_model(net_cfg, _seed(cfg, args, "init"))
+    params = init_model(cfg["model"], _seed(cfg, "init"))
     fitted, history = train(list(zip(xtr, ytr)), tc, params)
 
-    _atomic_write_bytes(out / "weights.cacw", weights_to_bytes(fitted))
-    _atomic_write_text(out / "sidecar.json", sidecar_to_json(net_cfg, lt) + "\n")
-    _atomic_write_text(out / "stats.csv", stats_to_csv(stats))
-    _atomic_write_text(
+    atomic.write_bytes(out / "weights.cacw", weights_to_bytes(fitted))
+    atomic.write_text(out / "sidecar.json", sidecar_to_json(cfg["model"], lt) + "\n")
+    atomic.write_text(out / "stats.csv", stats_to_csv(stats))
+    atomic.write_text(
         out / "history.csv",
         "epoch,train_mae\n" + "".join(f"{e + 1},{v!r}\n" for e, v in enumerate(history)),
     )
-    _atomic_write_text(
-        out / "split.json",
-        json.dumps(
-            {
-                "split_seed": split_seed,
-                "train_fraction": frac,
-                "train_ids": [ids[i] for i in train_idx],
-                "test_ids": [ids[i] for i in test_idx],
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-    )
-    _write_manifest(
-        out,
-        "train",
-        args.seed if args.seed is not None else _as_int(cfg, "run", "seed"),
-        {"data": str(args.data)},
-        {"n": n, "n_train": int(n_train), "n_test": int(n - n_train), "final_train_mae": history[-1]},
-    )
+    split = {"split_seed": split_seed, "train_fraction": frac,
+             "train_ids": [ids[i] for i in train_idx], "test_ids": [ids[i] for i in test_idx]}
+    _write_json(out / "split.json", split)
+    _write_manifest(out, "train", cfg, {"data": str(args.data)},
+                    {"n": n, "n_train": int(n_train), "n_test": int(n - n_train), "final_train_mae": history[-1]})
     print(f"trained {tc.epochs} epochs on {n_train} samples; final train MAE {history[-1]:.4f}")
     return 0
 
 
-def _load_model_dir(model_dir):
-    model_dir = Path(model_dir)
-    net_cfg, lt = sidecar_from_json((model_dir / "sidecar.json").read_text())
-    params = load_weights(model_dir / "weights.cacw", net_cfg)
-    stats = stats_from_csv((model_dir / "stats.csv").read_text())
-    return params, net_cfg, lt, stats
-
-
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     out = _prepare_out(args, cfg)
-    pp_cfg = _preprocess_config(cfg)
-    params, _, lt, stats = _load_model_dir(args.model)
-    ids, crops, cacs, _ = _load_preprocessed(args.data, pp_cfg)
+    ev = cfg["evaluate"]
+    params, lt, stats = _load_model_dir(args.model)
+    ids, crops, cacs, _ = _load_preprocessed(args.data, cfg["preprocess"])
 
     if args.split == "internal":
-        split_path = Path(args.model) / "split.json"
-        if not split_path.exists():
-            raise InvalidConfigError("--split internal needs split.json in the model directory")
-        keep = set(json.loads(split_path.read_text())["test_ids"])
+        keep = set(_read_test_ids(args.model))
         sel = [i for i, sid in enumerate(ids) if sid in keep]
         missing = keep - {ids[i] for i in sel}
         if missing:
@@ -408,19 +342,18 @@ def cmd_evaluate(args) -> int:
         ScoredSample(score=float(scores[j]), truth_cac=float(cacs[i]), id=ids[i])
         for j, i in enumerate(sel)
     ]
-    truth_th = _as_float(cfg, "evaluate", "truth_threshold")
+    truth_th = ev.truth_threshold
     threshold = transform_threshold(truth_th, lt)
     auc = roc_auc(samples, truth_th)
     ci_lo, ci_hi = auc_confidence_interval(
         samples,
         truth_th,
-        level=_as_float(cfg, "evaluate", "confidence_level"),
-        n_resamples=_as_int(cfg, "evaluate", "bootstrap_resamples"),
-        seed=_seed(cfg, args, "bootstrap"),
+        level=ev.confidence_level,
+        n_resamples=ev.bootstrap_resamples,
+        seed=_seed(cfg, "bootstrap"),
     )
     counts = confusion_at_threshold(samples, threshold, truth_th)
     diag = diagnostic_metrics(counts)
-    grid = _as_tuple(cfg, "evaluate", "rauc_grid", float)
     report = {
         "n": len(samples),
         "truth_threshold": truth_th,
@@ -428,62 +361,47 @@ def cmd_evaluate(args) -> int:
         "auc": auc,
         "auc_ci_low": ci_lo,
         "auc_ci_high": ci_hi,
-        "rauc": rauc(samples, grid),
+        "rauc": rauc(samples, ev.rauc_grid),
         "confusion": {"tp": counts.tp, "fp": counts.fp, "tn": counts.tn, "fn": counts.fn},
         **diag,
     }
-    _atomic_write_text(out / "report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _atomic_write_text(
+    _write_json(out / "report.json", report)
+    atomic.write_text(
         out / "pr_curve.csv",
         "recall,precision\n" + "".join(f"{r!r},{p!r}\n" for r, p in pr_curve(samples, truth_th)),
     )
-    edges = _as_tuple(cfg, "evaluate", "calibration_edges", float)
-    cal_rows = calibration_table(samples, lt, edges)
-    _atomic_write_text(
+    cal_rows = calibration_table(samples, lt, ev.calibration_edges)
+    atomic.write_text(
         out / "calibration.csv",
         "stratum,count,mean_true_cac,mean_predicted_cac\n"
         + "".join(
             f"\"{r.stratum}\",{r.count},{r.mean_true_cac!r},{r.mean_predicted_cac!r}\n" for r in cal_rows
         ),
     )
-    _write_manifest(
-        out,
-        "evaluate",
-        args.seed if args.seed is not None else _as_int(cfg, "run", "seed"),
-        {"data": str(args.data), "model": str(args.model), "split": args.split},
-        {"n": len(samples)},
-    )
+    inputs = {"data": str(args.data), "model": str(args.model), "split": args.split}
+    _write_manifest(out, "evaluate", cfg, inputs, {"n": len(samples)})
     print(f"AUC {auc:.4f} (95% CI {ci_lo:.4f}-{ci_hi:.4f}) on {len(samples)} samples")
     return 0
 
 
 def cmd_crossval(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     out = _prepare_out(args, cfg)
-    pp_cfg = _preprocess_config(cfg)
-    net_cfg = _net_config(cfg)
-    tc = _train_config(cfg, args)
-    _, crops, cacs, _ = _load_preprocessed(args.data, pp_cfg)
-    k = args.folds if args.folds is not None else _as_int(cfg, "crossval", "folds")
+    _, crops, cacs, _ = _load_preprocessed(args.data, cfg["preprocess"])
+    k = args.folds if args.folds is not None else cfg["crossval"].folds
     report = cross_validate(
         crops,
         cacs,
-        net_cfg,
-        tc,
+        cfg["model"],
+        cfg["train"],
         k=k,
-        seed=_seed(cfg, args, "folds"),
-        truth_threshold=_as_float(cfg, "evaluate", "truth_threshold"),
-        rauc_grid=_as_tuple(cfg, "evaluate", "rauc_grid", float),
+        seed=_seed(cfg, "folds"),
+        truth_threshold=cfg["evaluate"].truth_threshold,
+        rauc_grid=cfg["evaluate"].rauc_grid,
     )
-    _atomic_write_text(out / "crossval.csv", crossval_to_csv(report))
-    _atomic_write_text(out / "crossval.json", crossval_to_json(report) + "\n")
-    _write_manifest(
-        out,
-        "crossval",
-        args.seed if args.seed is not None else _as_int(cfg, "run", "seed"),
-        {"data": str(args.data), "folds": k},
-        {"mean": report.mean},
-    )
+    atomic.write_text(out / "crossval.csv", crossval_to_csv(report))
+    atomic.write_text(out / "crossval.json", crossval_to_json(report) + "\n")
+    _write_manifest(out, "crossval", cfg, {"data": str(args.data), "folds": k}, {"mean": report.mean})
     mean = report.mean
     print(
         f"{k}-fold mean: accuracy {mean['accuracy']:.3f}, "
@@ -493,15 +411,15 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_survival(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     out = _prepare_out(args, cfg)
     cohort_path = Path(args.cohort)
     if cohort_path.is_dir():
         cohort_path = cohort_path / "cohort.csv"
     records = cohort_from_csv(cohort_path.read_text())
-    group_cov = cfg["survival"]["group"]
-    adjust_cov = cfg["survival"]["adjust"]
-    horizon = _as_float(cfg, "survival", "horizon_years")
+    group_cov = cfg["survival"].group
+    adjust_cov = cfg["survival"].adjust
+    horizon = cfg["survival"].horizon_years
     for r in records:
         if group_cov not in r.covariates:
             raise InvalidConfigError(f"subject {r.id} lacks covariate {group_cov!r}")
@@ -512,10 +430,10 @@ def cmd_survival(args) -> int:
     lr = log_rank(zero, positive)
     cox_uni = cox_fit(records, [group_cov])
     cox_bi = cox_fit(records, [group_cov, adjust_cov])
-    _atomic_write_text(out / "km_group0.csv", km_to_csv(km_zero))
-    _atomic_write_text(out / "km_group1.csv", km_to_csv(km_pos))
-    _atomic_write_text(out / "cox_univariate.json", cox_to_json(cox_uni) + "\n")
-    _atomic_write_text(out / "cox_bivariate.json", cox_to_json(cox_bi) + "\n")
+    atomic.write_text(out / "km_group0.csv", km_to_csv(km_zero))
+    atomic.write_text(out / "km_group1.csv", km_to_csv(km_pos))
+    atomic.write_text(out / "cox_univariate.json", cox_to_json(cox_uni) + "\n")
+    atomic.write_text(out / "cox_bivariate.json", cox_to_json(cox_bi) + "\n")
     summary = {
         "group_covariate": group_cov,
         "adjust_covariate": adjust_cov,
@@ -530,14 +448,8 @@ def cmd_survival(args) -> int:
         "hazard_ratio_ci": [cox_uni.covariates[0].ci_low, cox_uni.covariates[0].ci_high],
         "adjusted_hazard_ratio": cox_bi.covariates[0].hazard_ratio,
     }
-    _atomic_write_text(out / "survival.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    _write_manifest(
-        out,
-        "survival",
-        args.seed if args.seed is not None else _as_int(cfg, "run", "seed"),
-        {"cohort": str(args.cohort)},
-        {"n": len(records)},
-    )
+    _write_json(out / "survival.json", summary)
+    _write_manifest(out, "survival", cfg, {"cohort": str(args.cohort)}, {"n": len(records)})
     print(
         f"log-rank chi2 {lr.chi2:.3f} (p {lr.p_value:.4g}); "
         f"HR {summary['hazard_ratio']:.3f}, adjusted {summary['adjusted_hazard_ratio']:.3f}"
@@ -546,11 +458,10 @@ def cmd_survival(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     out = _prepare_out(args, cfg)
-    pp_cfg = _preprocess_config(cfg)
-    params, _, _, stats = _load_model_dir(args.model)
-    ids, crops, _, _ = _load_preprocessed(args.data, pp_cfg)
+    params, _, stats = _load_model_dir(args.model)
+    ids, crops, _, _ = _load_preprocessed(args.data, cfg["preprocess"])
     if args.ids:
         wanted = [s.strip() for s in args.ids.split(",") if s.strip()]
         index = {sid: i for i, sid in enumerate(ids)}
@@ -567,13 +478,7 @@ def cmd_explain(args) -> int:
         map_path, overlay_path = export_saliency(sal, x, out, ids[i])
         written.append(map_path.name)
         written.append(overlay_path.name)
-    _write_manifest(
-        out,
-        "explain",
-        args.seed if args.seed is not None else _as_int(cfg, "run", "seed"),
-        {"data": str(args.data), "model": str(args.model)},
-        {"files": written},
-    )
+    _write_manifest(out, "explain", cfg, {"data": str(args.data), "model": str(args.model)}, {"files": written})
     print(f"wrote {len(written)} saliency files for {len(sel)} images to {out}")
     return 0
 
@@ -631,56 +536,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_ERRORS = (InvalidConfigError,)
-_TRAINING_ERRORS = (TrainingFailedError, EmptyDatasetError)
-_IO_ERRORS = (
-    OSError,
-    MalformedFileError,
-    UnsupportedTransferSyntaxError,
-    MissingRequiredTagError,
-    UnsupportedPhotometricError,
-    BadMagicError,
-    TruncatedFileError,
-    ShapeMismatchError,
-)
-_DATA_ERRORS = (
-    DegenerateDatasetError,
-    DegenerateLabelsError,
-    NegativeScoreError,
-    OneClassOnlyError,
-    NoPositivesError,
-    AllGridDegenerateError,
-    TooFewSamplesError,
-    EmptyCohortError,
-    NoEventsError,
-    ConstantCovariateError,
-    DivergedError,
-)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except _TRAINING_ERRORS as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
-        return 3
-    except _IO_ERRORS as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-    except _DATA_ERRORS as exc:
-        print(f"degenerate data: {exc}", file=sys.stderr)
-        return 5
+    except CacXrayError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"{UnreadableInputError.label}: {exc}", file=sys.stderr)
+        return UnreadableInputError.exit_code
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    except CacXrayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -3,125 +3,157 @@
 Every structured failure mode raised by the library maps to one of these, so
 callers (and the command-line front end) can distinguish bad input files, bad
 configuration, degenerate data, and numerical failure without string matching.
+
+Each error belongs to one of four categories, and the category carries the
+command-line exit code and the label printed in front of the message:
+ConfigError (2), TrainingError (3), UnreadableInputError (4) and
+DegenerateDataError (5).
 """
 
 
 class CacXrayError(Exception):
     """Base class for all library errors."""
+    exit_code = 5
+    label = "error"
 
 
-# --- DICOM ingestion ---------------------------------------------------------
+class ConfigError(CacXrayError):
+    """The run's settings are unusable."""
+    exit_code = 2
+    label = "configuration error"
 
-class MalformedFileError(CacXrayError):
-    """Byte stream is not a parseable DICOM part-10 file (bad magic, element
-    overruns the buffer, inconsistent lengths, invalid pixel payload)."""
+
+class TrainingError(CacXrayError):
+    """Training could not produce a model."""
+    exit_code = 3
+    label = "training failed"
 
 
-class UnsupportedTransferSyntaxError(CacXrayError):
+class UnreadableInputError(CacXrayError):
+    """An input file is missing, damaged or in an unsupported format."""
+    exit_code = 4
+    label = "i/o error"
+
+
+class DegenerateDataError(CacXrayError):
+    """The data admit no answer (one class, no events, zero variance, ...)."""
+    exit_code = 5
+    label = "degenerate data"
+
+
+# --- file formats ------------------------------------------------------------
+
+class MalformedFileError(UnreadableInputError):
+    """Bytes or text that do not parse as their format: a DICOM part-10 file
+    (bad magic, element overruns the buffer, inconsistent lengths, invalid
+    pixel payload), a sidecar, a statistics file or a split file."""
+
+
+class UnsupportedTransferSyntaxError(UnreadableInputError):
     """Transfer syntax other than Explicit/Implicit VR Little Endian."""
 
 
-class MissingRequiredTagError(CacXrayError):
+class MissingRequiredTagError(UnreadableInputError):
     """A tag required to build an image (Rows, Columns, BitsAllocated,
     PixelData, WindowCenter, WindowWidth) never appeared in the dataset."""
 
 
-class UnsupportedPhotometricError(CacXrayError):
+class UnsupportedPhotometricError(UnreadableInputError):
     """PhotometricInterpretation other than MONOCHROME1/MONOCHROME2."""
 
 
 # --- preprocessing -----------------------------------------------------------
 
-class NonPositiveWidthError(CacXrayError):
+class NonPositiveWidthError(DegenerateDataError):
     """Window width must be strictly positive."""
 
 
-class CropLargerThanImageError(CacXrayError):
+class CropLargerThanImageError(DegenerateDataError):
     """Requested centre crop exceeds the image extent."""
 
 
-class DegenerateDatasetError(CacXrayError):
+class DegenerateDatasetError(DegenerateDataError):
     """Pixel pool has zero variance; standardization is undefined."""
 
 
 # --- labels ------------------------------------------------------------------
 
-class NegativeScoreError(CacXrayError):
+class NegativeScoreError(DegenerateDataError):
     """Calcium scores are nonnegative by definition."""
 
 
-class DegenerateLabelsError(CacXrayError):
+class DegenerateLabelsError(DegenerateDataError):
     """Log-domain labels have zero spread; normalization is undefined."""
 
 
 # --- model -------------------------------------------------------------------
 
-class InvalidConfigError(CacXrayError):
+class InvalidConfigError(ConfigError):
     """Network or run configuration violates a structural constraint."""
 
 
-class ShapeMismatchError(CacXrayError):
+class ShapeMismatchError(UnreadableInputError):
     """Tensor shape disagrees with what the configuration implies."""
 
 
-class StaleTraceError(CacXrayError):
+class StaleTraceError(DegenerateDataError):
     """A forward trace was replayed against different parameters or mode."""
 
 
-class EmptyDatasetError(CacXrayError):
+class EmptyDatasetError(TrainingError):
     """Training requires at least one sample."""
 
 
-class TrainingFailedError(CacXrayError):
+class TrainingFailedError(TrainingError):
     """Loss or parameters became non-finite during optimization."""
 
 
 # --- serialization -----------------------------------------------------------
 
-class BadMagicError(CacXrayError):
+class BadMagicError(UnreadableInputError):
     """File does not start with the expected format tag."""
 
 
-class TruncatedFileError(CacXrayError):
+class TruncatedFileError(UnreadableInputError):
     """File ends before the declared payload (or carries trailing bytes)."""
 
 
 # --- metrics -----------------------------------------------------------------
 
-class OneClassOnlyError(CacXrayError):
+class OneClassOnlyError(DegenerateDataError):
     """Both truth classes are required for ranking metrics."""
 
 
-class NoPositivesError(CacXrayError):
+class NoPositivesError(DegenerateDataError):
     """Precision-recall needs at least one positive sample."""
 
 
-class AllGridDegenerateError(CacXrayError):
+class AllGridDegenerateError(DegenerateDataError):
     """Every threshold on the grid left a single truth class."""
 
 
-class TooFewSamplesError(CacXrayError):
+class TooFewSamplesError(DegenerateDataError):
     """Fewer samples than folds requested."""
 
 
 # --- survival ----------------------------------------------------------------
 
-class EmptyCohortError(CacXrayError):
+class EmptyCohortError(DegenerateDataError):
     """Survival estimators need a nonempty cohort (per group)."""
 
 
-class NoEventsError(CacXrayError):
+class NoEventsError(DegenerateDataError):
     """No observed events; the statistic is undefined."""
 
 
-class ConstantCovariateError(CacXrayError):
+class ConstantCovariateError(DegenerateDataError):
     """A proportional-hazards covariate with zero variance is unidentifiable."""
 
 
-class DivergedError(CacXrayError):
+class DivergedError(DegenerateDataError):
     """Newton iteration left the trust region or the information matrix
     became singular (typically perfect separation)."""
 
 
-class NegativeStatisticError(CacXrayError):
+class NegativeStatisticError(DegenerateDataError):
     """Chi-squared statistics are nonnegative by construction."""

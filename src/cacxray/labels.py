@@ -8,7 +8,6 @@ same map so classification can happen in network output space.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,25 +83,3 @@ def classify(value: float, threshold: TransformedThreshold) -> bool:
     """Positive iff the transformed prediction strictly exceeds the
     transformed threshold."""
     return bool(value > threshold.transformed)
-
-
-def transform_to_json(lt: LabelTransform) -> str:
-    return json.dumps(
-        {
-            "mu_log": lt.mu_log,
-            "sigma_log": lt.sigma_log,
-            "clip_max": lt.clip_max,
-            "epsilon": lt.epsilon,
-        },
-        sort_keys=True,
-    )
-
-
-def transform_from_json(text: str) -> LabelTransform:
-    obj = json.loads(text)
-    return LabelTransform(
-        mu_log=float(obj["mu_log"]),
-        sigma_log=float(obj["sigma_log"]),
-        clip_max=float(obj["clip_max"]),
-        epsilon=float(obj["epsilon"]),
-    )

@@ -6,18 +6,27 @@ dimension, float32 payload row-major. Tensors are written in the network's
 canonical parameter order; load normalizes to that order, so
 save(load(save(p))) == save(p) bitwise.
 
-The sidecar JSON stores the network configuration and the label transform so
-a weights file is self-describing.
+The sidecar JSON stores the network configuration and the label transform,
+field by field, so a weights file is self-describing.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import struct
+import typing
 
 import numpy as np
 
-from ..errors import BadMagicError, ShapeMismatchError, TruncatedFileError
+from ..errors import (
+    BadMagicError,
+    InvalidConfigError,
+    MalformedFileError,
+    ShapeMismatchError,
+    TruncatedFileError,
+)
 from ..labels import LabelTransform
 from .network import DenseNetConfig, ModelParams, build_net
 
@@ -41,7 +50,9 @@ def weights_from_bytes(data: bytes, cfg: DenseNetConfig) -> ModelParams:
     """Decode and validate against the shapes ``cfg`` implies.
 
     Raises BadMagicError, TruncatedFileError (short file or trailing bytes),
-    or ShapeMismatchError when the tensor set disagrees with the config.
+    MalformedFileError (a tensor name that is not UTF-8, or a value that is
+    not finite), or
+    ShapeMismatchError when the tensor set disagrees with the config.
     Returns float64 parameters whose values are float32-representable.
     """
     if len(data) < 4 or data[:4] != WEIGHTS_MAGIC:
@@ -62,14 +73,19 @@ def weights_from_bytes(data: bytes, cfg: DenseNetConfig) -> ModelParams:
     loaded: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "a tensor name length"))
-        name = take(name_len, "a tensor name").decode("utf-8")
+        try:
+            name = take(name_len, "a tensor name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedFileError(f"tensor name is not UTF-8: {exc}") from exc
         (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
         if rank > 8:
             raise TruncatedFileError(f"implausible rank {rank} for {name}")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}"))
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = take(4 * size, f"data of {name}")
-        loaded[name] = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
+        size = math.prod(dims)
+        values = np.frombuffer(take(4 * size, f"data of {name}"), dtype="<f4")
+        if not np.isfinite(values).all():
+            raise MalformedFileError(f"{name} holds values that are not finite")
+        loaded[name] = values.astype(np.float64).reshape(dims)
     if pos != len(data):
         raise TruncatedFileError(f"{len(data) - pos} trailing bytes after the last tensor")
 
@@ -100,46 +116,49 @@ def load_weights(path, cfg: DenseNetConfig) -> ModelParams:
 
 
 def sidecar_to_json(cfg: DenseNetConfig, lt: LabelTransform) -> str:
-    return json.dumps(
-        {
-            "net": {
-                "input_dim": cfg.input_dim,
-                "init_channels": cfg.init_channels,
-                "growth_rate": cfg.growth_rate,
-                "block_layers": list(cfg.block_layers),
-                "compression": cfg.compression,
-                "head_hidden": cfg.head_hidden,
-                "use_batchnorm": cfg.use_batchnorm,
-            },
-            "label_transform": {
-                "mu_log": lt.mu_log,
-                "sigma_log": lt.sigma_log,
-                "clip_max": lt.clip_max,
-                "epsilon": lt.epsilon,
-            },
-        },
-        sort_keys=True,
-        indent=2,
-    )
+    doc = {"net": dataclasses.asdict(cfg), "label_transform": dataclasses.asdict(lt)}
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _field_from_json(hint, value, where: str):
+    """``value`` as a field annotated ``hint``; a float field takes any finite
+    JSON number, every other field its own JSON type."""
+    if typing.get_origin(hint) is tuple:
+        if type(value) is list:
+            return tuple(_field_from_json(typing.get_args(hint)[0], v, where) for v in value)
+    elif hint is float and type(value) in (int, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    elif type(value) is hint:
+        return value
+    raise MalformedFileError(f"sidecar field {where} cannot be {value!r}")
+
+
+def _dataclass_from_json(cls, obj, section: str):
+    names = [f.name for f in dataclasses.fields(cls)]
+    if type(obj) is not dict or sorted(obj) != sorted(names):
+        raise MalformedFileError(f"sidecar section {section!r} must hold exactly the keys {names}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{n: _field_from_json(hints[n], obj[n], f"{section}.{n}") for n in names})
 
 
 def sidecar_from_json(text: str) -> tuple[DenseNetConfig, LabelTransform]:
-    obj = json.loads(text)
-    net = obj["net"]
-    lt = obj["label_transform"]
-    cfg = DenseNetConfig(
-        input_dim=int(net["input_dim"]),
-        init_channels=int(net["init_channels"]),
-        growth_rate=int(net["growth_rate"]),
-        block_layers=tuple(int(x) for x in net["block_layers"]),
-        compression=float(net["compression"]),
-        head_hidden=int(net["head_hidden"]),
-        use_batchnorm=bool(net["use_batchnorm"]),
-    )
-    transform = LabelTransform(
-        mu_log=float(lt["mu_log"]),
-        sigma_log=float(lt["sigma_log"]),
-        clip_max=float(lt["clip_max"]),
-        epsilon=float(lt["epsilon"]),
-    )
-    return cfg, transform
+    """Inverse of sidecar_to_json. Anything else (bad JSON, a missing or
+    unknown key, a value of the wrong type, a non-finite number, a network
+    config that fails validation) raises MalformedFileError."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedFileError(f"sidecar is not JSON: {exc}") from exc
+    if type(obj) is not dict or sorted(obj) != ["label_transform", "net"]:
+        raise MalformedFileError("sidecar must hold exactly the keys 'net' and 'label_transform'")
+    cfg = _dataclass_from_json(DenseNetConfig, obj["net"], "net")
+    lt = _dataclass_from_json(LabelTransform, obj["label_transform"], "label_transform")
+    try:
+        cfg.validate()
+    except InvalidConfigError as exc:
+        raise MalformedFileError(f"sidecar network config: {exc}") from exc
+    return cfg, lt

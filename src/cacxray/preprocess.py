@@ -2,28 +2,23 @@
 
 Order is fixed: window clamp -> histogram equalization -> bilinear resize ->
 centre crop -> standardization with pooled dataset statistics. All stages run
-on float64 arrays; nothing is quantized until the optional tensor cache writes
-float32.
+on float64 arrays; nothing is quantized.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dicom import DicomImage, to_real_image
 from .errors import (
-    BadMagicError,
     CropLargerThanImageError,
     DegenerateDatasetError,
+    InvalidConfigError,
+    MalformedFileError,
     NonPositiveWidthError,
-    TruncatedFileError,
 )
-
-TENSOR_MAGIC = b"CACT"
-TENSOR_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -31,6 +26,14 @@ class PreprocessConfig:
     resize_dim: int = 1248
     crop_dim: int = 1024
     eq_levels: int = 256
+
+    def validate(self) -> None:
+        if self.resize_dim < 1 or self.crop_dim < 1:
+            raise InvalidConfigError("resize_dim and crop_dim must be positive")
+        if self.crop_dim > self.resize_dim:
+            raise InvalidConfigError(f"crop_dim {self.crop_dim} exceeds resize_dim {self.resize_dim}")
+        if self.eq_levels < 2:
+            raise InvalidConfigError("eq_levels must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -139,60 +142,20 @@ def preprocess_uncalibrated(img: DicomImage, cfg: PreprocessConfig) -> np.ndarra
     return center_crop(r, cfg.crop_dim)
 
 
-def preprocess_pipeline(img: DicomImage, cfg: PreprocessConfig, stats: DatasetStats) -> np.ndarray:
-    """Full chain: window -> equalize -> resize -> crop -> standardize.
-    Returns a float64 (crop_dim, crop_dim) array ready for the network."""
-    return standardize(preprocess_uncalibrated(img, cfg), stats)
-
-
-# --- tensor cache ------------------------------------------------------------
-
-
-def tensor_to_bytes(values: np.ndarray) -> bytes:
-    """Serialize a square 2-D array as magic, version, dim, float32 row-major."""
-    v = np.asarray(values)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError("tensor cache stores square 2-D arrays")
-    dim = v.shape[0]
-    payload = np.ascontiguousarray(v, dtype="<f4").tobytes()
-    return TENSOR_MAGIC + struct.pack("<HI", TENSOR_VERSION, dim) + payload
-
-
-def tensor_from_bytes(data: bytes) -> np.ndarray:
-    """Inverse of tensor_to_bytes; returns float64."""
-    if len(data) < 4 or data[:4] != TENSOR_MAGIC:
-        raise BadMagicError("not a tensor cache file")
-    if len(data) < 10:
-        raise TruncatedFileError("tensor header incomplete")
-    version, dim = struct.unpack_from("<HI", data, 4)
-    if version != TENSOR_VERSION:
-        raise BadMagicError(f"unsupported tensor cache version {version}")
-    expected = 10 + 4 * dim * dim
-    if len(data) < expected:
-        raise TruncatedFileError(f"tensor payload short: {len(data)} < {expected} bytes")
-    if len(data) > expected:
-        raise TruncatedFileError(f"tensor file carries {len(data) - expected} trailing bytes")
-    flat = np.frombuffer(data, dtype="<f4", count=dim * dim, offset=10)
-    return flat.astype(np.float64).reshape(dim, dim)
-
-
-def write_tensor(path, values: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(values))
-
-
-def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
-
-
 def stats_to_csv(stats: DatasetStats) -> str:
     return f"mu,sigma\n{stats.mu!r},{stats.sigma!r}\n"
 
 
 def stats_from_csv(text: str) -> DatasetStats:
+    """Inverse of stats_to_csv. Raises MalformedFileError unless the text is
+    the header and one row of a finite mu and a finite positive sigma."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     if len(lines) != 2 or lines[0].strip() != "mu,sigma":
-        raise ValueError("expected a 'mu,sigma' header and one data row")
-    mu_s, sigma_s = lines[1].split(",")
-    return DatasetStats(mu=float(mu_s), sigma=float(sigma_s))
+        raise MalformedFileError("expected a 'mu,sigma' header and one data row")
+    try:
+        mu, sigma = (float(cell) for cell in lines[1].split(","))
+    except ValueError as exc:
+        raise MalformedFileError(f"statistics row {lines[1]!r} is not two numbers") from exc
+    if not (np.isfinite(mu) and np.isfinite(sigma) and sigma > 0):
+        raise MalformedFileError(f"statistics need a finite mu and a positive sigma, got {mu}, {sigma}")
+    return DatasetStats(mu=mu, sigma=sigma)

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from .dicom import DicomImage, parse_dicom, write_test_dicom
 from .errors import InvalidConfigError
 from .preprocess import resize_bilinear
@@ -310,13 +311,14 @@ def blobs_from_csv(text: str) -> dict[str, list[tuple[int, int, int, int]]]:
 
 def write_dataset(cfg: SynthConfig, samples: list[SynthSample], out_dir) -> None:
     """Lay out a dataset directory: images/<id>.dcm, cohort.csv, blobs.csv,
-    manifest.json. Byte-identical for identical (cfg, samples)."""
+    manifest.json. Byte-identical for identical (cfg, samples); every file is
+    written atomically."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     for s in samples:
-        (out / "images" / f"{s.id}.dcm").write_bytes(write_test_dicom(sample_to_dicom(s)))
-    (out / "cohort.csv").write_text(cohort_to_csv([s.record for s in samples]))
-    (out / "blobs.csv").write_text(blobs_to_csv(samples))
+        atomic.write_bytes(out / "images" / f"{s.id}.dcm", write_test_dicom(sample_to_dicom(s)))
+    atomic.write_text(out / "cohort.csv", cohort_to_csv([s.record for s in samples]))
+    atomic.write_text(out / "blobs.csv", blobs_to_csv(samples))
     manifest = {
         "kind": "synthetic-cac-dataset",
         "n": cfg.n,
@@ -332,7 +334,7 @@ def write_dataset(cfg: SynthConfig, samples: list[SynthSample], out_dir) -> None
         "hazard_ratio": cfg.hazard_ratio,
         "max_followup_years": cfg.max_followup_years,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    atomic.write_text(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def read_dataset(data_dir) -> tuple[list[str], list[DicomImage], list[SubjectRecord]]:

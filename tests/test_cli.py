@@ -4,6 +4,7 @@ chain on a small dataset, plus configuration and exit-code contracts."""
 import csv
 import io
 import json
+import shutil
 import subprocess
 
 import pytest
@@ -82,6 +83,19 @@ def test_effective_config_echoes_overrides(flow):
     assert "resize_dim = 20" in text
     # untouched defaults are echoed too
     assert "[crossval]" in text and "folds = 5" in text
+
+
+def test_effective_config_repeats_the_run(flow, tmp_path):
+    # the echo records the master seed given by --seed, so no flag is needed
+    echo = str(flow["model"] / "effective.cfg")
+    assert "[run]\nseed = 3\n" in (flow["model"] / "effective.cfg").read_text()
+    assert main(["synth", "--config", echo, "--out", str(tmp_path / "d")]) == 0
+    assert main(["train", "--config", echo, "--data", str(tmp_path / "d"),
+                 "--out", str(tmp_path / "m")]) == 0
+    for rel in ["d/cohort.csv", "d/images/s00007.dcm", "m/weights.cacw", "m/split.json"]:
+        original = flow["data" if rel[0] == "d" else "model"] / rel[2:]
+        assert (tmp_path / rel).read_bytes() == original.read_bytes(), rel
+    assert (tmp_path / "m" / "effective.cfg").read_bytes() == (flow["model"] / "effective.cfg").read_bytes()
 
 
 def test_train_outputs(flow):
@@ -282,6 +296,66 @@ def test_degenerate_labels_training_exits_5(flow, tmp_path):
     rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "d"),
                "--out", str(tmp_path / "o"), "--seed", "3"])
     assert rc == 5
+
+
+def test_crop_larger_than_resize_exits_2_before_reading_data(tmp_path, capsys):
+    cfg = tmp_path / "crop.ini"
+    cfg.write_text("[preprocess]\nresize_dim = 20\ncrop_dim = 30\n")
+    rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "nope"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "crop_dim" in capsys.readouterr().err
+
+
+def test_no_temporary_files_left_behind(flow):
+    assert not list(flow["root"].rglob("*.tmp"))
+
+
+def _flip_first_weight_name_byte(data: bytes) -> bytes:
+    # magic (4), version u16, count u32, then the first name's u16 length
+    return data[:12] + b"\xff" + data[13:]
+
+
+def _sidecar_without(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+def _sidecar_net_field(key, value):
+    def damage(text):
+        doc = json.loads(text)
+        doc["net"][key] = value
+        return json.dumps(doc)
+    return damage
+
+
+_DAMAGED_MODEL_FILES = {
+    "sidecar_lacks_label_transform": ("sidecar.json", _sidecar_without("label_transform")),
+    "sidecar_is_a_list": ("sidecar.json", lambda text: "[1,2]"),
+    "sidecar_block_layers_not_a_list": ("sidecar.json", _sidecar_net_field("block_layers", 5)),
+    "split_is_empty_object": ("split.json", lambda text: "{}"),
+    "weights_name_not_utf8": ("weights.cacw", _flip_first_weight_name_byte),
+    "weights_value_nan": ("weights.cacw", lambda data: data[:-4] + b"\xff\xff\xff\xff"),
+    "stats_row_lacks_sigma": ("stats.csv", lambda text: "mu,sigma\n1.0\n"),
+    "stats_sigma_zero": ("stats.csv", lambda text: "mu,sigma\n1.0,0.0\n"),
+    "stats_sigma_negative": ("stats.csv", lambda text: "mu,sigma\n1.0,-2.0\n"),
+    "stats_not_finite": ("stats.csv", lambda text: "mu,sigma\nnan,1.0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DAMAGED_MODEL_FILES))
+def test_damaged_model_directory_exits_4(flow, tmp_path, capsys, case):
+    name, damage = _DAMAGED_MODEL_FILES[case]
+    model = tmp_path / "model"
+    shutil.copytree(flow["model"], model)
+    path = model / name
+    if name == "weights.cacw":
+        path.write_bytes(damage(path.read_bytes()))
+    else:
+        path.write_text(damage(path.read_text()))
+    rc = main(["evaluate", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
+               "--model", str(model), "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 def test_installed_entry_point_reports_version():

@@ -102,6 +102,19 @@ def test_export_deterministic_bytes(tmp_path):
     assert o1.read_bytes() == o2.read_bytes()
 
 
+def test_export_atomic_leaves_no_temp_files(tmp_path):
+    rng = np.random.default_rng(3)
+    sal = rng.uniform(0, 1, size=(3, 3))
+    base = rng.standard_normal((3, 3))
+    (tmp_path / "x.map.pgm").write_bytes(b"an earlier run's map")
+    map_path, overlay_path = export_saliency(sal, base, tmp_path, "x")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.map.pgm", "x.overlay.pgm"]
+    norm = (base - base.min()) / (base.max() - base.min())
+    assert map_path.read_bytes() == b"P5\n3 3\n255\n" + np.rint(255.0 * sal).astype(np.uint8).tobytes()
+    overlay = np.rint(255.0 * np.concatenate([norm, sal], axis=1)).astype(np.uint8)
+    assert overlay_path.read_bytes() == b"P5\n6 3\n255\n" + overlay.tobytes()
+
+
 def test_export_constant_base_image(tmp_path):
     # zero-span base must not divide by zero; it renders as black
     sal = np.full((4, 4), 0.5)

@@ -1,6 +1,5 @@
 """Log-domain label transform: fit, forward/inverse, thresholds, classify."""
 
-import json
 import math
 
 import numpy as np
@@ -103,11 +102,3 @@ def test_classify_agrees_with_raw_comparison():
         th_raw = float(rng.uniform(0, 1999))
         th = lb.transform_threshold(th_raw, lt)
         assert lb.classify(float(lb.transform(y, lt)), th) == (y > th_raw)
-
-
-def test_json_round_trip():
-    lt = lb.fit_label_transform([0.0, 3.0, 800.0])
-    doc = json.loads(lb.transform_to_json(lt))
-    assert set(doc) == {"clip_max", "epsilon", "mu_log", "sigma_log"}
-    back = lb.transform_from_json(lb.transform_to_json(lt))
-    assert back == lt

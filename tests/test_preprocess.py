@@ -1,4 +1,4 @@
-"""Windowing, equalization, resize, crop, standardization, tensor cache."""
+"""Windowing, equalization, resize, crop, standardization, statistics file."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,9 @@ from cacxray import dicom, preprocess as pp
 from cacxray.errors import (
     CropLargerThanImageError,
     DegenerateDatasetError,
+    InvalidConfigError,
+    MalformedFileError,
     NonPositiveWidthError,
-    TruncatedFileError,
-    BadMagicError,
 )
 
 from conftest import random_dicom
@@ -192,46 +192,34 @@ def test_pipeline_desk_dims_and_determinism():
     assert a.tobytes() == b.tobytes()
 
 
-def test_pipeline_standardizes_with_given_stats():
-    cfg = pp.PreprocessConfig(resize_dim=12, crop_dim=8, eq_levels=64)
-    img = random_dicom(np.random.default_rng(13))
-    crop = pp.preprocess_uncalibrated(img, cfg)
-    stats = pp.compute_dataset_stats([crop])
-    full = pp.preprocess_pipeline(img, cfg, stats)
-    assert np.array_equal(full, pp.standardize(crop, stats))
-
-
 def test_pipeline_config_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidConfigError):
         pp.PreprocessConfig(resize_dim=10, crop_dim=20, eq_levels=256).validate()
-
-
-# --- tensor cache ---------------------------------------------------------------
-
-def test_tensor_cache_round_trip(tmp_path):
-    rng = np.random.default_rng(14)
-    t = rng.standard_normal((9, 9)).astype(np.float32).astype(np.float64)
-    blob = pp.tensor_to_bytes(t)
-    assert blob[:4] == pp.TENSOR_MAGIC
-    back = pp.tensor_from_bytes(blob)
-    assert np.array_equal(back, t)
-    path = tmp_path / "x.cact"
-    pp.write_tensor(path, t)
-    assert np.array_equal(pp.read_tensor(path), t)
-
-
-def test_tensor_cache_rejects_damage():
-    t = np.zeros((3, 3))
-    blob = pp.tensor_to_bytes(t)
-    with pytest.raises(BadMagicError):
-        pp.tensor_from_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(TruncatedFileError):
-        pp.tensor_from_bytes(blob[:-2])
-    with pytest.raises(TruncatedFileError):
-        pp.tensor_from_bytes(blob + b"\x00\x00")
+    for kw in ({"resize_dim": 0, "crop_dim": 0}, {"crop_dim": 0}, {"eq_levels": 1}):
+        with pytest.raises(InvalidConfigError):
+            pp.PreprocessConfig(**kw).validate()
+    pp.PreprocessConfig().validate()
+    pp.PreprocessConfig(resize_dim=64, crop_dim=64, eq_levels=2).validate()
 
 
 def test_stats_csv_round_trip():
     stats = pp.DatasetStats(mu=12.5, sigma=3.75)
     back = pp.stats_from_csv(pp.stats_to_csv(stats))
     assert back.mu == stats.mu and back.sigma == stats.sigma
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "mu,sigma\n",
+    "mu,sigma\n1.0\n",
+    "mu,sigma\n1.0,2.0,3.0\n",
+    "mu,sigma\nx,2.0\n",
+    "sigma,mu\n1.0,2.0\n",
+    "mu,sigma\nnan,2.0\n",
+    "mu,sigma\n1.0,inf\n",
+    "mu,sigma\n1.0,0.0\n",
+    "mu,sigma\n1.0,-2.0\n",
+])
+def test_stats_csv_rejects_malformed_and_nonpositive_sigma(text):
+    with pytest.raises(MalformedFileError):
+        pp.stats_from_csv(text)

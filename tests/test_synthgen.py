@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from cacxray import synthgen as sg
-from cacxray.dicom import parse_dicom
+from cacxray.dicom import parse_dicom, write_test_dicom
 from cacxray.errors import InvalidConfigError
-from cacxray.survival import SubjectRecord, log_rank
+from cacxray.survival import SubjectRecord, cohort_to_csv, log_rank
 
 
 def _cfg(**kw):
@@ -198,6 +198,20 @@ def test_write_dataset_deterministic_bytes(tmp_path):
     for rel in ["manifest.json", "cohort.csv", "blobs.csv", "images/s00000.dcm",
                 "images/s00004.dcm"]:
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def test_write_dataset_atomic_leaves_no_temp_files(tmp_path):
+    cfg = _cfg(n=3, seed=14)
+    samples = sg.generate_samples(cfg)
+    sg.generate_survival(cfg, samples)
+    (tmp_path / "cohort.csv").write_text("an earlier run's file\n")
+    sg.write_dataset(cfg, samples, tmp_path)
+    assert not list(tmp_path.rglob("*.tmp"))
+    for s in samples:
+        dcm = (tmp_path / "images" / f"{s.id}.dcm").read_bytes()
+        assert dcm == write_test_dicom(sg.sample_to_dicom(s))
+    assert (tmp_path / "cohort.csv").read_bytes() == cohort_to_csv([s.record for s in samples]).encode()
+    assert (tmp_path / "blobs.csv").read_bytes() == sg.blobs_to_csv(samples).encode()
 
 
 def test_manifest_describes_config(tmp_path):
