@@ -5,16 +5,25 @@ uncompressed, Explicit or Implicit VR Little Endian. Anything else is rejected
 with a structured error instead of a guess. The writer emits fixtures the
 parser round-trips bitwise; it is not a general-purpose DICOM producer.
 
+One table, ``_ELEMENTS``, lists every dataset element the pipeline uses: its
+tag, keyword, VR, ``DicomImage`` field and the default that stands in when the
+element is absent. The parser decodes and the writer encodes from that table,
+through one codec per VR, and both run ``DicomImage.validate`` as their only
+consistency check.
+
 Truncation semantics: a byte stream that ends *inside* an element (header or
-value) raises MalformedFileError; one that ends cleanly between elements but
-never delivered a required tag raises MissingRequiredTagError. Either way a
-damaged file yields an exception, never a partial image.
+value) raises TruncatedFileError, a MalformedFileError; one that ends cleanly
+between elements but never delivered a required tag raises
+MissingRequiredTagError. Either way a damaged file yields an exception, never
+a partial image.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -24,41 +33,17 @@ from .errors import (
     UnsupportedPhotometricError,
     UnsupportedTransferSyntaxError,
 )
+from .framing import Reader
 
 EXPLICIT_VR_LE = "1.2.840.10008.1.2.1"
 IMPLICIT_VR_LE = "1.2.840.10008.1.2"
 SUPPORTED_TRANSFER_SYNTAXES = (EXPLICIT_VR_LE, IMPLICIT_VR_LE)
 
-_TAG_META_GROUP_LENGTH = (0x0002, 0x0000)
-_TAG_TRANSFER_SYNTAX = (0x0002, 0x0010)
-_TAG_PHOTOMETRIC = (0x0028, 0x0004)
-_TAG_ROWS = (0x0028, 0x0010)
-_TAG_COLUMNS = (0x0028, 0x0011)
-_TAG_BITS_ALLOCATED = (0x0028, 0x0100)
-_TAG_BITS_STORED = (0x0028, 0x0101)
-_TAG_PIXEL_REPRESENTATION = (0x0028, 0x0103)
-_TAG_WINDOW_CENTER = (0x0028, 0x1050)
-_TAG_WINDOW_WIDTH = (0x0028, 0x1051)
-_TAG_RESCALE_INTERCEPT = (0x0028, 0x1052)
-_TAG_RESCALE_SLOPE = (0x0028, 0x1053)
-_TAG_PIXEL_DATA = (0x7FE0, 0x0010)
+_META_GROUP_LENGTH = (0x0002, 0x0000)
+_META_TRANSFER_SYNTAX = (0x0002, 0x0010)
 
 # VRs that use the 4-byte length form in Explicit VR encoding.
 _LONG_VRS = {b"OB", b"OW", b"OF", b"SQ", b"UT", b"UN"}
-
-_WANTED_TAGS = {
-    _TAG_PHOTOMETRIC,
-    _TAG_ROWS,
-    _TAG_COLUMNS,
-    _TAG_BITS_ALLOCATED,
-    _TAG_BITS_STORED,
-    _TAG_PIXEL_REPRESENTATION,
-    _TAG_WINDOW_CENTER,
-    _TAG_WINDOW_WIDTH,
-    _TAG_RESCALE_INTERCEPT,
-    _TAG_RESCALE_SLOPE,
-    _TAG_PIXEL_DATA,
-}
 
 _PIXEL_DTYPES = {
     (8, 0): np.dtype("<u1"),
@@ -93,29 +78,31 @@ class DicomImage:
     rescale_intercept: float = 0.0
 
     def validate(self) -> None:
-        """Raise ValueError if the fields are not mutually consistent."""
+        """Raise MalformedFileError if the fields are not mutually consistent,
+        or UnsupportedPhotometricError for a photometric interpretation other
+        than MONOCHROME1/MONOCHROME2. The header fields are checked before the
+        pixel array."""
         if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be positive")
+            raise MalformedFileError(f"Rows and Columns must be positive, got {self.rows}x{self.cols}")
         if self.bits_allocated not in (8, 16):
-            raise ValueError("bits_allocated must be 8 or 16")
+            raise MalformedFileError(f"BitsAllocated {self.bits_allocated} not supported (want 8 or 16)")
         if not 1 <= self.bits_stored <= self.bits_allocated:
-            raise ValueError("bits_stored must lie in [1, bits_allocated]")
+            raise MalformedFileError(f"BitsStored {self.bits_stored} outside [1, {self.bits_allocated}]")
         if self.pixel_representation not in (0, 1):
-            raise ValueError("pixel_representation must be 0 or 1")
+            raise MalformedFileError(f"PixelRepresentation {self.pixel_representation} not in {{0, 1}}")
         if self.photometric not in ("MONOCHROME1", "MONOCHROME2"):
-            raise ValueError(f"unsupported photometric {self.photometric!r}")
+            raise UnsupportedPhotometricError(self.photometric)
         if not self.window_width > 0:
-            raise ValueError("window_width must be positive")
+            raise MalformedFileError(f"WindowWidth must be positive, got {self.window_width}")
         if self.pixels.shape != (self.rows, self.cols):
-            raise ValueError("pixel array shape disagrees with rows/cols")
+            raise MalformedFileError(f"pixel array shape {self.pixels.shape} disagrees with rows/cols")
         if not np.issubdtype(self.pixels.dtype, np.integer):
-            raise ValueError("pixels must be an integer array")
+            raise MalformedFileError("pixels must be an integer array")
         lo, hi = self.stored_value_range()
         pmin, pmax = int(self.pixels.min()), int(self.pixels.max())
         if pmin < lo or pmax > hi:
-            raise ValueError(
-                f"pixel values [{pmin}, {pmax}] exceed the {self.bits_stored}-bit "
-                f"stored range [{lo}, {hi}]"
+            raise MalformedFileError(
+                f"stored pixel values [{pmin}, {pmax}] exceed the {self.bits_stored}-bit range [{lo}, {hi}]"
             )
 
     def stored_value_range(self) -> tuple[int, int]:
@@ -125,64 +112,116 @@ class DicomImage:
         return -half, half - 1
 
 
-class _Reader:
-    """Bounds-checked little-endian cursor over a byte string."""
-
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    def take(self, n: int, what: str) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
-            raise MalformedFileError(f"file ends inside {what}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def peek_group(self) -> int | None:
-        if self.remaining() < 2:
-            return None
-        return struct.unpack_from("<H", self.data, self.pos)[0]
+class _Element(NamedTuple):
+    tag: tuple[int, int]
+    keyword: str
+    vr: str
+    field: str
+    # None marks a required element; a callable default is applied to the
+    # fields decoded before this element.
+    default: Any = None
 
 
-def _read_element(r: _Reader, explicit: bool) -> tuple[tuple[int, int], bytes]:
-    group = r.u16("an element tag")
-    elem = r.u16("an element tag")
-    tag = (group, elem)
+# Every dataset element the pipeline reads and writes, in ascending tag order
+# (the order the writer emits them, PixelData last).
+_ELEMENTS = (
+    _Element((0x0028, 0x0004), "PhotometricInterpretation", "CS", "photometric", "MONOCHROME2"),
+    _Element((0x0028, 0x0010), "Rows", "US", "rows"),
+    _Element((0x0028, 0x0011), "Columns", "US", "cols"),
+    _Element((0x0028, 0x0100), "BitsAllocated", "US", "bits_allocated"),
+    _Element((0x0028, 0x0101), "BitsStored", "US", "bits_stored", itemgetter("bits_allocated")),
+    _Element((0x0028, 0x0103), "PixelRepresentation", "US", "pixel_representation", 0),
+    _Element((0x0028, 0x1050), "WindowCenter", "DS", "window_center"),
+    _Element((0x0028, 0x1051), "WindowWidth", "DS", "window_width"),
+    _Element((0x0028, 0x1052), "RescaleIntercept", "DS", "rescale_intercept", 0.0),
+    _Element((0x0028, 0x1053), "RescaleSlope", "DS", "rescale_slope", 1.0),
+    _Element((0x7FE0, 0x0010), "PixelData", "OW", "pixels"),
+)
+
+
+# --- per-VR codecs ----------------------------------------------------------
+
+
+def _pad_even(value: bytes, pad: bytes) -> bytes:
+    return value + pad if len(value) % 2 else value
+
+
+def _name(el: _Element) -> str:
+    return f"{el.keyword} {_fmt_tag(el.tag)}"
+
+
+def _decode_us(value: bytes, el: _Element) -> int:
+    if len(value) != 2:
+        raise MalformedFileError(f"element {_name(el)} expected a 2-byte unsigned value, got {len(value)} bytes")
+    return struct.unpack("<H", value)[0]
+
+
+def _decode_ds(value: bytes, el: _Element) -> float:
+    """Decimal string; multi-valued entries resolve to the first value."""
+    try:
+        text = value.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"element {_name(el)} is not an ASCII decimal string") from exc
+    first = text.split("\\")[0].strip(" \x00")
+    try:
+        return float(first)
+    except ValueError as exc:
+        raise MalformedFileError(f"element {_name(el)} holds no parseable number: {first!r}") from exc
+
+
+def _encode_ds(x: float) -> bytes:
+    # repr round-trips float64 exactly through the parser
+    return _pad_even(repr(float(x)).encode("ascii"), b" ")
+
+
+def _decode_cs(value: bytes, el: _Element) -> str:
+    try:
+        return value.decode("ascii").strip(" \x00")
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"element {_name(el)} is not an ASCII code string") from exc
+
+
+# VR -> (decode(value bytes, element) -> field value, encode(field value) -> bytes).
+# OW carries the raw pixel bytes; _pixels_from_bytes and write_test_dicom
+# convert between those and the pixel array.
+_CODECS = {
+    "US": (_decode_us, lambda x: struct.pack("<H", x)),
+    "CS": (_decode_cs, lambda x: _pad_even(x.encode("ascii"), b" ")),
+    "DS": (_decode_ds, _encode_ds),
+    "OW": (lambda value, el: value, lambda x: _pad_even(x, b"\x00")),
+}
+
+
+# --- reader ------------------------------------------------------------------
+
+
+def _read_element(r: Reader, explicit: bool) -> tuple[tuple[int, int], bytes]:
+    tag = r.unpack("HH", "an element tag")
     what = f"element {_fmt_tag(tag)}"
     if explicit:
         vr = r.take(2, f"{what} VR")
         if vr in _LONG_VRS:
             r.take(2, f"{what} reserved bytes")
-            length = r.u32(f"{what} length")
+            (length,) = r.unpack("I", f"{what} length")
         else:
-            length = r.u16(f"{what} length")
+            (length,) = r.unpack("H", f"{what} length")
     else:
-        length = r.u32(f"{what} length")
+        (length,) = r.unpack("I", f"{what} length")
     if length == 0xFFFFFFFF:
         raise MalformedFileError(f"{what} has undefined length (not supported)")
     value = r.take(length, f"{what} value ({length} bytes)")
     return tag, value
 
 
-def _parse_file_meta(r: _Reader) -> str:
+def _parse_file_meta(r: Reader) -> str:
     """Consume group-0002 elements (always Explicit VR) and return the
     transfer syntax UID."""
     ts = None
     saw_meta = False
-    while r.peek_group() == 0x0002:
+    while r.data.startswith(b"\x02\x00", r.pos):
         saw_meta = True
         tag, value = _read_element(r, explicit=True)
-        if tag == _TAG_TRANSFER_SYNTAX:
+        if tag == _META_TRANSFER_SYNTAX:
             ts = value.decode("ascii", "replace").rstrip("\x00 ")
     if not saw_meta:
         raise MalformedFileError("file meta group is missing")
@@ -191,128 +230,54 @@ def _parse_file_meta(r: _Reader) -> str:
     return ts
 
 
-def _decode_us(value: bytes, tag: tuple[int, int]) -> int:
-    if len(value) != 2:
-        raise MalformedFileError(
-            f"element {_fmt_tag(tag)} expected a 2-byte unsigned value, got {len(value)} bytes"
-        )
-    return struct.unpack("<H", value)[0]
-
-
-def _decode_ds(value: bytes, tag: tuple[int, int]) -> float:
-    """Decimal string; multi-valued entries resolve to the first value."""
-    try:
-        text = value.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise MalformedFileError(f"element {_fmt_tag(tag)} is not an ASCII decimal string") from exc
-    first = text.split("\\")[0].strip(" \x00")
-    try:
-        return float(first)
-    except ValueError as exc:
-        raise MalformedFileError(f"element {_fmt_tag(tag)} holds no parseable number: {first!r}") from exc
-
-
-def _decode_cs(value: bytes, tag: tuple[int, int]) -> str:
-    try:
-        return value.decode("ascii").strip(" \x00")
-    except UnicodeDecodeError as exc:
-        raise MalformedFileError(f"element {_fmt_tag(tag)} is not an ASCII code string") from exc
-
-
-def parse_dicom(data: bytes) -> DicomImage:
-    """Parse a part-10 byte stream into a DicomImage.
-
-    Raises MalformedFileError, UnsupportedTransferSyntaxError,
-    MissingRequiredTagError, or UnsupportedPhotometricError; never returns a
-    partially populated image.
-    """
-    if len(data) < 132 or data[128:132] != b"DICM":
-        raise MalformedFileError("missing DICM marker at offset 128")
-    r = _Reader(data, 132)
-    ts = _parse_file_meta(r)
-    if ts == EXPLICIT_VR_LE:
-        explicit = True
-    elif ts == IMPLICIT_VR_LE:
-        explicit = False
-    else:
-        raise UnsupportedTransferSyntaxError(ts)
-
-    found: dict[tuple[int, int], bytes] = {}
-    while r.remaining() > 0:
-        tag, value = _read_element(r, explicit)
-        if tag in _WANTED_TAGS:
-            found[tag] = value
-
-    def require(tag: tuple[int, int], name: str) -> bytes:
-        if tag not in found:
-            raise MissingRequiredTagError(f"{name} {_fmt_tag(tag)}")
-        return found[tag]
-
-    rows = _decode_us(require(_TAG_ROWS, "Rows"), _TAG_ROWS)
-    cols = _decode_us(require(_TAG_COLUMNS, "Columns"), _TAG_COLUMNS)
-    if rows < 1 or cols < 1:
-        raise MalformedFileError("Rows and Columns must be positive")
-    bits_allocated = _decode_us(require(_TAG_BITS_ALLOCATED, "BitsAllocated"), _TAG_BITS_ALLOCATED)
-    if bits_allocated not in (8, 16):
-        raise MalformedFileError(f"BitsAllocated {bits_allocated} not supported (want 8 or 16)")
-    if _TAG_BITS_STORED in found:
-        bits_stored = _decode_us(found[_TAG_BITS_STORED], _TAG_BITS_STORED)
-    else:
-        bits_stored = bits_allocated
-    if not 1 <= bits_stored <= bits_allocated:
-        raise MalformedFileError(f"BitsStored {bits_stored} outside [1, {bits_allocated}]")
-    if _TAG_PIXEL_REPRESENTATION in found:
-        pixel_representation = _decode_us(found[_TAG_PIXEL_REPRESENTATION], _TAG_PIXEL_REPRESENTATION)
-        if pixel_representation not in (0, 1):
-            raise MalformedFileError(f"PixelRepresentation {pixel_representation} not in {{0, 1}}")
-    else:
-        pixel_representation = 0
-    if _TAG_PHOTOMETRIC in found:
-        photometric = _decode_cs(found[_TAG_PHOTOMETRIC], _TAG_PHOTOMETRIC)
-        if photometric not in ("MONOCHROME1", "MONOCHROME2"):
-            raise UnsupportedPhotometricError(photometric)
-    else:
-        photometric = "MONOCHROME2"
-    window_center = _decode_ds(require(_TAG_WINDOW_CENTER, "WindowCenter"), _TAG_WINDOW_CENTER)
-    window_width = _decode_ds(require(_TAG_WINDOW_WIDTH, "WindowWidth"), _TAG_WINDOW_WIDTH)
-    if not window_width > 0:
-        raise MalformedFileError(f"WindowWidth must be positive, got {window_width}")
-    slope = _decode_ds(found[_TAG_RESCALE_SLOPE], _TAG_RESCALE_SLOPE) if _TAG_RESCALE_SLOPE in found else 1.0
-    intercept = (
-        _decode_ds(found[_TAG_RESCALE_INTERCEPT], _TAG_RESCALE_INTERCEPT)
-        if _TAG_RESCALE_INTERCEPT in found
-        else 0.0
-    )
-
-    raw = require(_TAG_PIXEL_DATA, "PixelData")
-    dtype = _PIXEL_DTYPES[(bits_allocated, pixel_representation)]
+def _pixels_from_bytes(raw: bytes, fields: dict) -> np.ndarray:
+    """PixelData as an int32 (rows, cols) array. A BitsAllocated and
+    PixelRepresentation pair with no pixel layout gives an empty array;
+    validate then names the bad field, as it checks the header first."""
+    dtype = _PIXEL_DTYPES.get((fields["bits_allocated"], fields["pixel_representation"]))
+    if dtype is None:
+        return np.zeros((0, 0), dtype=np.int32)
+    rows, cols = fields["rows"], fields["cols"]
     expected = rows * cols * dtype.itemsize
     # allow a single trailing pad byte (DICOM values have even length)
     if len(raw) < expected or len(raw) - expected > 1:
         raise MalformedFileError(
             f"PixelData holds {len(raw)} bytes, expected {expected} for {rows}x{cols}"
         )
-    pixels = np.frombuffer(raw[:expected], dtype=dtype).reshape(rows, cols).astype(np.int32)
+    return np.frombuffer(raw[:expected], dtype=dtype).reshape(rows, cols).astype(np.int32)
 
-    img = DicomImage(
-        rows=rows,
-        cols=cols,
-        bits_allocated=bits_allocated,
-        bits_stored=bits_stored,
-        pixel_representation=pixel_representation,
-        photometric=photometric,
-        window_center=window_center,
-        window_width=window_width,
-        pixels=pixels,
-        rescale_slope=slope,
-        rescale_intercept=intercept,
-    )
-    lo, hi = img.stored_value_range()
-    pmin, pmax = int(pixels.min()), int(pixels.max())
-    if pmin < lo or pmax > hi:
-        raise MalformedFileError(
-            f"stored pixel values [{pmin}, {pmax}] exceed the {bits_stored}-bit range [{lo}, {hi}]"
-        )
+
+def parse_dicom(data: bytes) -> DicomImage:
+    """Parse a part-10 byte stream into a DicomImage.
+
+    Raises MalformedFileError (TruncatedFileError when the stream ends inside
+    an element), UnsupportedTransferSyntaxError, MissingRequiredTagError, or
+    UnsupportedPhotometricError; never returns a partially populated image.
+    """
+    if len(data) < 132 or data[128:132] != b"DICM":
+        raise MalformedFileError("missing DICM marker at offset 128")
+    r = Reader(data, 132)
+    ts = _parse_file_meta(r)
+    if ts not in SUPPORTED_TRANSFER_SYNTAXES:
+        raise UnsupportedTransferSyntaxError(ts)
+    explicit = ts == EXPLICIT_VR_LE
+
+    found: dict[tuple[int, int], bytes] = {}
+    while r.remaining() > 0:
+        tag, value = _read_element(r, explicit)
+        found[tag] = value
+
+    fields: dict[str, Any] = {}
+    for el in _ELEMENTS:
+        if el.tag in found:
+            fields[el.field] = _CODECS[el.vr][0](found[el.tag], el)
+        elif el.default is None:
+            raise MissingRequiredTagError(_name(el))
+        else:
+            fields[el.field] = el.default(fields) if callable(el.default) else el.default
+    fields["pixels"] = _pixels_from_bytes(fields["pixels"], fields)
+    img = DicomImage(**fields)
+    img.validate()
     return img
 
 
@@ -327,15 +292,6 @@ def to_real_image(img: DicomImage) -> np.ndarray:
 
 
 # --- writer ------------------------------------------------------------------
-
-
-def _pad_even(value: bytes, pad: bytes) -> bytes:
-    return value + pad if len(value) % 2 else value
-
-
-def _encode_ds(x: float) -> bytes:
-    # repr round-trips float64 exactly through the parser
-    return _pad_even(repr(float(x)).encode("ascii"), b" ")
 
 
 def _encode_element(tag: tuple[int, int], vr: str, value: bytes, explicit: bool = True) -> bytes:
@@ -364,28 +320,17 @@ def write_test_dicom(img: DicomImage, transfer_syntax: str = EXPLICIT_VR_LE) -> 
     explicit = transfer_syntax == EXPLICIT_VR_LE
 
     ts_value = _pad_even(transfer_syntax.encode("ascii"), b"\x00")
-    meta_body = _encode_element(_TAG_TRANSFER_SYNTAX, "UI", ts_value)
+    meta_body = _encode_element(_META_TRANSFER_SYNTAX, "UI", ts_value)
     meta = (
-        _encode_element(_TAG_META_GROUP_LENGTH, "UL", struct.pack("<I", len(meta_body)))
+        _encode_element(_META_GROUP_LENGTH, "UL", struct.pack("<I", len(meta_body)))
         + meta_body
     )
 
+    fields = {el.field: getattr(img, el.field) for el in _ELEMENTS}
     dtype = _PIXEL_DTYPES[(img.bits_allocated, img.pixel_representation)]
-    pixel_bytes = _pad_even(np.ascontiguousarray(img.pixels, dtype=dtype).tobytes(), b"\x00")
-
+    fields["pixels"] = np.ascontiguousarray(img.pixels, dtype=dtype).tobytes()
     body = b"".join(
-        [
-            _encode_element(_TAG_PHOTOMETRIC, "CS", _pad_even(img.photometric.encode("ascii"), b" "), explicit),
-            _encode_element(_TAG_ROWS, "US", struct.pack("<H", img.rows), explicit),
-            _encode_element(_TAG_COLUMNS, "US", struct.pack("<H", img.cols), explicit),
-            _encode_element(_TAG_BITS_ALLOCATED, "US", struct.pack("<H", img.bits_allocated), explicit),
-            _encode_element(_TAG_BITS_STORED, "US", struct.pack("<H", img.bits_stored), explicit),
-            _encode_element(_TAG_PIXEL_REPRESENTATION, "US", struct.pack("<H", img.pixel_representation), explicit),
-            _encode_element(_TAG_WINDOW_CENTER, "DS", _encode_ds(img.window_center), explicit),
-            _encode_element(_TAG_WINDOW_WIDTH, "DS", _encode_ds(img.window_width), explicit),
-            _encode_element(_TAG_RESCALE_INTERCEPT, "DS", _encode_ds(img.rescale_intercept), explicit),
-            _encode_element(_TAG_RESCALE_SLOPE, "DS", _encode_ds(img.rescale_slope), explicit),
-            _encode_element(_TAG_PIXEL_DATA, "OW", pixel_bytes, explicit),
-        ]
+        _encode_element(el.tag, el.vr, _CODECS[el.vr][1](fields[el.field]), explicit)
+        for el in _ELEMENTS
     )
     return b"\x00" * 128 + b"DICM" + meta + body

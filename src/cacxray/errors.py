@@ -8,6 +8,10 @@ Each error belongs to one of four categories, and the category carries the
 command-line exit code and the label printed in front of the message:
 ConfigError (2), TrainingError (3), UnreadableInputError (4) and
 DegenerateDataError (5).
+
+A binary file that ends inside an element or record raises
+TruncatedFileError, a kind of MalformedFileError, whichever format it is:
+both formats read through the one bounds-checked ``framing.Reader``.
 """
 
 
@@ -45,8 +49,13 @@ class DegenerateDataError(CacXrayError):
 
 class MalformedFileError(UnreadableInputError):
     """Bytes or text that do not parse as their format: a DICOM part-10 file
-    (bad magic, element overruns the buffer, inconsistent lengths, invalid
-    pixel payload), a sidecar, a statistics file or a split file."""
+    (bad magic, inconsistent fields, invalid pixel payload), a weights file,
+    a sidecar, a statistics file or a split file."""
+
+
+class TruncatedFileError(MalformedFileError):
+    """A binary file ends inside an element or record (or a weights file
+    carries trailing bytes)."""
 
 
 class UnsupportedTransferSyntaxError(UnreadableInputError):
@@ -112,10 +121,6 @@ class TrainingFailedError(TrainingError):
 
 class BadMagicError(UnreadableInputError):
     """File does not start with the expected format tag."""
-
-
-class TruncatedFileError(UnreadableInputError):
-    """File ends before the declared payload (or carries trailing bytes)."""
 
 
 # --- metrics -----------------------------------------------------------------

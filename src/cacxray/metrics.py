@@ -53,7 +53,11 @@ class ConfusionCounts:
 
 
 def _scores_labels(samples, truth_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and truth labels as arrays; a score that is not finite has no
+    rank, so it raises ValueError."""
     scores = np.asarray([s.score for s in samples], dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     truth = np.asarray([s.truth_cac for s in samples], dtype=np.float64)
     return scores, truth > truth_threshold
 
@@ -304,8 +308,6 @@ def cross_validate(
     seed: int = 0,
     truth_threshold: float = 0.0,
     rauc_grid=(0.0, 100.0, 400.0),
-    clip_max: float = 2000.0,
-    epsilon: float = 1e-5,
     train_fn=None,
 ) -> CrossValReport:
     """k-fold cross-validation with per-fold refitting.
@@ -327,7 +329,7 @@ def cross_validate(
     for f, test_idx in enumerate(folds):
         train_idx = np.concatenate([folds[j] for j in range(k) if j != f])
         stats = compute_dataset_stats([images[i] for i in train_idx])
-        lt = fit_label_transform(cacs[train_idx], clip_max=clip_max, epsilon=epsilon)
+        lt = fit_label_transform(cacs[train_idx])
         xtr = [standardize(images[i], stats) for i in train_idx]
         ytr = transform(cacs[train_idx], lt)
         predictor = train_fn(xtr, ytr, net_cfg, train_cfg)

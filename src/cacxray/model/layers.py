@@ -278,7 +278,10 @@ class Linear(Layer):
 
     def forward(self, x, ctx):
         ctx.caches[self.name] = x
-        return x @ ctx.tensors[self.wname].T + ctx.tensors[self.bname]
+        # one (1, d_in) product per item: a single (n, d_in) GEMM would round
+        # differently from a batch-1 product, so an item's output would depend
+        # on the batch it came in
+        return (x[:, None, :] @ ctx.tensors[self.wname].T)[:, 0] + ctx.tensors[self.bname]
 
     def backward(self, dy, ctx, grads):
         x = ctx.caches[self.name]

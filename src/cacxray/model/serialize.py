@@ -27,6 +27,7 @@ from ..errors import (
     ShapeMismatchError,
     TruncatedFileError,
 )
+from ..framing import Reader
 from ..labels import LabelTransform
 from .network import DenseNetConfig, ModelParams, build_net
 
@@ -55,39 +56,30 @@ def weights_from_bytes(data: bytes, cfg: DenseNetConfig) -> ModelParams:
     ShapeMismatchError when the tensor set disagrees with the config.
     Returns float64 parameters whose values are float32-representable.
     """
-    if len(data) < 4 or data[:4] != WEIGHTS_MAGIC:
+    if data[:4] != WEIGHTS_MAGIC:
         raise BadMagicError("not a weights file")
-    pos = 4
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise TruncatedFileError(f"file ends inside {what}")
-        out = data[pos : pos + n]
-        pos += n
-        return out
-
-    version, count = struct.unpack("<HI", take(6, "the header"))
+    r = Reader(data, 4)
+    version, count = r.unpack("HI", "the header")
     if version != WEIGHTS_VERSION:
         raise BadMagicError(f"unsupported weights version {version}")
     loaded: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "a tensor name length"))
+        (name_len,) = r.unpack("H", "a tensor name length")
         try:
-            name = take(name_len, "a tensor name").decode("utf-8")
+            name = r.take(name_len, "a tensor name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedFileError(f"tensor name is not UTF-8: {exc}") from exc
-        (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
+        (rank,) = r.unpack("B", f"rank of {name}")
         if rank > 8:
             raise TruncatedFileError(f"implausible rank {rank} for {name}")
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}"))
+        dims = r.unpack(f"{rank}I", f"dims of {name}")
         size = math.prod(dims)
-        values = np.frombuffer(take(4 * size, f"data of {name}"), dtype="<f4")
+        values = np.frombuffer(r.take(4 * size, f"data of {name}"), dtype="<f4")
         if not np.isfinite(values).all():
             raise MalformedFileError(f"{name} holds values that are not finite")
         loaded[name] = values.astype(np.float64).reshape(dims)
-    if pos != len(data):
-        raise TruncatedFileError(f"{len(data) - pos} trailing bytes after the last tensor")
+    if r.remaining():
+        raise TruncatedFileError(f"{r.remaining()} trailing bytes after the last tensor")
 
     expected = build_net(cfg).param_shapes()
     expected_map = dict(expected)

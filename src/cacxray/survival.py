@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import gammaincc
@@ -319,26 +319,7 @@ def cox_fit(records, covariate_names, max_iter: int = 50) -> CoxResult:
 
 
 def cox_to_json(result: CoxResult) -> str:
-    return json.dumps(
-        {
-            "log_likelihood": result.log_likelihood,
-            "iterations": result.iterations,
-            "covariates": [
-                {
-                    "name": c.name,
-                    "beta": c.beta,
-                    "se": c.se,
-                    "hazard_ratio": c.hazard_ratio,
-                    "ci_low": c.ci_low,
-                    "ci_high": c.ci_high,
-                    "p_value": c.p_value,
-                }
-                for c in result.covariates
-            ],
-        },
-        sort_keys=True,
-        indent=2,
-    )
+    return json.dumps(asdict(result), sort_keys=True, indent=2)
 
 
 # --- cohort CSV -------------------------------------------------------------------

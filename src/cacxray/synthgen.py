@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -298,17 +298,6 @@ def blobs_to_csv(samples: list[SynthSample]) -> str:
     return buf.getvalue()
 
 
-def blobs_from_csv(text: str) -> dict[str, list[tuple[int, int, int, int]]]:
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r]
-    if not rows or rows[0] != ["id", "x", "y", "w", "h"]:
-        raise ValueError("expected an 'id,x,y,w,h' header")
-    out: dict[str, list[tuple[int, int, int, int]]] = {}
-    for row in rows[1:]:
-        out.setdefault(row[0], []).append(tuple(int(v) for v in row[1:]))
-    return out
-
-
 def write_dataset(cfg: SynthConfig, samples: list[SynthSample], out_dir) -> None:
     """Lay out a dataset directory: images/<id>.dcm, cohort.csv, blobs.csv,
     manifest.json. Byte-identical for identical (cfg, samples); every file is
@@ -319,21 +308,7 @@ def write_dataset(cfg: SynthConfig, samples: list[SynthSample], out_dir) -> None
         atomic.write_bytes(out / "images" / f"{s.id}.dcm", write_test_dicom(sample_to_dicom(s)))
     atomic.write_text(out / "cohort.csv", cohort_to_csv([s.record for s in samples]))
     atomic.write_text(out / "blobs.csv", blobs_to_csv(samples))
-    manifest = {
-        "kind": "synthetic-cac-dataset",
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "image_dim": cfg.image_dim,
-        "zero_fraction": cfg.zero_fraction,
-        "cac_max": cfg.cac_max,
-        "blob_count_range": list(cfg.blob_count_range),
-        "blob_radius_range": list(cfg.blob_radius_range),
-        "blob_peak": cfg.blob_peak,
-        "mass_scale": cfg.mass_scale,
-        "baseline_hazard": cfg.baseline_hazard,
-        "hazard_ratio": cfg.hazard_ratio,
-        "max_followup_years": cfg.max_followup_years,
-    }
+    manifest = {"kind": "synthetic-cac-dataset", **asdict(cfg)}
     atomic.write_text(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 

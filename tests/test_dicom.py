@@ -8,6 +8,7 @@ from cacxray.errors import (
     CacXrayError,
     MalformedFileError,
     MissingRequiredTagError,
+    TruncatedFileError,
     UnsupportedPhotometricError,
     UnsupportedTransferSyntaxError,
 )
@@ -134,6 +135,73 @@ def test_missing_required_tag_rejected():
     for tag in (TAG_ROWS, TAG_WINDOW_CENTER):
         with pytest.raises(MissingRequiredTagError):
             dicom.parse_dicom(remove_element(data, tag))
+
+
+# A fixture whose optional elements all differ from their defaults, with
+# pixels that stay in range whichever default replaces them.
+_NON_DEFAULT = dict(
+    rows=2, cols=3, bits_allocated=16, bits_stored=12, pixel_representation=1,
+    photometric="MONOCHROME1", window_center=40.0, window_width=80.0,
+    pixels=np.array([[0, 1, 2], [3, 2047, 5]], dtype=np.int64),
+    rescale_slope=2.0, rescale_intercept=-1024.0,
+)
+
+
+@pytest.mark.parametrize(
+    "tag, field, default",
+    [
+        ((0x0028, 0x0004), "photometric", "MONOCHROME2"),
+        ((0x0028, 0x0101), "bits_stored", 16),  # BitsAllocated
+        ((0x0028, 0x0103), "pixel_representation", 0),
+        ((0x0028, 0x1052), "rescale_intercept", 0.0),
+        ((0x0028, 0x1053), "rescale_slope", 1.0),
+    ],
+)
+def test_absent_optional_element_takes_its_default(tag, field, default):
+    img = dicom.DicomImage(**_NON_DEFAULT)
+    assert getattr(img, field) != default
+    back = dicom.parse_dicom(remove_element(dicom.write_test_dicom(img), tag))
+    assert getattr(back, field) == default
+    setattr(img, field, default)
+    _assert_same_image(img, back)
+
+
+@pytest.mark.parametrize(
+    "tag, payload, error",
+    [
+        (TAG_ROWS, b"\x00\x00", MalformedFileError),
+        ((0x0028, 0x0100), b"\x0c\x00", MalformedFileError),  # BitsAllocated 12
+        ((0x0028, 0x0101), b"\x11\x00", MalformedFileError),  # BitsStored 17
+        ((0x0028, 0x0103), b"\x02\x00", MalformedFileError),  # PixelRepresentation 2
+        ((0x0028, 0x1051), b"0 ", MalformedFileError),  # WindowWidth 0
+        ((0x0028, 0x0101), b"\x01\x00", MalformedFileError),  # pixels exceed 1 bit
+        (TAG_PHOTOMETRIC, b"PALETTE COLOR ", UnsupportedPhotometricError),
+    ],
+)
+def test_inconsistent_header_rejected(tag, payload, error):
+    data = dicom.write_test_dicom(dicom.DicomImage(**_NON_DEFAULT))
+    with pytest.raises(error):
+        dicom.parse_dicom(replace_element_payload(data, tag, payload))
+
+
+def test_writer_runs_the_same_validation():
+    for change, error in (
+        (dict(bits_stored=17), MalformedFileError),
+        (dict(rows=3), MalformedFileError),
+        (dict(pixels=np.full((2, 3), 4096)), MalformedFileError),
+        (dict(pixels=np.zeros((2, 3))), MalformedFileError),
+        (dict(photometric="RGB"), UnsupportedPhotometricError),
+    ):
+        with pytest.raises(error):
+            dicom.write_test_dicom(dicom.DicomImage(**{**_NON_DEFAULT, **change}))
+
+
+def test_cut_inside_an_element_is_a_truncated_file():
+    data = dicom.write_test_dicom(dicom.DicomImage(**_NON_DEFAULT))
+    with pytest.raises(TruncatedFileError, match="inside element \\(7FE0,0010\\) value") as info:
+        dicom.parse_dicom(data[:-3])
+    assert isinstance(info.value, MalformedFileError)
+    assert info.value.exit_code == 4
 
 
 def test_bad_magic_rejected():

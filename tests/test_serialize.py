@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cacxray.errors import BadMagicError, ShapeMismatchError, TruncatedFileError
+from cacxray.errors import BadMagicError, MalformedFileError, ShapeMismatchError, TruncatedFileError
 from cacxray.labels import LabelTransform
 from cacxray.model import network as nw
 from cacxray.model.serialize import (
@@ -61,12 +61,12 @@ def test_bad_magic_rejected(tiny_net_cfg):
 
 def test_truncation_and_trailing_bytes_rejected(tiny_net_cfg):
     blob = weights_to_bytes(nw.init_model(tiny_net_cfg, seed=3))
-    with pytest.raises(TruncatedFileError):
-        weights_from_bytes(blob[:-4], tiny_net_cfg)
-    with pytest.raises(TruncatedFileError):
-        weights_from_bytes(blob[: len(blob) // 2], tiny_net_cfg)
-    with pytest.raises(TruncatedFileError):
-        weights_from_bytes(blob + b"\x00", tiny_net_cfg)
+    for damaged in (blob[:-4], blob[: len(blob) // 2], blob[:5], blob + b"\x00"):
+        with pytest.raises(TruncatedFileError) as info:
+            weights_from_bytes(damaged, tiny_net_cfg)
+        # the same class a DICOM cut inside an element raises, and exit 4
+        assert isinstance(info.value, MalformedFileError)
+        assert info.value.exit_code == 4
 
 
 def test_wrong_config_rejected(tiny_net_cfg):

@@ -142,10 +142,11 @@ def test_training_reduces_loss_on_learnable_signal(tiny_net_cfg):
 
 
 def test_predict_matches_eval_forward(tiny_net_cfg):
+    # in eval mode an item's prediction may not depend on its batch, bit for bit
     rng = np.random.default_rng(8)
-    p = nw.init_model(tiny_net_cfg, seed=9)
-    imgs = [rng.standard_normal((8, 8)) for _ in range(5)]
-    direct = nw.forward(p, imgs, mode="eval").predictions
-    # different batch partitions may reorder SIMD reductions; allow ulp noise
-    assert np.allclose(predict(p, imgs, batch_size=2), direct, atol=1e-12)
-    assert np.array_equal(predict(p, imgs, batch_size=5), direct)
+    for cfg in (tiny_net_cfg, nw.desk_config()):
+        p = nw.init_model(cfg, seed=9)
+        imgs = [rng.standard_normal((cfg.input_dim, cfg.input_dim)) for _ in range(5)]
+        direct = nw.forward(p, imgs, mode="eval").predictions
+        for batch_size in range(1, 6):
+            assert np.array_equal(predict(p, imgs, batch_size=batch_size), direct), (cfg, batch_size)
