@@ -137,6 +137,7 @@ _ELEMENTS = (
     _Element((0x0028, 0x1053), "RescaleSlope", "DS", "rescale_slope", 1.0),
     _Element((0x7FE0, 0x0010), "PixelData", "OW", "pixels"),
 )
+_TAGS = frozenset(el.tag for el in _ELEMENTS)
 
 
 # --- per-VR codecs ----------------------------------------------------------
@@ -265,7 +266,8 @@ def parse_dicom(data: bytes) -> DicomImage:
     found: dict[tuple[int, int], bytes] = {}
     while r.remaining() > 0:
         tag, value = _read_element(r, explicit)
-        found[tag] = value
+        if tag in _TAGS:
+            found[tag] = value
 
     fields: dict[str, Any] = {}
     for el in _ELEMENTS:

@@ -53,11 +53,7 @@ class ConfusionCounts:
 
 
 def _scores_labels(samples, truth_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and truth labels as arrays; a score that is not finite has no
-    rank, so it raises ValueError."""
     scores = np.asarray([s.score for s in samples], dtype=np.float64)
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
     truth = np.asarray([s.truth_cac for s in samples], dtype=np.float64)
     return scores, truth > truth_threshold
 

@@ -298,32 +298,6 @@ def test_calibration_all_strata_occupied_in_order():
     assert rows[1].mean_true_cac == pytest.approx((100.0 + 399.0) / 2, abs=1e-12)
 
 
-# --- non-finite scores -------------------------------------------------------------
-
-_METRICS = {
-    "roc_auc": mx.roc_auc,
-    "rauc": mx.rauc,
-    "pr_curve": mx.pr_curve,
-    "auc_confidence_interval": lambda s: mx.auc_confidence_interval(s, n_resamples=20),
-    "calibration_table": lambda s: mx.calibration_table(s, lb.fit_label_transform([0.0, 10.0, 100.0])),
-}
-
-
-@pytest.mark.parametrize("metric", sorted(_METRICS))
-def test_non_finite_score_rejected(metric):
-    cacs = [0.0, 0.0, 50.0, 150.0, 500.0]
-    finite = [S(float(i), c, str(i)) for i, c in enumerate(cacs)]
-    _METRICS[metric](finite)
-    # NaN has no rank: unchecked, all-NaN scores rank as AUC 1.0 and one NaN
-    # makes pr_curve divide by zero
-    one_nan = finite[:2] + [S(float("nan"), 50.0, "n")] + finite[3:]
-    all_nan = [S(float("nan"), c, str(i)) for i, c in enumerate(cacs)]
-    one_inf = finite[:4] + [S(float("inf"), 500.0, "i")]
-    for samples in (one_nan, all_nan, one_inf):
-        with pytest.raises(ValueError, match="finite"):
-            _METRICS[metric](samples)
-
-
 # --- k-fold ---------------------------------------------------------------------
 
 def test_kfold_sizes_and_partition():
