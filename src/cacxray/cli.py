@@ -27,6 +27,7 @@ import argparse
 import configparser
 import io
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass, fields, replace
@@ -110,10 +111,20 @@ class _EvaluateSection:
     bootstrap_resamples: int = 2000
     confidence_level: float = 0.95
 
+    def __post_init__(self):
+        if self.bootstrap_resamples < 1:
+            raise InvalidConfigError(
+                f"[evaluate] bootstrap_resamples must be at least 1, got {self.bootstrap_resamples}"
+            )
+
 
 @dataclass(frozen=True)
 class _CrossvalSection:
     folds: int = 5
+
+    def __post_init__(self):
+        if self.folds < 2:
+            raise InvalidConfigError(f"[crossval] folds must be at least 2, got {self.folds}")
 
 
 @dataclass(frozen=True)
@@ -154,9 +165,13 @@ def _parse_value(hint, text: str, where: str):
             raise InvalidConfigError(f"{where} needs {len(args)} comma-separated values, got {text!r}")
         return tuple(_parse_value(args[0], part, where) for part in parts)
     try:
-        return _BOOLEANS[text.strip().lower()] if hint is bool else hint(text)
+        value = _BOOLEANS[text.strip().lower()] if hint is bool else hint(text)
     except (KeyError, ValueError):
         raise InvalidConfigError(f"{where} must be {_KINDS[hint]}, got {text!r}") from None
+    # NaN passes every range check in the sections' validation, so it stops here
+    if hint is float and not math.isfinite(value):
+        raise InvalidConfigError(f"{where} must be a finite number, got {text!r}")
+    return value
 
 
 def _load_config(args) -> dict:

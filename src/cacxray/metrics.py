@@ -104,6 +104,8 @@ def auc_confidence_interval(
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be at least 1, got {n_resamples}")
     scores, labels = _scores_labels(samples, truth_threshold)
     _auc(scores, labels)  # validates both classes present
     rng = np.random.default_rng(seed)
@@ -116,7 +118,7 @@ def auc_confidence_interval(
         lab = labels[idx]
         if lab.all() or not lab.any():
             rejected += 1
-            if rejected > 1000 * max(n_resamples, 1):
+            if rejected > 1000 * n_resamples:
                 raise OneClassOnlyError("bootstrap resamples keep losing a class")
             continue
         aucs[got] = _auc(scores[idx], lab)

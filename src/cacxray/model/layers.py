@@ -2,7 +2,9 @@
 
 Everything runs in float64 on (N, C, H, W) arrays so analytic gradients can be
 verified against central finite differences. Layers never mutate their input
-activations; convolution caches its im2col matrix for the backward pass.
+activations. For the backward pass, a stride-1 convolution caches its input
+as a zero-padded channels-last copy, and a strided convolution caches its
+im2col matrix.
 
 Parameter naming: each layer owns entries in a flat ``tensors`` dict under its
 dotted name, e.g. ``block0.layer1.conv2.w`` or ``head.fc1.b``. Weight decay
@@ -60,17 +62,31 @@ class Layer:
 
 
 class Conv2d(Layer):
-    """2-D convolution without bias, im2col implementation."""
+    """2-D convolution without bias.
 
-    def __init__(self, name: str, c_in: int, c_out: int, kernel: int, stride: int = 1, pad: int = 0):
+    Stride 1 runs as k*k shifted GEMMs (kn2row): the input is copied once
+    into a zero-padded channels-last buffer ``xf`` of shape
+    (n, hp*wp, c), and output row ``q`` of an item adds
+    ``xf[q + ki*wp + kj] @ W[:, :, ki, kj].T`` for every kernel offset. Output
+    rows are laid out on the padded width, so the last k-1 columns of each row
+    are computed and then dropped. Each item gets its own GEMM, so its output
+    does not depend on the batch it came in. Other strides use im2col over a
+    window view.
+
+    ``input_grad=False`` is for a layer whose input is the image: backward
+    then computes the weight gradient only and returns None.
+    """
+
+    def __init__(self, name: str, c_in: int, c_out: int, kernel: int, stride: int = 1, pad: int = 0,
+                 input_grad: bool = True):
         super().__init__(name)
         self.c_in = c_in
         self.c_out = c_out
         self.kernel = kernel
         self.stride = stride
         self.pad = pad
+        self.input_grad = input_grad
         self.wname = name + ".w"
-        self._pointwise = kernel == 1 and stride == 1 and pad == 0
 
     def param_shapes(self):
         return [(self.wname, (self.c_out, self.c_in, self.kernel, self.kernel))]
@@ -80,28 +96,93 @@ class Conv2d(Layer):
         tensors[self.wname] = _quantized_normal(rng, np.sqrt(2.0 / fan_in), self.param_shapes()[0][1])
 
     def forward(self, x, ctx):
+        if self.stride == 1:
+            return self._forward_shifted(x, ctx)
+        return self._forward_im2col(x, ctx)
+
+    def backward(self, dy, ctx, grads):
+        if self.stride == 1:
+            return self._backward_shifted(dy, ctx, grads)
+        return self._backward_im2col(dy, ctx, grads)
+
+    def _geometry(self, h, wid):
+        """Padded height and width, output height and width, and the count of
+        output rows (on the padded width) whose windows all lie inside xf."""
+        k, p = self.kernel, self.pad
+        hp, wp = h + 2 * p, wid + 2 * p
+        ho, wo = hp - k + 1, wp - k + 1
+        return hp, wp, ho, wo, ho * wp - (k - 1)
+
+    def _shifted_weights(self, ctx, wp):
+        """Row offset into xf and (c_out, c) kernel slice of every kernel
+        position, (ki, kj) in row-major order."""
+        k = self.kernel
+        wk = np.ascontiguousarray(ctx.tensors[self.wname].transpose(2, 3, 0, 1))
+        offsets = [ki * wp + kj for ki in range(k) for kj in range(k)]
+        return list(zip(offsets, wk.reshape(k * k, self.c_out, self.c_in)))
+
+    def _forward_shifted(self, x, ctx):
+        n, c, h, wid = x.shape
+        p = self.pad
+        hp, wp, ho, wo, m = self._geometry(h, wid)
+        xf = np.zeros((n, hp, wp, c)) if p else np.empty((n, hp, wp, c))
+        xf[:, p : p + h, p : p + wid] = x.transpose(0, 2, 3, 1)
+        xf = xf.reshape(n, hp * wp, c)
+        shifts = self._shifted_weights(ctx, wp)
+        # the first shift covers all ho*wp rows; rows m.. take no other shift
+        # and fall in the dropped columns
+        y = xf[:, : ho * wp] @ shifts[0][1].T
+        for off, wi in shifts[1:]:
+            y[:, :m] += xf[:, off : off + m] @ wi.T
+        ctx.caches[self.name] = (xf, x.shape)
+        y = y.reshape(n, ho, wp, self.c_out)[:, :, :wo]
+        return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+
+    def _backward_shifted(self, dy, ctx, grads):
+        xf, (n, c, h, wid) = ctx.caches[self.name]
+        p, k = self.pad, self.kernel
+        hp, wp, ho, wo, m = self._geometry(h, wid)
+        shifts = self._shifted_weights(ctx, wp)
+        # dy on xf's row grid, zero in the dropped columns and the rows past ho
+        dyf = np.zeros((n, hp, wp, self.c_out))
+        dyf[:, :ho, :wo] = dy.transpose(0, 2, 3, 1)
+        dyf = dyf.reshape(n, hp * wp, self.c_out)
+        if grads is not None:
+            # one GEMM per shift over every item's rows: a row of dyf meets the
+            # xf row off below it, and the zero rows cancel the rows that would
+            # cross into the next item
+            rows = n * hp * wp
+            dyf_flat = dyf.reshape(rows, self.c_out)
+            xf_flat = xf.reshape(rows, c)
+            dwk = np.stack([np.dot(dyf_flat[: rows - off].T, xf_flat[off:]) for off, _ in shifts])
+            dw = np.ascontiguousarray(dwk.reshape(k, k, self.c_out, c).transpose(2, 3, 0, 1))
+            grads[self.wname] = grads.get(self.wname, 0.0) + dw
+        if not self.input_grad:
+            return None
+        dxf = np.zeros((n, hp * wp, c))
+        for off, wi in shifts:
+            dxf[:, off : off + m] += dyf[:, :m] @ wi
+        dx = dxf.reshape(n, hp, wp, c)[:, p : p + h, p : p + wid]
+        return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+
+    def _forward_im2col(self, x, ctx):
         w = ctx.tensors[self.wname]
         n, c, h, wid = x.shape
         k, s, p = self.kernel, self.stride, self.pad
         ho = (h + 2 * p - k) // s + 1
         wo = (wid + 2 * p - k) // s + 1
-        if self._pointwise:
-            # a 1x1 window is the pixel itself: cols is x channels-last
-            win = x.transpose(0, 2, 3, 1)
-        else:
-            xp = x
-            if p:
-                xp = np.zeros((n, c, h + 2 * p, wid + 2 * p), dtype=x.dtype)
-                xp[:, :, p : p + h, p : p + wid] = x
-            win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-            # (n, c, ho, wo, k, k) -> (n, ho, wo, c, k, k)
-            win = win.transpose(0, 2, 3, 1, 4, 5)
-        cols = np.ascontiguousarray(win).reshape(n, ho * wo, c * k * k)
+        xp = x
+        if p:
+            xp = np.zeros((n, c, h + 2 * p, wid + 2 * p), dtype=x.dtype)
+            xp[:, :, p : p + h, p : p + wid] = x
+        win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        # (n, c, ho, wo, k, k) -> (n, ho, wo, c, k, k)
+        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, ho * wo, c * k * k)
         y = cols @ w.reshape(self.c_out, -1).T  # (n, ho*wo, c_out)
         ctx.caches[self.name] = (cols, x.shape, (ho, wo))
         return np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(n, self.c_out, ho, wo)
 
-    def backward(self, dy, ctx, grads):
+    def _backward_im2col(self, dy, ctx, grads):
         cols, x_shape, (ho, wo) = ctx.caches[self.name]
         n, c, h, wid = x_shape
         k, s, p = self.kernel, self.stride, self.pad
@@ -110,12 +191,9 @@ class Conv2d(Layer):
         if grads is not None:
             dw = np.tensordot(dym, cols, axes=([0, 1], [0, 1]))  # (c_out, c*k*k)
             grads[self.wname] = grads.get(self.wname, 0.0) + dw.reshape(w.shape)
+        if not self.input_grad:
+            return None
         dcols = dym @ w.reshape(self.c_out, -1)  # (n, ho*wo, c*k*k)
-        if self._pointwise:
-            # adding onto zeros, as the scatter below does, turns -0.0 into +0.0
-            dx = np.zeros((n, c, h, wid))
-            dx += dcols.reshape(n, h, wid, c).transpose(0, 3, 1, 2)
-            return dx
         dwin = dcols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
         dxp = np.zeros((n, c, h + 2 * p, wid + 2 * p))
         for ki in range(k):

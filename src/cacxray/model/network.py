@@ -186,7 +186,8 @@ class _Transition:
 class _Net:
     def __init__(self, cfg: DenseNetConfig):
         entries = [
-            Conv2d("stem.conv", 1, cfg.init_channels, 7, stride=2, pad=3),
+            # the stem's input is the image: nothing reads its gradient
+            Conv2d("stem.conv", 1, cfg.init_channels, 7, stride=2, pad=3, input_grad=False),
             MaxPool2x2("stem.pool"),
         ]
         c = cfg.init_channels

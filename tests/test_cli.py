@@ -4,11 +4,15 @@ chain on a small dataset, plus configuration and exit-code contracts."""
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cacxray
 from cacxray.cli import main
 
 SMALL_INI = """
@@ -242,6 +246,44 @@ def test_non_numeric_value_exits_2(flow, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("synth", "cac_max", "nan"),
+    ("synth", "baseline_hazard", "nan"),
+    ("synth", "mass_scale", "inf"),
+    ("synth", "mass_scale", "-inf"),
+    ("train", "learning_rate", "nan"),
+    ("survival", "horizon_years", "nan"),
+    ("evaluate", "rauc_grid", "0,inf"),
+])
+def test_non_finite_float_exits_2_and_names_the_key(section, key, value, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"[{section}] {key} must be a finite number" in capsys.readouterr().err
+    assert not (out / "cohort.csv").exists()
+
+
+@pytest.mark.parametrize("resamples", ["0", "-1"])
+def test_bootstrap_resamples_below_one_exits_2(flow, tmp_path, capsys, resamples):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(SMALL_INI + f"\n[evaluate]\nbootstrap_resamples = {resamples}\n")
+    rc = main(["evaluate", "--config", str(cfg), "--data", str(flow["data"]),
+               "--model", str(flow["model"]), "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert rc == 2
+    assert "[evaluate] bootstrap_resamples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("folds", ["1", "0"])
+def test_crossval_folds_below_two_exits_2(flow, tmp_path, capsys, folds):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(SMALL_INI + f"\n[crossval]\nfolds = {folds}\n")
+    rc = main(["crossval", "--config", str(cfg), "--data", str(flow["data"]),
+               "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert rc == 2
+    assert "[crossval] folds must be at least 2" in capsys.readouterr().err
+
+
 def test_cohort_missing_event_column_exits_2(flow, tmp_path):
     (tmp_path / "cohort.csv").write_text("id,time_years,cac\na,1.0,0\nb,2.0,5\n")
     rc = main(["survival", "--config", str(flow["cfg"]), "--cohort", str(tmp_path),
@@ -356,6 +398,29 @@ def test_damaged_model_directory_exits_4(flow, tmp_path, capsys, case):
                "--model", str(model), "--out", str(tmp_path / "o"), "--seed", "3"])
     assert rc == 4
     assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+def test_training_bits_do_not_depend_on_blas_thread_count(tmp_path):
+    # the desk model and preprocessing presets; only the dataset and epochs shrink
+    cfg = tmp_path / "desk.ini"
+    cfg.write_text("[synth]\nn = 16\n\n[train]\nepochs = 2\n")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg), "--out", str(data), "--seed", "5"]) == 0
+    src = str(Path(cacxray.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cacxray.cli", "train", "--config", str(cfg), "--data", str(data),
+             "--out", str(out), "--seed", "5"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(((out / "weights.cacw").read_bytes(), (out / "history.csv").read_bytes()))
+    assert len(runs[0][1].splitlines()) == 3  # header and two epochs
+    assert runs[0] == runs[1]
 
 
 def test_installed_entry_point_reports_version():

@@ -1,6 +1,7 @@
 """Hand-checkable forward semantics of the individual layers."""
 
 import numpy as np
+import pytest
 
 from cacxray.model.layers import (
     AvgPool2x2,
@@ -119,22 +120,29 @@ def test_maxpool_ties_route_to_first_maximum_in_row_major_order():
                                       [0.0, 0.0, 0.0, 0.0, 0.0, 3.0]])
 
 
-def _conv_im2col_reference(x, w, dy):
-    """The general window-view im2col path, for a 1x1 stride-1 kernel."""
+def _conv_im2col_reference(x, w, dy, pad=0):
+    """The window-view im2col convolution at stride 1, with its dx scatter."""
     from numpy.lib.stride_tricks import sliding_window_view
 
     n, c, h, wid = x.shape
-    c_out = w.shape[0]
-    win = sliding_window_view(x, (1, 1), axis=(2, 3))
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, h * wid, c)
+    c_out, _, k, _ = w.shape
+    ho, wo = h + 2 * pad - k + 1, wid + 2 * pad - k + 1
+    xp = x
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, wid + 2 * pad))
+        xp[:, :, pad : pad + h, pad : pad + wid] = x
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, ho * wo, c * k * k)
     wm = w.reshape(c_out, -1)
-    y = np.ascontiguousarray((cols @ wm.T).transpose(0, 2, 1)).reshape(n, c_out, h, wid)
-    dym = np.ascontiguousarray(dy.reshape(n, c_out, h * wid).transpose(0, 2, 1))
+    y = np.ascontiguousarray((cols @ wm.T).transpose(0, 2, 1)).reshape(n, c_out, ho, wo)
+    dym = np.ascontiguousarray(dy.reshape(n, c_out, ho * wo).transpose(0, 2, 1))
     dw = np.tensordot(dym, cols, axes=([0, 1], [0, 1])).reshape(w.shape)
-    dwin = (dym @ wm).reshape(n, h, wid, c, 1, 1).transpose(0, 3, 1, 2, 4, 5)
-    dx = np.zeros(x.shape)
-    dx[:, :, 0:h:1, 0:wid:1] += dwin[:, :, :, :, 0, 0]
-    return y, dx, dw
+    dwin = (dym @ wm).reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    dx = np.zeros(xp.shape)
+    for ki in range(k):
+        for kj in range(k):
+            dx[:, :, ki : ki + ho : 1, kj : kj + wo : 1] += dwin[:, :, :, :, ki, kj]
+    return y, dx[:, :, pad : pad + h, pad : pad + wid], dw
 
 
 def test_pointwise_conv_matches_im2col_reference_bitwise():
@@ -176,3 +184,37 @@ def test_backward_without_grads_gives_same_input_gradient():
         assert grads, type(layer).__name__
         without = layer.backward(dy, ctx, None)
         assert without.tobytes() == with_grads.tobytes(), type(layer).__name__
+
+
+@pytest.mark.parametrize("kernel,pad", [(3, 1), (3, 0), (5, 2)])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_shifted_gemm_conv_matches_im2col_reference(kernel, pad, batch):
+    rng = np.random.default_rng(10 * kernel + pad + batch)
+    x = rng.standard_normal((batch, 5, 9, 6))  # non-square: rows and columns differ
+    w = rng.standard_normal((4, 5, kernel, kernel))
+    conv = Conv2d("c", c_in=5, c_out=4, kernel=kernel, pad=pad)
+    ctx = _ctx({"c.w": w})
+    grads = {}
+    y = conv.forward(x, ctx)
+    dy = rng.standard_normal(y.shape)
+    dx = conv.backward(dy, ctx, grads)
+    y_ref, dx_ref, dw_ref = _conv_im2col_reference(x, w, dy, pad)
+    assert y.shape == y_ref.shape and dx.shape == x.shape
+    for got, want in ((y, y_ref), (dx, dx_ref), (grads["c.w"], dw_ref)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stem_conv_gives_weight_gradient_only():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((3, 1, 12, 10))
+    w = rng.standard_normal((4, 1, 7, 7))
+    dy = rng.standard_normal((3, 4, 6, 5))
+    grads = {}
+    for input_grad in (True, False):
+        conv = Conv2d("c", 1, 4, 7, stride=2, pad=3, input_grad=input_grad)
+        ctx = _ctx({"c.w": w})
+        conv.forward(x, ctx)
+        grads[input_grad] = {}
+        dx = conv.backward(dy, ctx, grads[input_grad])
+        assert (dx is None) == (not input_grad)
+    assert grads[False]["c.w"].tobytes() == grads[True]["c.w"].tobytes()

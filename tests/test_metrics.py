@@ -120,6 +120,13 @@ def test_ci_contains_half_for_random_scores():
     assert hits >= 18
 
 
+@pytest.mark.parametrize("n_resamples", [0, -1])
+def test_ci_rejects_fewer_than_one_resample(n_resamples):
+    samples = [S(1.0, 10, "a"), S(0.9, 5, "b"), S(0.2, 0, "c"), S(0.1, 0, "d")]
+    with pytest.raises(ValueError, match="n_resamples"):
+        mx.auc_confidence_interval(samples, 0.0, n_resamples=n_resamples)
+
+
 # --- confusion / diagnostics -----------------------------------------------------
 
 def _th(value):
