@@ -116,6 +116,8 @@ class _EvaluateSection:
             raise InvalidConfigError(
                 f"[evaluate] bootstrap_resamples must be at least 1, got {self.bootstrap_resamples}"
             )
+        if not self.calibration_edges:
+            raise InvalidConfigError("[evaluate] calibration_edges needs at least one edge")
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,7 @@ def _echo_config(out: Path, cfg: dict) -> None:
 
 
 def _write_json(path: Path, doc) -> None:
-    atomic.write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    atomic.write_text(path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, inputs: dict, extras: dict) -> None:

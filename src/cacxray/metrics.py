@@ -210,8 +210,8 @@ def calibration_table(samples, lt: LabelTransform, edges=(0.0, 100.0, 400.0)) ->
     omitted, so counts sum to the number of samples.
     """
     e = [float(x) for x in edges]
-    if sorted(e) != e or len(set(e)) != len(e):
-        raise ValueError("edges must be strictly increasing")
+    if not e or sorted(e) != e or len(set(e)) != len(e):
+        raise ValueError("edges must be a nonempty strictly increasing sequence")
     scores, _ = _scores_labels(samples, 0.0)
     truth = np.asarray([s.truth_cac for s in samples], dtype=np.float64)
     if np.any(truth < e[0]):

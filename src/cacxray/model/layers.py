@@ -15,7 +15,6 @@ weight matrices end in ``.w``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,7 +29,6 @@ class RunCtx:
 
     tensors: dict[str, np.ndarray]
     mode: str  # "train" | "eval"
-    frozen: Callable[[str], bool]
     caches: dict = field(default_factory=dict)
 
 
@@ -208,8 +206,9 @@ class BatchNorm2d(Layer):
     """Per-channel batch normalization with running moments.
 
     Train mode normalizes by biased batch statistics and updates the running
-    moments in place; eval mode (or a frozen layer in train mode) normalizes
-    by the stored running moments and leaves them untouched.
+    moments in place; eval mode normalizes by the stored running moments and
+    leaves them untouched. ``ctx.mode`` alone picks the branch, in forward
+    and in backward.
     """
 
     def __init__(self, name: str, channels: int):
@@ -234,8 +233,7 @@ class BatchNorm2d(Layer):
     def forward(self, x, ctx):
         g = ctx.tensors[self.gname]
         b = ctx.tensors[self.bname]
-        batch_stats = ctx.mode == "train" and not ctx.frozen(self.gname)
-        if batch_stats:
+        if ctx.mode == "train":
             m = x.mean(axis=(0, 2, 3))
             v = x.var(axis=(0, 2, 3))
             rm = ctx.tensors[self.rmname]
@@ -249,18 +247,18 @@ class BatchNorm2d(Layer):
             v = ctx.tensors[self.rvname].copy()
         inv = 1.0 / np.sqrt(v + BN_EPS)
         xhat = (x - m[None, :, None, None]) * inv[None, :, None, None]
-        ctx.caches[self.name] = (xhat, inv, batch_stats)
+        ctx.caches[self.name] = (xhat, inv)
         return g[None, :, None, None] * xhat + b[None, :, None, None]
 
     def backward(self, dy, ctx, grads):
-        xhat, inv, batch_stats = ctx.caches[self.name]
+        xhat, inv = ctx.caches[self.name]
         g = ctx.tensors[self.gname]
         axes = (0, 2, 3)
         if grads is not None:
             grads[self.gname] = grads.get(self.gname, 0.0) + np.sum(dy * xhat, axis=axes)
             grads[self.bname] = grads.get(self.bname, 0.0) + np.sum(dy, axis=axes)
         dxhat = dy * g[None, :, None, None]
-        if not batch_stats:
+        if ctx.mode != "train":
             return dxhat * inv[None, :, None, None]
         nel = dy.shape[0] * dy.shape[2] * dy.shape[3]
         s1 = np.sum(dxhat, axis=axes)

@@ -64,15 +64,6 @@ def desk_config() -> DenseNetConfig:
     )
 
 
-def feature_vector_length(cfg: DenseNetConfig) -> int:
-    """Channel count entering global average pooling."""
-    c = cfg.init_channels
-    for b, n_layers in enumerate(cfg.block_layers):
-        c += n_layers * cfg.growth_rate
-        if b < len(cfg.block_layers) - 1:
-            c = int(np.floor(cfg.compression * c))
-    return c
-
 def feature_map_dim(cfg: DenseNetConfig) -> int:
     """Spatial side length entering global average pooling."""
     d = (cfg.input_dim - 1) // 2 + 1  # 7x7 stride-2 conv, pad 3
@@ -92,14 +83,12 @@ class ModelParams:
 
     cfg: DenseNetConfig
     tensors: dict[str, np.ndarray]
-    rng_seed: int = 0
     version: int = 0
 
     def copy(self) -> "ModelParams":
         return ModelParams(
             cfg=self.cfg,
             tensors={k: v.copy() for k, v in self.tensors.items()},
-            rng_seed=self.rng_seed,
             version=self.version,
         )
 
@@ -250,15 +239,16 @@ def init_model(cfg: DenseNetConfig, seed: int) -> ModelParams:
     tensors: dict[str, np.ndarray] = {}
     for layer in net.param_layers():
         layer.init_params(rng, tensors)
-    return ModelParams(cfg=cfg, tensors=tensors, rng_seed=seed)
+    return ModelParams(cfg=cfg, tensors=tensors)
 
 
-def _frozen_predicate(cfg: DenseNetConfig, freeze_policy: str):
+def _first_trained(net: _Net, freeze_policy: str) -> int:
+    """Index into ``net.entries`` of the first trained entry; the entries
+    before it are frozen."""
     if freeze_policy == "none":
-        return lambda name: False
+        return 0
     if freeze_policy == "last_block_and_head":
-        last = f"block{len(cfg.block_layers) - 1}."
-        return lambda name: not (name.startswith(last) or name.startswith("head."))
+        return net.last_block_index
     raise InvalidConfigError(f"unknown freeze policy {freeze_policy!r}")
 
 
@@ -278,18 +268,24 @@ def forward(params: ModelParams, batch, mode: str = "eval", freeze_policy: str =
     """Run the network on a batch of square images.
 
     ``batch`` is a sequence of (input_dim, input_dim) arrays. Train mode uses
-    batch statistics in unfrozen BN layers and updates their running moments
-    in place; eval mode reads running moments and mutates nothing.
+    batch statistics in BN layers and updates their running moments in place;
+    eval mode reads running moments and mutates nothing. In train mode the
+    entries that ``freeze_policy`` freezes run as in eval mode, and the trace
+    keeps no backward state for them.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     net = build_net(params.cfg)
+    first_trained = _first_trained(net, freeze_policy)
     x = _stack_batch(batch, params.cfg.input_dim)
-    ctx = RunCtx(tensors=params.tensors, mode=mode, frozen=_frozen_predicate(params.cfg, freeze_policy))
+    ctx = RunCtx(tensors=params.tensors, mode=mode)
     features = None
     h = x
     for i, entry in enumerate(net.entries):
-        h = entry.forward(h, ctx)
+        # a frozen entry gets its own eval-mode context, dropped with its
+        # caches as soon as the entry returns
+        frozen = mode == "train" and i < first_trained
+        h = entry.forward(h, RunCtx(tensors=params.tensors, mode="eval") if frozen else ctx)
         if i == net.first_block_index:
             features = h
     return ForwardTrace(
@@ -337,16 +333,10 @@ def backward(params: ModelParams, trace: ForwardTrace, targets) -> dict[str, np.
     if t.shape != trace.predictions.shape:
         raise ValueError(f"targets {t.shape} do not match predictions {trace.predictions.shape}")
     net = build_net(params.cfg)
-    ctx = RunCtx(
-        tensors=params.tensors,
-        mode=trace.mode,
-        frozen=_frozen_predicate(params.cfg, trace.freeze_policy),
-        caches=trace.caches,
-    )
+    ctx = RunCtx(tensors=params.tensors, mode=trace.mode, caches=trace.caches)
     dy = _loss_grad(trace.predictions, t)[:, None]
     grads: dict[str, np.ndarray] = {}
-    stop = net.last_block_index if trace.freeze_policy == "last_block_and_head" else 0
-    net.backward_walk(dy, ctx, grads, stop_at=stop)
+    net.backward_walk(dy, ctx, grads, stop_at=_first_trained(net, trace.freeze_policy))
     return grads
 
 
@@ -356,16 +346,14 @@ def prediction_feature_gradient(params: ModelParams, trace: ForwardTrace) -> np.
     The first block has the finest spatial grid of any block (input_dim / 4).
     Samples are independent above it in eval mode (BN reads running moments),
     so each slice [i] is the gradient of prediction i alone. Shape matches
-    trace.features. Parameter gradients are not computed.
+    trace.features. Parameter gradients are not computed. The trace must come
+    from an eval-mode forward on these exact params, otherwise StaleTraceError.
     """
     _check_trace(params, trace)
+    if trace.mode != "eval":
+        raise StaleTraceError("feature gradients need an eval-mode trace")
     net = build_net(params.cfg)
-    ctx = RunCtx(
-        tensors=params.tensors,
-        mode=trace.mode,
-        frozen=_frozen_predicate(params.cfg, trace.freeze_policy),
-        caches=trace.caches,
-    )
+    ctx = RunCtx(tensors=params.tensors, mode=trace.mode, caches=trace.caches)
     dy = np.ones((trace.predictions.shape[0], 1))
     return net.backward_walk(dy, ctx, None, stop_at=net.first_block_index + 1)
 

@@ -94,7 +94,7 @@ def weights_from_bytes(data: bytes, cfg: DenseNetConfig) -> ModelParams:
             raise ShapeMismatchError(f"{name}: file has {loaded[name].shape}, config wants {shape}")
     # canonical order regardless of file order
     tensors = {name: loaded[name] for name, _ in expected}
-    return ModelParams(cfg=cfg, tensors=tensors, rng_seed=0)
+    return ModelParams(cfg=cfg, tensors=tensors)
 
 
 def save_weights(path, params: ModelParams) -> None:

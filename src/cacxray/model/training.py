@@ -22,9 +22,9 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfigError("epochs and batch_size must be positive")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise InvalidConfigError("learning_rate must be nonnegative")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise InvalidConfigError("weight_decay must be nonnegative")
         if self.freeze_policy not in FREEZE_POLICIES:
             raise InvalidConfigError(f"freeze_policy must be one of {FREEZE_POLICIES}")

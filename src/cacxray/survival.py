@@ -177,7 +177,7 @@ class CoxCovariateResult:
     hazard_ratio: float
     ci_low: float
     ci_high: float
-    p_value: float
+    p_value: float | None  # None when se == 0: the Wald test is undefined
 
 
 @dataclass(frozen=True)
@@ -312,14 +312,15 @@ def cox_fit(records, covariate_names, max_iter: int = 50) -> CoxResult:
                 hazard_ratio=math.exp(b),
                 ci_low=math.exp(b - _Z_95 * s),
                 ci_high=math.exp(b + _Z_95 * s),
-                p_value=2.0 * normal_sf(abs(b) / s) if s > 0 else float("nan"),
+                p_value=2.0 * normal_sf(abs(b) / s) if s > 0 else None,
             )
         )
     return CoxResult(covariates=tuple(out), log_likelihood=float(ll), iterations=iterations)
 
 
 def cox_to_json(result: CoxResult) -> str:
-    return json.dumps(asdict(result), sort_keys=True, indent=2)
+    """Strict JSON: an undefined ``p_value`` (se == 0) is written as null."""
+    return json.dumps(asdict(result), sort_keys=True, indent=2, allow_nan=False)
 
 
 # --- cohort CSV -------------------------------------------------------------------

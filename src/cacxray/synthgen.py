@@ -43,6 +43,7 @@ _ELLIPSE_AX_RANGE = (0.24, 0.36)  # per-sample axis draw, fraction of image_dim
 _ELLIPSE_AY_RANGE = (0.21, 0.31)
 _BLOB_MIN_SEP = 10.0  # pixels between blob centres, keeps deposits distinct
 _FAINT_BOX_CUTOFF = 0.15  # blobs dimmer than this fraction of blob_peak get no box
+_MAX_HAZARD_RATIO = 1e150
 
 
 @dataclass(frozen=True)
@@ -65,17 +66,21 @@ class SynthConfig:
             raise InvalidConfigError("n must be positive")
         if not 0.0 <= self.zero_fraction <= 1.0:
             raise InvalidConfigError("zero_fraction must lie in [0, 1]")
-        if self.cac_max <= 1.0:
+        if not self.cac_max > 1.0:
             raise InvalidConfigError("cac_max must exceed 1")
         c0, c1 = self.blob_count_range
         r0, r1 = self.blob_radius_range
         if not 1 <= c0 <= c1 or not 1 <= r0 <= r1:
             raise InvalidConfigError("blob count/radius ranges must be ordered positives")
-        if self.mass_scale <= 0 or self.blob_peak <= 0:
+        if not (self.mass_scale > 0 and self.blob_peak > 0):
             raise InvalidConfigError("mass_scale and blob_peak must be positive")
-        if self.baseline_hazard < 0 or self.hazard_ratio <= 0:
-            raise InvalidConfigError("hazard settings out of range")
-        if self.max_followup_years <= 0:
+        if not self.baseline_hazard >= 0:
+            raise InvalidConfigError("baseline_hazard must be nonnegative")
+        # the top category's rate is baseline_hazard * hazard_ratio ** 2, and
+        # a float power that overflows raises
+        if not 0 < self.hazard_ratio <= _MAX_HAZARD_RATIO:
+            raise InvalidConfigError(f"hazard_ratio must lie in (0, {_MAX_HAZARD_RATIO:g}]")
+        if not self.max_followup_years > 0:
             raise InvalidConfigError("max_followup_years must be positive")
         # the smallest possible score (cac = 1) must afford one full-contrast
         # deposit of the smallest width, or low scores become invisible

@@ -1,6 +1,7 @@
 """Command-line workflow: the full synth/train/evaluate/crossval/survival/explain
 chain on a small dataset, plus configuration and exit-code contracts."""
 
+import configparser
 import csv
 import io
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import cacxray
+from cacxray import cli
 from cacxray.cli import main
 
 SMALL_INI = """
@@ -282,6 +284,55 @@ def test_crossval_folds_below_two_exits_2(flow, tmp_path, capsys, folds):
                "--out", str(tmp_path / "o"), "--seed", "3"])
     assert rc == 2
     assert "[crossval] folds must be at least 2" in capsys.readouterr().err
+
+
+# The command that reads each section, given the shared dataset and model.
+_SECTION_COMMANDS = {
+    "run": ["synth"],
+    "synth": ["synth"],
+    "preprocess": ["train", "--data", "{data}"],
+    "model": ["train", "--data", "{data}"],
+    "train": ["train", "--data", "{data}"],
+    "evaluate": ["evaluate", "--data", "{data}", "--model", "{model}"],
+    "crossval": ["crossval", "--data", "{data}"],
+    "survival": ["survival", "--cohort", "{data}"],
+}
+_HOSTILE_VALUES = {"nan": "nan", "inf": "inf", "-inf": "-inf", "0": "0", "-1": "-1",
+                   "1e308": "1e308", "empty": "", "text": "text"}
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite {name} in a JSON output")
+
+
+@pytest.mark.parametrize("value", list(_HOSTILE_VALUES.values()), ids=list(_HOSTILE_VALUES))
+@pytest.mark.parametrize("section,key", [(s, k) for s in cli._PRESETS for k in cli._keys(s)])
+def test_every_config_key_takes_hostile_values(flow, tmp_path, section, key, value):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(SMALL_INI)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp[section][key] = value
+    cfg = tmp_path / "hostile.ini"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    out = tmp_path / "o"
+    argv = [a.format(data=flow["data"], model=flow["model"]) for a in _SECTION_COMMANDS[section]]
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) in (0, 2, 3, 4, 5)
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("section,key,value,named", [
+    ("synth", "hazard_ratio", "1e308", "hazard_ratio"),
+    ("evaluate", "calibration_edges", "", "[evaluate] calibration_edges"),
+])
+def test_out_of_range_value_exits_2_and_names_the_key(flow, tmp_path, capsys, section, key, value, named):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    argv = [a.format(data=flow["data"], model=flow["model"]) for a in _SECTION_COMMANDS[section]]
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_cohort_missing_event_column_exits_2(flow, tmp_path):

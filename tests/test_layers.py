@@ -16,7 +16,7 @@ from cacxray.model.layers import (
 
 
 def _ctx(tensors=None, mode="eval"):
-    return RunCtx(tensors=tensors or {}, mode=mode, frozen=lambda name: False, caches={})
+    return RunCtx(tensors=tensors or {}, mode=mode, caches={})
 
 
 def test_relu_clips_negative():

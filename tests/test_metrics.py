@@ -260,6 +260,14 @@ def test_calibration_single_stratum_row():
     assert len(filled) == 1 and filled[0].count == 4
 
 
+@pytest.mark.parametrize("edges", [(), (100.0, 0.0), (0.0, 0.0)])
+def test_calibration_rejects_bad_edges(edges):
+    lt = lb.fit_label_transform([0.0, 10.0, 100.0])
+    samples = [S(float(lb.transform(5.0, lt)), 5.0, "a")]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        mx.calibration_table(samples, lt, edges)
+
+
 def test_calibration_perfect_predictor_matches_truth():
     lt = lb.fit_label_transform([0.0, 20.0, 90.0, 300.0, 1500.0])
     cacs = [0.0, 20.0, 90.0, 300.0, 1500.0, 45.0]

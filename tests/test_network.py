@@ -11,6 +11,10 @@ def _batch(rng, n, dim):
     return [rng.standard_normal((dim, dim)) for _ in range(n)]
 
 
+def _head_input_width(cfg):
+    return dict(nw.build_net(cfg).param_shapes())["head.fc1.w"][1]
+
+
 # --- channel bookkeeping -----------------------------------------------------------
 
 def test_feature_length_matches_hand_recurrence():
@@ -20,7 +24,7 @@ def test_feature_length_matches_hand_recurrence():
         c = c + layers * cfg.growth_rate
         if i < len(cfg.block_layers) - 1:
             c = int(np.floor(cfg.compression * c))
-    assert nw.feature_vector_length(cfg) == c
+    assert _head_input_width(cfg) == c
 
 
 def test_full_preset_yields_1024_features_at_32x32():
@@ -33,7 +37,7 @@ def test_full_preset_yields_1024_features_at_32x32():
         head_hidden=64,
         use_batchnorm=True,
     )
-    assert nw.feature_vector_length(cfg) == 1024
+    assert _head_input_width(cfg) == 1024
     assert nw.feature_map_dim(cfg) == 32
 
 
@@ -138,6 +142,13 @@ def test_backward_requires_train_mode_trace(tiny_net_cfg):
         nw.backward(p, trace, np.zeros(2))
 
 
+def test_feature_gradient_requires_eval_mode_trace(tiny_net_cfg):
+    p = nw.init_model(tiny_net_cfg, seed=6)
+    trace = nw.forward(p, _batch(np.random.default_rng(3), 2, 8), mode="train")
+    with pytest.raises(StaleTraceError):
+        nw.prediction_feature_gradient(p, trace)
+
+
 def test_backward_rejects_stale_trace(tiny_net_cfg):
     from cacxray.model.training import sgd_step
 
@@ -160,6 +171,44 @@ def test_freeze_policy_blanks_early_gradients(tiny_net_cfg):
         assert name.startswith((last, "head."))
     full = nw.backward(p, nw.forward(p, batch, mode="train"), np.array([1.5, -2.0]))
     assert set(grads) < set(full)
+
+
+def test_frozen_prefix_keeps_no_backward_state():
+    cfg = nw.desk_config()
+    p = nw.init_model(cfg, seed=8)
+    trace = nw.forward(p, _batch(np.random.default_rng(5), 4, cfg.input_dim), mode="train",
+                       freeze_policy="last_block_and_head")
+    last = f"block{len(cfg.block_layers) - 1}."
+    assert trace.caches
+    for name in trace.caches:
+        assert name.startswith((last, "head.")) or name == "gap", name
+
+
+def test_frozen_prefix_runs_as_eval():
+    cfg = nw.desk_config()
+    p = nw.init_model(cfg, seed=9)
+    rng = np.random.default_rng(6)
+    for name in p.tensors:
+        if name.endswith((".running_mean", ".running_var")):
+            p.tensors[name][...] = rng.uniform(0.5, 1.5, p.tensors[name].shape)
+    before = {k: v.copy() for k, v in p.tensors.items()}
+    batch = _batch(rng, 4, cfg.input_dim)
+    trace = nw.forward(p, batch, mode="train", freeze_policy="last_block_and_head")
+    last = f"block{len(cfg.block_layers) - 1}."
+    moments = [k for k in p.tensors if k.endswith((".running_mean", ".running_var"))]
+    assert any(not k.startswith(last) for k in moments)
+    for k in moments:
+        if k.startswith(last):
+            assert not np.array_equal(p.tensors[k], before[k]), k
+        else:
+            assert np.array_equal(p.tensors[k], before[k]), k
+    assert np.array_equal(trace.features, nw.forward(p, batch, mode="eval").features)
+
+
+def test_freeze_policy_checked_in_eval_mode(tiny_net_cfg):
+    p = nw.init_model(tiny_net_cfg, seed=10)
+    with pytest.raises(InvalidConfigError):
+        nw.forward(p, _batch(np.random.default_rng(7), 1, 8), mode="eval", freeze_policy="everything")
 
 
 # --- gradient checks --------------------------------------------------------------

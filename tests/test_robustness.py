@@ -5,10 +5,13 @@ sidecar, statistics, split) and the cohort file is cut at every byte and has
 every byte replaced in turn by 0x00, 0xff, '"' and ','. Each mutation must
 load or raise an error that ``main`` maps to an exit code; a KeyError,
 TypeError or IndexError would surface as a traceback. The table at the end
-pins the exit code of every error class.
+pins the exit code of every error class, and every float range check of the
+library configs must reject NaN.
 """
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +20,7 @@ from cacxray.errors import CacXrayError
 from cacxray.labels import LabelTransform
 from cacxray.model import (
     DenseNetConfig,
+    TrainConfig,
     init_model,
     sidecar_to_json,
     weights_from_bytes,
@@ -24,6 +28,7 @@ from cacxray.model import (
 )
 from cacxray.preprocess import DatasetStats, stats_to_csv
 from cacxray.survival import SubjectRecord, cohort_from_csv, cohort_to_csv
+from cacxray.synthgen import SynthConfig
 
 _SUBSTITUTES = b'\x00\xff",'
 
@@ -156,3 +161,17 @@ def test_main_maps_each_error_to_its_exit_code(monkeypatch, tmp_path, capsys, ex
     monkeypatch.setattr(cli, "cmd_synth", fail)
     assert cli.main(["synth", "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err.endswith(": boom\n")
+
+
+_RANGED_FLOATS = [
+    *((SynthConfig, f) for f in ("cac_max", "mass_scale", "blob_peak", "baseline_hazard",
+                                 "hazard_ratio", "max_followup_years")),
+    (TrainConfig, "learning_rate"),
+    (TrainConfig, "weight_decay"),
+]
+
+
+@pytest.mark.parametrize("cls,name", _RANGED_FLOATS, ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_range_checks_reject_nan(cls, name):
+    with pytest.raises(errors.InvalidConfigError):
+        replace(cls(), **{name: math.nan}).validate()

@@ -258,6 +258,18 @@ def test_cox_json_shape():
         assert key in entry
 
 
+def test_cox_json_writes_null_for_undefined_p_value(monkeypatch):
+    # a zero covariance at the optimum gives se == 0, where the Wald p-value
+    # is undefined; strict JSON has no NaN, so it is written as null
+    monkeypatch.setattr(sv.np.linalg, "inv", np.zeros_like)
+    result = sv.cox_fit(N6_RECORDS, ["x"])
+    assert result.covariates[0].se == 0.0
+    text = sv.cox_to_json(result)
+    doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-finite {c} in JSON"))
+    assert doc["covariates"][0]["p_value"] is None
+    assert '"p_value": null' in text
+
+
 # --- tail probabilities ------------------------------------------------------------
 
 def test_chi2_sf_values():
