@@ -66,10 +66,10 @@ from .model import (
     init_model,
     load_weights,
     predict,
+    save_weights,
     sidecar_from_json,
     sidecar_to_json,
     train,
-    weights_to_bytes,
 )
 from .preprocess import (
     PreprocessConfig,
@@ -112,6 +112,18 @@ class _EvaluateSection:
     confidence_level: float = 0.95
 
     def __post_init__(self):
+        if self.truth_threshold < 0:
+            raise InvalidConfigError(
+                f"[evaluate] truth_threshold must be nonnegative, got {self.truth_threshold}"
+            )
+        if not self.rauc_grid or min(self.rauc_grid) < 0:
+            raise InvalidConfigError(
+                f"[evaluate] rauc_grid needs one or more nonnegative values, got {self.rauc_grid}"
+            )
+        if not 0.0 < self.confidence_level < 1.0:
+            raise InvalidConfigError(
+                f"[evaluate] confidence_level must lie in (0, 1), got {self.confidence_level}"
+            )
         if self.bootstrap_resamples < 1:
             raise InvalidConfigError(
                 f"[evaluate] bootstrap_resamples must be at least 1, got {self.bootstrap_resamples}"
@@ -135,6 +147,10 @@ class _SurvivalSection:
     adjust: str = "esc_class"
     horizon_years: float = 5.0
 
+    def __post_init__(self):
+        if self.horizon_years <= 0:
+            raise InvalidConfigError(f"[survival] horizon_years must be positive, got {self.horizon_years}")
+
 
 # The INI schema: each section's keys are the fields of its desk preset.
 _PRESETS = {
@@ -150,8 +166,6 @@ _PRESETS = {
 # A seed in these sections is no key: it is the master seed plus the offset of
 # the named stream.
 _SEEDED = {"synth": "synth", "train": "shuffle"}
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
 _KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "text"}
 
 
@@ -167,7 +181,7 @@ def _parse_value(hint, text: str, where: str):
             raise InvalidConfigError(f"{where} needs {len(args)} comma-separated values, got {text!r}")
         return tuple(_parse_value(args[0], part, where) for part in parts)
     try:
-        value = _BOOLEANS[text.strip().lower()] if hint is bool else hint(text)
+        value = configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()] if hint is bool else hint(text)
     except (KeyError, ValueError):
         raise InvalidConfigError(f"{where} must be {_KINDS[hint]}, got {text!r}") from None
     # NaN passes every range check in the sections' validation, so it stops here
@@ -178,7 +192,8 @@ def _parse_value(hint, text: str, where: str):
 
 def _load_config(args) -> dict:
     """Each section's preset with the --config values parsed over it, [run]
-    seed replaced by --seed when given and the derived seeds filled in."""
+    seed replaced by --seed and [crossval] folds by --folds when given, and
+    the derived seeds filled in."""
     cfg = dict(_PRESETS)
     if args.config is not None:
         cp = configparser.ConfigParser(interpolation=None)
@@ -199,6 +214,8 @@ def _load_config(args) -> dict:
             cfg[sect] = replace(_PRESETS[sect], **parsed)
     if args.seed is not None:
         cfg["run"] = _RunSection(seed=args.seed)
+    if getattr(args, "folds", None) is not None:
+        cfg["crossval"] = _CrossvalSection(folds=args.folds)
     for sect, stream in _SEEDED.items():
         cfg[sect] = replace(cfg[sect], seed=_seed(cfg, stream))
     return cfg
@@ -319,7 +336,7 @@ def cmd_train(args) -> int:
     params = init_model(cfg["model"], _seed(cfg, "init"))
     fitted, history = train(list(zip(xtr, ytr)), tc, params)
 
-    atomic.write_bytes(out / "weights.cacw", weights_to_bytes(fitted))
+    save_weights(out / "weights.cacw", fitted)
     atomic.write_text(out / "sidecar.json", sidecar_to_json(cfg["model"], lt) + "\n")
     atomic.write_text(out / "stats.csv", stats_to_csv(stats))
     atomic.write_text(
@@ -405,7 +422,7 @@ def cmd_crossval(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(args, cfg)
     _, crops, cacs, _ = _load_preprocessed(args.data, cfg["preprocess"])
-    k = args.folds if args.folds is not None else cfg["crossval"].folds
+    k = cfg["crossval"].folds
     report = cross_validate(
         crops,
         cacs,

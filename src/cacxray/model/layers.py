@@ -4,7 +4,8 @@ Everything runs in float64 on (N, C, H, W) arrays so analytic gradients can be
 verified against central finite differences. Layers never mutate their input
 activations. For the backward pass, a stride-1 convolution caches its input
 as a zero-padded channels-last copy, and a strided convolution caches its
-im2col matrix.
+im2col matrix. The only strided convolution is the stem, whose input is the
+image, so its backward computes the weight gradient only.
 
 Parameter naming: each layer owns entries in a flat ``tensors`` dict under its
 dotted name, e.g. ``block0.layer1.conv2.w`` or ``head.fc1.b``. Weight decay
@@ -44,6 +45,11 @@ class Layer:
     def __init__(self, name: str):
         self.name = name
 
+    @property
+    def layers(self) -> list["Layer"]:
+        """The primitive layers of this network entry: the layer itself."""
+        return [self]
+
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return []
 
@@ -68,22 +74,20 @@ class Conv2d(Layer):
     ``xf[q + ki*wp + kj] @ W[:, :, ki, kj].T`` for every kernel offset. Output
     rows are laid out on the padded width, so the last k-1 columns of each row
     are computed and then dropped. Each item gets its own GEMM, so its output
-    does not depend on the batch it came in. Other strides use im2col over a
-    window view.
+    does not depend on the batch it came in.
 
-    ``input_grad=False`` is for a layer whose input is the image: backward
-    then computes the weight gradient only and returns None.
+    Other strides use im2col over a window view. That path is the stem's,
+    whose input is the image: its backward computes the weight gradient only
+    and returns None.
     """
 
-    def __init__(self, name: str, c_in: int, c_out: int, kernel: int, stride: int = 1, pad: int = 0,
-                 input_grad: bool = True):
+    def __init__(self, name: str, c_in: int, c_out: int, kernel: int, stride: int = 1, pad: int = 0):
         super().__init__(name)
         self.c_in = c_in
         self.c_out = c_out
         self.kernel = kernel
         self.stride = stride
         self.pad = pad
-        self.input_grad = input_grad
         self.wname = name + ".w"
 
     def param_shapes(self):
@@ -101,7 +105,13 @@ class Conv2d(Layer):
     def backward(self, dy, ctx, grads):
         if self.stride == 1:
             return self._backward_shifted(dy, ctx, grads)
-        return self._backward_im2col(dy, ctx, grads)
+        # the stem: its input is the image, so only the weight gradient
+        n, _, ho, wo = dy.shape
+        if grads is not None:
+            dym = np.ascontiguousarray(dy.reshape(n, self.c_out, ho * wo).transpose(0, 2, 1))
+            dw = np.tensordot(dym, ctx.caches[self.name], axes=([0, 1], [0, 1]))  # (c_out, c*k*k)
+            grads[self.wname] = grads.get(self.wname, 0.0) + dw.reshape(self.param_shapes()[0][1])
+        return None
 
     def _geometry(self, h, wid):
         """Padded height and width, output height and width, and the count of
@@ -155,8 +165,6 @@ class Conv2d(Layer):
             dwk = np.stack([np.dot(dyf_flat[: rows - off].T, xf_flat[off:]) for off, _ in shifts])
             dw = np.ascontiguousarray(dwk.reshape(k, k, self.c_out, c).transpose(2, 3, 0, 1))
             grads[self.wname] = grads.get(self.wname, 0.0) + dw
-        if not self.input_grad:
-            return None
         dxf = np.zeros((n, hp * wp, c))
         for off, wi in shifts:
             dxf[:, off : off + m] += dyf[:, :m] @ wi
@@ -177,29 +185,8 @@ class Conv2d(Layer):
         # (n, c, ho, wo, k, k) -> (n, ho, wo, c, k, k)
         cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, ho * wo, c * k * k)
         y = cols @ w.reshape(self.c_out, -1).T  # (n, ho*wo, c_out)
-        ctx.caches[self.name] = (cols, x.shape, (ho, wo))
+        ctx.caches[self.name] = cols
         return np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(n, self.c_out, ho, wo)
-
-    def _backward_im2col(self, dy, ctx, grads):
-        cols, x_shape, (ho, wo) = ctx.caches[self.name]
-        n, c, h, wid = x_shape
-        k, s, p = self.kernel, self.stride, self.pad
-        w = ctx.tensors[self.wname]
-        dym = np.ascontiguousarray(dy.reshape(n, self.c_out, ho * wo).transpose(0, 2, 1))
-        if grads is not None:
-            dw = np.tensordot(dym, cols, axes=([0, 1], [0, 1]))  # (c_out, c*k*k)
-            grads[self.wname] = grads.get(self.wname, 0.0) + dw.reshape(w.shape)
-        if not self.input_grad:
-            return None
-        dcols = dym @ w.reshape(self.c_out, -1)  # (n, ho*wo, c*k*k)
-        dwin = dcols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-        dxp = np.zeros((n, c, h + 2 * p, wid + 2 * p))
-        for ki in range(k):
-            rstop = ki + s * (ho - 1) + 1
-            for kj in range(k):
-                cstop = kj + s * (wo - 1) + 1
-                dxp[:, :, ki:rstop:s, kj:cstop:s] += dwin[:, :, :, :, ki, kj]
-        return dxp[:, :, p : p + h, p : p + wid] if p else dxp
 
 
 class BatchNorm2d(Layer):

@@ -4,9 +4,10 @@ Architecture, in order: 7x7/2 convolution (pad 3, no bias), 2x2/2 max pool,
 alternating dense blocks and transitions (1x1 convolution to
 floor(compression * channels) followed by 2x2 average pooling), global average
 pooling, a hidden fully connected layer with ReLU, and a single linear output.
-Each dense-block composite layer is [BN] -> ReLU -> 1x1 conv (4 * growth
-channels) -> [BN] -> ReLU -> 3x3 conv (growth channels), its output
-concatenated onto the running feature stack.
+Each dense layer is a plain list [BN] -> ReLU -> 1x1 conv (4 * growth
+channels) -> [BN] -> ReLU -> 3x3 conv (growth channels) that its dense block
+runs, concatenating the output onto the running feature stack. The entries'
+``layers``, in order, give the parameter listing order.
 """
 
 from __future__ import annotations
@@ -106,56 +107,40 @@ class ForwardTrace:
     params_version: int
 
 
-class _Composite:
-    """One dense-block layer: [BN] ReLU conv1x1 [BN] ReLU conv3x3."""
+class _DenseBlock:
+    """Dense layers, each a plain list [bn1] relu1 conv1 [bn2] relu2 conv2
+    whose output is concatenated onto the running feature stack."""
 
-    def __init__(self, prefix: str, c_in: int, growth: int, use_bn: bool):
-        self.c_in = c_in
+    def __init__(self, name: str, c_in: int, n_layers: int, growth: int, use_bn: bool):
+        self.name = name
         inner = 4 * growth
-        seq = []
-        if use_bn:
-            seq.append(BatchNorm2d(prefix + ".bn1", c_in))
-        seq.append(ReLU(prefix + ".relu1"))
-        seq.append(Conv2d(prefix + ".conv1", c_in, inner, 1))
-        if use_bn:
-            seq.append(BatchNorm2d(prefix + ".bn2", inner))
-        seq.append(ReLU(prefix + ".relu2"))
-        seq.append(Conv2d(prefix + ".conv2", inner, growth, 3, pad=1))
-        self.seq = seq
+        # (input width, layer list) of each dense layer
+        self.dense_layers = []
+        for l in range(n_layers):
+            prefix, c = f"{name}.layer{l}", c_in + l * growth
+            seq = [BatchNorm2d(prefix + ".bn1", c)] if use_bn else []
+            seq += [ReLU(prefix + ".relu1"), Conv2d(prefix + ".conv1", c, inner, 1)]
+            if use_bn:
+                seq.append(BatchNorm2d(prefix + ".bn2", inner))
+            seq += [ReLU(prefix + ".relu2"), Conv2d(prefix + ".conv2", inner, growth, 3, pad=1)]
+            self.dense_layers.append((c, seq))
+        self.layers = [layer for _, seq in self.dense_layers for layer in seq]
 
     def forward(self, x, ctx):
-        for layer in self.seq:
-            x = layer.forward(x, ctx)
+        for _, seq in self.dense_layers:
+            new = x
+            for layer in seq:
+                new = layer.forward(new, ctx)
+            x = np.concatenate([x, new], axis=1)
         return x
 
     def backward(self, dy, ctx, grads):
-        for layer in reversed(self.seq):
-            dy = layer.backward(dy, ctx, grads)
+        for c, seq in reversed(self.dense_layers):
+            d = dy[:, c:]
+            for layer in reversed(seq):
+                d = layer.backward(d, ctx, grads)
+            dy = dy[:, :c] + d
         return dy
-
-
-class _DenseBlock:
-    def __init__(self, name: str, c_in: int, n_layers: int, growth: int, use_bn: bool):
-        self.name = name
-        self.layers = [
-            _Composite(f"{name}.layer{l}", c_in + l * growth, growth, use_bn)
-            for l in range(n_layers)
-        ]
-
-    def forward(self, x, ctx):
-        feats = x
-        for comp in self.layers:
-            new = comp.forward(feats, ctx)
-            feats = np.concatenate([feats, new], axis=1)
-        return feats
-
-    def backward(self, dy, ctx, grads):
-        d = dy
-        for comp in reversed(self.layers):
-            d_prev = d[:, : comp.c_in]
-            d_new = d[:, comp.c_in :]
-            d = d_prev + comp.backward(d_new, ctx, grads)
-        return d
 
 
 class _Transition:
@@ -164,6 +149,7 @@ class _Transition:
     def __init__(self, name: str, c_in: int, c_out: int):
         self.conv = Conv2d(name + ".conv", c_in, c_out, 1)
         self.pool = AvgPool2x2(name + ".pool")
+        self.layers = [self.conv, self.pool]
 
     def forward(self, x, ctx):
         return self.pool.forward(self.conv.forward(x, ctx), ctx)
@@ -175,8 +161,7 @@ class _Transition:
 class _Net:
     def __init__(self, cfg: DenseNetConfig):
         entries = [
-            # the stem's input is the image: nothing reads its gradient
-            Conv2d("stem.conv", 1, cfg.init_channels, 7, stride=2, pad=3, input_grad=False),
+            Conv2d("stem.conv", 1, cfg.init_channels, 7, stride=2, pad=3),
             MaxPool2x2("stem.pool"),
         ]
         c = cfg.init_channels
@@ -204,19 +189,10 @@ class _Net:
 
     def param_layers(self):
         for entry in self.entries:
-            if isinstance(entry, _DenseBlock):
-                for comp in entry.layers:
-                    yield from comp.seq
-            elif isinstance(entry, _Transition):
-                yield entry.conv
-            else:
-                yield entry
+            yield from entry.layers
 
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
-        shapes = []
-        for layer in self.param_layers():
-            shapes.extend(layer.param_shapes())
-        return shapes
+        return [shape for layer in self.param_layers() for shape in layer.param_shapes()]
 
     def backward_walk(self, dy, ctx, grads, stop_at: int):
         for i in range(len(self.entries) - 1, stop_at - 1, -1):

@@ -17,9 +17,11 @@ import json
 import math
 import struct
 import typing
+from pathlib import Path
 
 import numpy as np
 
+from .. import atomic
 from ..errors import (
     BadMagicError,
     InvalidConfigError,
@@ -98,8 +100,7 @@ def weights_from_bytes(data: bytes, cfg: DenseNetConfig) -> ModelParams:
 
 
 def save_weights(path, params: ModelParams) -> None:
-    with open(path, "wb") as fh:
-        fh.write(weights_to_bytes(params))
+    atomic.write_bytes(Path(path), weights_to_bytes(params))
 
 
 def load_weights(path, cfg: DenseNetConfig) -> ModelParams:

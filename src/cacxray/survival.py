@@ -96,7 +96,10 @@ def kaplan_meier(records) -> KmCurve:
 
 
 def km_event_estimate(curve: KmCurve, horizon: float) -> float:
-    """Cumulative event probability 1 - S(horizon); 0 before the first event."""
+    """Cumulative event probability 1 - S(horizon); 0 before the first event.
+    A NaN horizon raises ValueError."""
+    if math.isnan(horizon):
+        raise ValueError("horizon is not a number")
     est = 0.0
     for t, s in zip(curve.times, curve.survival):
         if t <= horizon:

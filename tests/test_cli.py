@@ -149,6 +149,15 @@ def test_crossval_outputs(flow):
     assert len(doc["folds"]) == 3
 
 
+def test_crossval_folds_flag_is_echoed_and_repeats_the_run(flow, tmp_path):
+    echo = flow["cv"] / "effective.cfg"
+    assert "[crossval]\nfolds = 3\n" in echo.read_text()
+    assert main(["crossval", "--config", str(echo), "--data", str(flow["data"]),
+                 "--out", str(tmp_path / "cv")]) == 0
+    assert (tmp_path / "cv" / "crossval.csv").read_bytes() == (flow["cv"] / "crossval.csv").read_bytes()
+    assert (tmp_path / "cv" / "effective.cfg").read_bytes() == echo.read_bytes()
+
+
 def test_survival_outputs(flow):
     s = flow["surv"]
     for name in ["km_group0.csv", "km_group1.csv", "cox_univariate.json",
@@ -286,6 +295,14 @@ def test_crossval_folds_below_two_exits_2(flow, tmp_path, capsys, folds):
     assert "[crossval] folds must be at least 2" in capsys.readouterr().err
 
 
+def test_crossval_folds_flag_below_two_exits_2(flow, tmp_path, capsys):
+    rc = main(["crossval", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
+               "--out", str(tmp_path / "o"), "--seed", "3", "--folds", "1"])
+    assert rc == 2
+    assert "[crossval] folds must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # The command that reads each section, given the shared dataset and model.
 _SECTION_COMMANDS = {
     "run": ["synth"],
@@ -326,6 +343,15 @@ def test_every_config_key_takes_hostile_values(flow, tmp_path, section, key, val
 @pytest.mark.parametrize("section,key,value,named", [
     ("synth", "hazard_ratio", "1e308", "hazard_ratio"),
     ("evaluate", "calibration_edges", "", "[evaluate] calibration_edges"),
+    ("evaluate", "truth_threshold", "-1", "[evaluate] truth_threshold"),
+    ("evaluate", "rauc_grid", "-5", "[evaluate] rauc_grid"),
+    ("evaluate", "rauc_grid", "0,-1,400", "[evaluate] rauc_grid"),
+    ("evaluate", "rauc_grid", "", "[evaluate] rauc_grid"),
+    ("evaluate", "confidence_level", "1.5", "[evaluate] confidence_level"),
+    ("evaluate", "confidence_level", "1", "[evaluate] confidence_level"),
+    ("evaluate", "confidence_level", "0", "[evaluate] confidence_level"),
+    ("survival", "horizon_years", "-1", "[survival] horizon_years"),
+    ("survival", "horizon_years", "0", "[survival] horizon_years"),
 ])
 def test_out_of_range_value_exits_2_and_names_the_key(flow, tmp_path, capsys, section, key, value, named):
     cfg = tmp_path / "bad.ini"

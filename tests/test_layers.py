@@ -120,18 +120,18 @@ def test_maxpool_ties_route_to_first_maximum_in_row_major_order():
                                       [0.0, 0.0, 0.0, 0.0, 0.0, 3.0]])
 
 
-def _conv_im2col_reference(x, w, dy, pad=0):
-    """The window-view im2col convolution at stride 1, with its dx scatter."""
+def _conv_im2col_reference(x, w, dy, pad=0, stride=1):
+    """The window-view im2col convolution, with its dx scatter."""
     from numpy.lib.stride_tricks import sliding_window_view
 
     n, c, h, wid = x.shape
     c_out, _, k, _ = w.shape
-    ho, wo = h + 2 * pad - k + 1, wid + 2 * pad - k + 1
+    ho, wo = (h + 2 * pad - k) // stride + 1, (wid + 2 * pad - k) // stride + 1
     xp = x
     if pad:
         xp = np.zeros((n, c, h + 2 * pad, wid + 2 * pad))
         xp[:, :, pad : pad + h, pad : pad + wid] = x
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, ho * wo, c * k * k)
     wm = w.reshape(c_out, -1)
     y = np.ascontiguousarray((cols @ wm.T).transpose(0, 2, 1)).reshape(n, c_out, ho, wo)
@@ -141,7 +141,9 @@ def _conv_im2col_reference(x, w, dy, pad=0):
     dx = np.zeros(xp.shape)
     for ki in range(k):
         for kj in range(k):
-            dx[:, :, ki : ki + ho : 1, kj : kj + wo : 1] += dwin[:, :, :, :, ki, kj]
+            dx[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += (
+                dwin[:, :, :, :, ki, kj]
+            )
     return y, dx[:, :, pad : pad + h, pad : pad + wid], dw
 
 
@@ -168,7 +170,6 @@ def test_backward_without_grads_gives_same_input_gradient():
     cases = [
         (Conv2d("l", 3, 4, 1), x4, "eval"),
         (Conv2d("l", 3, 4, 3, pad=1), x4, "eval"),
-        (Conv2d("l", 3, 4, 7, stride=2, pad=3), x4, "eval"),
         (BatchNorm2d("l", 3), x4, "train"),
         (BatchNorm2d("l", 3), x4, "eval"),
         (Linear("l", 3, 4), rng.standard_normal((2, 3)), "eval"),
@@ -209,12 +210,15 @@ def test_stem_conv_gives_weight_gradient_only():
     x = rng.standard_normal((3, 1, 12, 10))
     w = rng.standard_normal((4, 1, 7, 7))
     dy = rng.standard_normal((3, 4, 6, 5))
+    conv = Conv2d("c", 1, 4, 7, stride=2, pad=3)
+    ctx = _ctx({"c.w": w})
+    y = conv.forward(x, ctx)
+    y_ref, _, dw_ref = _conv_im2col_reference(x, w, dy, pad=3, stride=2)
+    assert y.shape == y_ref.shape and np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
     grads = {}
-    for input_grad in (True, False):
-        conv = Conv2d("c", 1, 4, 7, stride=2, pad=3, input_grad=input_grad)
-        ctx = _ctx({"c.w": w})
-        conv.forward(x, ctx)
-        grads[input_grad] = {}
-        dx = conv.backward(dy, ctx, grads[input_grad])
-        assert (dx is None) == (not input_grad)
-    assert grads[False]["c.w"].tobytes() == grads[True]["c.w"].tobytes()
+    assert conv.backward(dy, ctx, grads) is None
+    assert np.max(np.abs(grads["c.w"] - dw_ref)) <= 1e-12 * np.max(np.abs(dw_ref))
+    first = grads["c.w"].copy()
+    assert conv.backward(dy, ctx, None) is None
+    assert conv.backward(dy, ctx, grads) is None  # a second call adds onto the first
+    assert np.array_equal(grads["c.w"], 2.0 * first)

@@ -1,10 +1,13 @@
 """Whole-network contracts: channel arithmetic, forward semantics, gradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from cacxray.errors import InvalidConfigError, ShapeMismatchError, StaleTraceError
 from cacxray.model import network as nw
+from cacxray.model import weights_to_bytes
 
 
 def _batch(rng, n, dim):
@@ -73,6 +76,31 @@ def test_init_batchnorm_and_bias_values(tiny_net_cfg):
             assert np.all(t == 1.0)
         if name.endswith((".beta", ".running_mean", ".b")):
             assert np.all(t == 0.0)
+
+
+def _desk_param_names():
+    def bn(prefix):
+        return [f"{prefix}.{t}" for t in ("gamma", "beta", "running_mean", "running_var")]
+
+    names = ["stem.conv.w"]
+    for b in range(3):
+        for l in range(2):
+            p = f"block{b}.layer{l}"
+            names += bn(p + ".bn1") + [p + ".conv1.w"] + bn(p + ".bn2") + [p + ".conv2.w"]
+        if b < 2:
+            names.append(f"trans{b}.conv.w")
+    return names + ["head.fc1.w", "head.fc1.b", "head.fc2.w", "head.fc2.b"]
+
+
+def test_desk_parameter_order_and_init_bytes_are_pinned():
+    # the listing order fixes the init draw order and the weights file
+    # layout, so a refactor that reorders layers fails here
+    names = [name for name, _ in nw.build_net(nw.desk_config()).param_shapes()]
+    assert names == _desk_param_names()
+    blob = weights_to_bytes(nw.init_model(nw.desk_config(), 0))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "56685799ae0bbdf3241b11c002b89cf57ef3985228a3c758e25079a927900835"
+    )
 
 
 # --- forward -------------------------------------------------------------------

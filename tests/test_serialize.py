@@ -46,6 +46,8 @@ def test_file_round_trip(tmp_path, tiny_net_cfg):
     p = nw.init_model(tiny_net_cfg, seed=2)
     path = tmp_path / "weights.cacw"
     save_weights(path, p)
+    save_weights(str(path), p)  # a str path is written the same way, over the file
+    assert [f.name for f in tmp_path.iterdir()] == ["weights.cacw"]
     back = load_weights(path, tiny_net_cfg)
     for k in p.tensors:
         assert np.array_equal(back.tensors[k], p.tensors[k])

@@ -74,6 +74,12 @@ def test_km_event_estimate_horizons():
     assert sv.km_event_estimate(curve, 99.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
+def test_km_event_estimate_rejects_nan_horizon():
+    curve = sv.kaplan_meier([R("a", 1.0, True, {}), R("b", 2.0, False, {})])
+    with pytest.raises(ValueError, match="horizon"):
+        sv.km_event_estimate(curve, float("nan"))
+
+
 def test_km_rejects_empty_cohort():
     with pytest.raises(EmptyCohortError):
         sv.kaplan_meier([])
