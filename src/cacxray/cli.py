@@ -4,10 +4,13 @@ Subcommands: synth, train, evaluate, crossval, survival, explain. Settings
 come from an INI file (--config) merged over built-in desk-scale defaults.
 Each section is a dataclass (_PRESETS): its fields are the keys, its desk
 preset holds the defaults and each value is parsed by its field's type;
-unknown sections or keys are rejected by name. A single master seed (--seed
+unknown sections or keys are rejected by name. Each dataclass checks its
+values when it is built, so every command rejects a bad value, named as
+``[section] key``, before --out is created. A single master seed (--seed
 or [run] seed) feeds every random stream through fixed offsets: synth +0,
 train/test split +1, weight init +2, batch shuffling +3, bootstrap +4,
-cross-validation folds +5.
+cross-validation folds +5. Cross-validation initializes each fold's weights
+from the shuffling seed (+3), not from +2.
 
 Exit codes come from the category of the error raised (see errors.py):
 0 success, 2 configuration or schema error, 3 training failure, 4 I/O or
@@ -97,10 +100,19 @@ _SEED_OFFSETS = {"synth": 0, "split": 1, "init": 2, "shuffle": 3, "bootstrap": 4
 class _RunSection:
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be nonnegative, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class _TrainSection(TrainConfig):
     train_fraction: float = 0.8
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.train_fraction <= 1.0:
+            raise InvalidConfigError(f"train_fraction must lie in (0, 1], got {self.train_fraction}")
 
 
 @dataclass(frozen=True)
@@ -113,23 +125,17 @@ class _EvaluateSection:
 
     def __post_init__(self):
         if self.truth_threshold < 0:
-            raise InvalidConfigError(
-                f"[evaluate] truth_threshold must be nonnegative, got {self.truth_threshold}"
-            )
+            raise InvalidConfigError(f"truth_threshold must be nonnegative, got {self.truth_threshold}")
         if not self.rauc_grid or min(self.rauc_grid) < 0:
-            raise InvalidConfigError(
-                f"[evaluate] rauc_grid needs one or more nonnegative values, got {self.rauc_grid}"
-            )
+            raise InvalidConfigError(f"rauc_grid needs one or more nonnegative values, got {self.rauc_grid}")
         if not 0.0 < self.confidence_level < 1.0:
-            raise InvalidConfigError(
-                f"[evaluate] confidence_level must lie in (0, 1), got {self.confidence_level}"
-            )
+            raise InvalidConfigError(f"confidence_level must lie in (0, 1), got {self.confidence_level}")
         if self.bootstrap_resamples < 1:
-            raise InvalidConfigError(
-                f"[evaluate] bootstrap_resamples must be at least 1, got {self.bootstrap_resamples}"
-            )
-        if not self.calibration_edges:
-            raise InvalidConfigError("[evaluate] calibration_edges needs at least one edge")
+            raise InvalidConfigError(f"bootstrap_resamples must be at least 1, got {self.bootstrap_resamples}")
+        # truth scores are nonnegative, so a first edge of at most 0 holds them all
+        edges = self.calibration_edges
+        if not edges or edges[0] > 0 or any(a >= b for a, b in zip(edges, edges[1:])):
+            raise InvalidConfigError(f"calibration_edges must rise strictly from at most 0, got {edges}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,7 @@ class _CrossvalSection:
 
     def __post_init__(self):
         if self.folds < 2:
-            raise InvalidConfigError(f"[crossval] folds must be at least 2, got {self.folds}")
+            raise InvalidConfigError(f"folds must be at least 2, got {self.folds}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ class _SurvivalSection:
 
     def __post_init__(self):
         if self.horizon_years <= 0:
-            raise InvalidConfigError(f"[survival] horizon_years must be positive, got {self.horizon_years}")
+            raise InvalidConfigError(f"horizon_years must be positive, got {self.horizon_years}")
 
 
 # The INI schema: each section's keys are the fields of its desk preset.
@@ -191,10 +197,11 @@ def _parse_value(hint, text: str, where: str):
 
 
 def _load_config(args) -> dict:
-    """Each section's preset with the --config values parsed over it, [run]
-    seed replaced by --seed and [crossval] folds by --folds when given, and
-    the derived seeds filled in."""
-    cfg = dict(_PRESETS)
+    """Each section built from its preset with the --config values parsed
+    over it, [run] seed replaced by --seed and [crossval] folds by --folds
+    when given, and the derived seeds filled in. A value its section rejects
+    raises InvalidConfigError naming the section."""
+    values = {sect: {} for sect in _PRESETS}
     if args.config is not None:
         cp = configparser.ConfigParser(interpolation=None)
         try:
@@ -206,18 +213,22 @@ def _load_config(args) -> dict:
             if sect not in _PRESETS:
                 raise InvalidConfigError(f"unknown config section [{sect}]")
             hints = typing.get_type_hints(type(_PRESETS[sect]))
-            parsed = {}
             for key, value in cp[sect].items():
                 if key not in _keys(sect):
                     raise InvalidConfigError(f"unknown key {key!r} in section [{sect}]")
-                parsed[key] = _parse_value(hints[key], value, f"[{sect}] {key}")
-            cfg[sect] = replace(_PRESETS[sect], **parsed)
+                values[sect][key] = _parse_value(hints[key], value, f"[{sect}] {key}")
     if args.seed is not None:
-        cfg["run"] = _RunSection(seed=args.seed)
+        values["run"]["seed"] = args.seed
     if getattr(args, "folds", None) is not None:
-        cfg["crossval"] = _CrossvalSection(folds=args.folds)
-    for sect, stream in _SEEDED.items():
-        cfg[sect] = replace(cfg[sect], seed=_seed(cfg, stream))
+        values["crossval"]["folds"] = args.folds
+    cfg = {}
+    for sect, preset in _PRESETS.items():  # [run] first: the derived seeds read it
+        if sect in _SEEDED:
+            values[sect]["seed"] = _seed(cfg, _SEEDED[sect])
+        try:
+            cfg[sect] = replace(preset, **values[sect])
+        except InvalidConfigError as exc:
+            raise InvalidConfigError(f"[{sect}] {exc}") from exc
     return cfg
 
 
@@ -255,7 +266,6 @@ def _prepare_out(args, cfg) -> Path:
 
 
 def _load_preprocessed(data_dir, pp_cfg: PreprocessConfig):
-    pp_cfg.validate()
     ids, dicoms, records = read_dataset(data_dir)
     crops = [preprocess_uncalibrated(d, pp_cfg) for d in dicoms]
     cacs = []
@@ -317,9 +327,6 @@ def cmd_train(args) -> int:
     out = _prepare_out(args, cfg)
     tc = cfg["train"]
     frac = tc.train_fraction
-    if not 0.0 < frac <= 1.0:
-        raise InvalidConfigError(f"train_fraction must lie in (0, 1], got {frac}")
-
     ids, crops, cacs, _ = _load_preprocessed(args.data, cfg["preprocess"])
     n = len(ids)
     split_seed = _seed(cfg, "split")

@@ -82,7 +82,8 @@ class CropLargerThanImageError(DegenerateDataError):
 
 
 class DegenerateDatasetError(DegenerateDataError):
-    """Pixel pool has zero variance; standardization is undefined."""
+    """Pixel statistics without a finite mean and a finite positive standard
+    deviation (a pool of zero variance, say); standardization is undefined."""
 
 
 # --- labels ------------------------------------------------------------------
@@ -98,7 +99,8 @@ class DegenerateLabelsError(DegenerateDataError):
 # --- model -------------------------------------------------------------------
 
 class InvalidConfigError(ConfigError):
-    """Network or run configuration violates a structural constraint."""
+    """A configuration or fitted-parameter value that its type rejects when
+    it is built."""
 
 
 class ShapeMismatchError(UnreadableInputError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, NegativeScoreError
+from .errors import DegenerateLabelsError, InvalidConfigError, NegativeScoreError
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,12 @@ class LabelTransform:
     sigma_log: float
     clip_max: float = 2000.0
     epsilon: float = 1e-5
+
+    def __post_init__(self):
+        if not (np.isfinite(self.mu_log) and 0 < self.sigma_log < np.inf):
+            raise InvalidConfigError(f"need a finite mu_log and sigma_log > 0, got {self.mu_log}, {self.sigma_log}")
+        if not (self.clip_max > 0 and self.epsilon > 0):
+            raise InvalidConfigError(f"clip_max and epsilon must be positive, got {self.clip_max}, {self.epsilon}")
 
 
 @dataclass(frozen=True)

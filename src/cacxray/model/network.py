@@ -42,9 +42,9 @@ class DenseNetConfig:
     head_hidden: int = 64
     use_batchnorm: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.input_dim < 1 or self.init_channels < 1 or self.growth_rate < 1:
-            raise InvalidConfigError("dimensions and channel counts must be positive")
+            raise InvalidConfigError("input_dim, init_channels and growth_rate must be positive")
         if self.head_hidden < 1:
             raise InvalidConfigError("head_hidden must be positive")
         if not self.block_layers or any(l < 1 for l in self.block_layers):
@@ -202,8 +202,8 @@ class _Net:
 
 @functools.lru_cache(maxsize=16)
 def build_net(cfg: DenseNetConfig) -> _Net:
-    # shared between calls: a net holds only names and shapes, never run state
-    cfg.validate()
+    # a DenseNetConfig checks itself when built, so cfg is valid here; the net
+    # is shared between calls, as it holds only names and shapes, never run state
     return _Net(cfg)
 
 

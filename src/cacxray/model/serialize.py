@@ -135,13 +135,17 @@ def _dataclass_from_json(cls, obj, section: str):
     if type(obj) is not dict or sorted(obj) != sorted(names):
         raise MalformedFileError(f"sidecar section {section!r} must hold exactly the keys {names}")
     hints = typing.get_type_hints(cls)
-    return cls(**{n: _field_from_json(hints[n], obj[n], f"{section}.{n}") for n in names})
+    values = {n: _field_from_json(hints[n], obj[n], f"{section}.{n}") for n in names}
+    try:
+        return cls(**values)
+    except InvalidConfigError as exc:
+        raise MalformedFileError(f"sidecar section {section!r}: {exc}") from exc
 
 
 def sidecar_from_json(text: str) -> tuple[DenseNetConfig, LabelTransform]:
     """Inverse of sidecar_to_json. Anything else (bad JSON, a missing or
-    unknown key, a value of the wrong type, a non-finite number, a network
-    config that fails validation) raises MalformedFileError."""
+    unknown key, a value of the wrong type, a non-finite number, a section
+    its dataclass rejects) raises MalformedFileError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -150,8 +154,4 @@ def sidecar_from_json(text: str) -> tuple[DenseNetConfig, LabelTransform]:
         raise MalformedFileError("sidecar must hold exactly the keys 'net' and 'label_transform'")
     cfg = _dataclass_from_json(DenseNetConfig, obj["net"], "net")
     lt = _dataclass_from_json(LabelTransform, obj["label_transform"], "label_transform")
-    try:
-        cfg.validate()
-    except InvalidConfigError as exc:
-        raise MalformedFileError(f"sidecar network config: {exc}") from exc
     return cfg, lt

@@ -19,7 +19,7 @@ class TrainConfig:
     seed: int = 0
     freeze_policy: str = "none"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfigError("epochs and batch_size must be positive")
         if not self.learning_rate >= 0:
@@ -55,7 +55,6 @@ def train(dataset, tc: TrainConfig, init: ModelParams) -> tuple[ModelParams, lis
     the per-epoch training loss history (sample-weighted mean of batch MAE,
     one entry per epoch). Fully deterministic given (tc.seed, init).
     """
-    tc.validate()
     n = len(dataset)
     if n == 0:
         raise EmptyDatasetError("training needs at least one sample")

@@ -27,7 +27,7 @@ class PreprocessConfig:
     crop_dim: int = 1024
     eq_levels: int = 256
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.resize_dim < 1 or self.crop_dim < 1:
             raise InvalidConfigError("resize_dim and crop_dim must be positive")
         if self.crop_dim > self.resize_dim:
@@ -42,6 +42,12 @@ class DatasetStats:
 
     mu: float
     sigma: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.mu) and np.isfinite(self.sigma) and self.sigma > 0):
+            raise DegenerateDatasetError(
+                f"pixel statistics need a finite mu and a finite positive sigma, got {self.mu}, {self.sigma}"
+            )
 
 
 def window(values: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -120,15 +126,10 @@ def compute_dataset_stats(images: list[np.ndarray]) -> DatasetStats:
     total = sum(float(np.sum(img, dtype=np.float64)) for img in images)
     mu = total / count
     sq = sum(float(np.sum((np.asarray(img, dtype=np.float64) - mu) ** 2)) for img in images)
-    sigma = float(np.sqrt(sq / count))
-    if sigma == 0.0:
-        raise DegenerateDatasetError("pixel pool has zero variance")
-    return DatasetStats(mu=mu, sigma=sigma)
+    return DatasetStats(mu=mu, sigma=float(np.sqrt(sq / count)))
 
 
 def standardize(values: np.ndarray, stats: DatasetStats) -> np.ndarray:
-    if not stats.sigma > 0:
-        raise DegenerateDatasetError("sigma must be positive")
     return (np.asarray(values, dtype=np.float64) - stats.mu) / stats.sigma
 
 
@@ -148,7 +149,8 @@ def stats_to_csv(stats: DatasetStats) -> str:
 
 def stats_from_csv(text: str) -> DatasetStats:
     """Inverse of stats_to_csv. Raises MalformedFileError unless the text is
-    the header and one row of a finite mu and a finite positive sigma."""
+    the header and one row of a finite mu and a finite positive sigma (the
+    checks of DatasetStats)."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     if len(lines) != 2 or lines[0].strip() != "mu,sigma":
         raise MalformedFileError("expected a 'mu,sigma' header and one data row")
@@ -156,6 +158,7 @@ def stats_from_csv(text: str) -> DatasetStats:
         mu, sigma = (float(cell) for cell in lines[1].split(","))
     except ValueError as exc:
         raise MalformedFileError(f"statistics row {lines[1]!r} is not two numbers") from exc
-    if not (np.isfinite(mu) and np.isfinite(sigma) and sigma > 0):
-        raise MalformedFileError(f"statistics need a finite mu and a positive sigma, got {mu}, {sigma}")
-    return DatasetStats(mu=mu, sigma=sigma)
+    try:
+        return DatasetStats(mu=mu, sigma=sigma)
+    except DegenerateDatasetError as exc:
+        raise MalformedFileError(str(exc)) from exc

@@ -32,7 +32,7 @@ class SubjectRecord:
     event: bool
     covariates: dict[str, float] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.time_years > 0:
             raise ValueError(f"subject {self.id}: follow-up time must be positive")
 
@@ -69,8 +69,6 @@ def kaplan_meier(records) -> KmCurve:
     records = list(records)
     if not records:
         raise EmptyCohortError("empty cohort")
-    for r in records:
-        r.validate()
     times = np.asarray([r.time_years for r in records])
     events = np.asarray([r.event for r in records], dtype=bool)
     event_times = np.unique(times[events])
@@ -139,8 +137,6 @@ def log_rank(group_a, group_b) -> LogRankResult:
     b = list(group_b)
     if not a or not b:
         raise EmptyCohortError("both groups must be nonempty")
-    for r in a + b:
-        r.validate()
     ta = np.asarray([r.time_years for r in a])
     ea = np.asarray([r.event for r in a], dtype=bool)
     tb = np.asarray([r.time_years for r in b])
@@ -249,8 +245,6 @@ def cox_fit(records, covariate_names, max_iter: int = 50) -> CoxResult:
     records = list(records)
     if not records:
         raise EmptyCohortError("empty cohort")
-    for r in records:
-        r.validate()
     names = list(covariate_names)
     if not names:
         raise ValueError("need at least one covariate")

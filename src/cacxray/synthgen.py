@@ -61,7 +61,7 @@ class SynthConfig:
     max_followup_years: float = 5.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n < 1:
             raise InvalidConfigError("n must be positive")
         if not 0.0 <= self.zero_fraction <= 1.0:
@@ -80,6 +80,9 @@ class SynthConfig:
         # a float power that overflows raises
         if not 0 < self.hazard_ratio <= _MAX_HAZARD_RATIO:
             raise InvalidConfigError(f"hazard_ratio must lie in (0, {_MAX_HAZARD_RATIO:g}]")
+        # an infinite rate would draw event times of 0
+        if not self.baseline_hazard * self.hazard_ratio ** 2 < np.inf:
+            raise InvalidConfigError("baseline_hazard * hazard_ratio ** 2 overflows")
         if not self.max_followup_years > 0:
             raise InvalidConfigError("max_followup_years must be positive")
         # the smallest possible score (cac = 1) must afford one full-contrast
@@ -248,7 +251,6 @@ def _generate_one(cfg: SynthConfig, index: int) -> SynthSample:
 
 
 def generate_samples(cfg: SynthConfig) -> list[SynthSample]:
-    cfg.validate()
     return [_generate_one(cfg, i) for i in range(cfg.n)]
 
 
@@ -257,7 +259,6 @@ def generate_survival(cfg: SynthConfig, samples: list[SynthSample]) -> list[Subj
     baseline_hazard * hazard_ratio ** category, administratively censored at
     min(max_followup, U(0, 1.5 * max_followup)). Updates each sample.record
     and returns the records."""
-    cfg.validate()
     records = []
     for i, sample in enumerate(samples):
         rng = np.random.default_rng([cfg.seed, i, 1])

@@ -303,6 +303,12 @@ def test_crossval_folds_flag_below_two_exits_2(flow, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_seed_flag_below_zero_exits_2(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "[run] seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # The command that reads each section, given the shared dataset and model.
 _SECTION_COMMANDS = {
     "run": ["synth"],
@@ -335,14 +341,23 @@ def test_every_config_key_takes_hostile_values(flow, tmp_path, section, key, val
         cp.write(fh)
     out = tmp_path / "o"
     argv = [a.format(data=flow["data"], model=flow["model"]) for a in _SECTION_COMMANDS[section]]
-    assert main(argv + ["--config", str(cfg), "--out", str(out)]) in (0, 2, 3, 4, 5)
+    rc = main(argv + ["--config", str(cfg), "--out", str(out)])
+    assert rc in (0, 2, 3, 4, 5)
+    # every value is checked when the config is read; only [survival] names
+    # cohort columns, which the data alone can check
+    if rc == 2 and section != "survival":
+        assert not out.exists()
     for path in out.rglob("*.json"):
         json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("section,key,value,named", [
+    ("run", "seed", "-1", "[run] seed"),
     ("synth", "hazard_ratio", "1e308", "hazard_ratio"),
+    ("synth", "baseline_hazard", "1e308", "[synth] baseline_hazard"),
     ("evaluate", "calibration_edges", "", "[evaluate] calibration_edges"),
+    ("evaluate", "calibration_edges", "400,100", "[evaluate] calibration_edges"),
+    ("evaluate", "calibration_edges", "100,400", "[evaluate] calibration_edges"),
     ("evaluate", "truth_threshold", "-1", "[evaluate] truth_threshold"),
     ("evaluate", "rauc_grid", "-5", "[evaluate] rauc_grid"),
     ("evaluate", "rauc_grid", "0,-1,400", "[evaluate] rauc_grid"),
@@ -439,10 +454,10 @@ def _sidecar_without(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
-def _sidecar_net_field(key, value):
+def _sidecar_field(section, key, value):
     def damage(text):
         doc = json.loads(text)
-        doc["net"][key] = value
+        doc[section][key] = value
         return json.dumps(doc)
     return damage
 
@@ -450,7 +465,11 @@ def _sidecar_net_field(key, value):
 _DAMAGED_MODEL_FILES = {
     "sidecar_lacks_label_transform": ("sidecar.json", _sidecar_without("label_transform")),
     "sidecar_is_a_list": ("sidecar.json", lambda text: "[1,2]"),
-    "sidecar_block_layers_not_a_list": ("sidecar.json", _sidecar_net_field("block_layers", 5)),
+    "sidecar_block_layers_not_a_list": ("sidecar.json", _sidecar_field("net", "block_layers", 5)),
+    "sidecar_sigma_log_zero": ("sidecar.json", _sidecar_field("label_transform", "sigma_log", 0)),
+    "sidecar_sigma_log_negative": ("sidecar.json", _sidecar_field("label_transform", "sigma_log", -7.66)),
+    "sidecar_epsilon_zero": ("sidecar.json", _sidecar_field("label_transform", "epsilon", 0)),
+    "sidecar_clip_max_zero": ("sidecar.json", _sidecar_field("label_transform", "clip_max", 0)),
     "split_is_empty_object": ("split.json", lambda text: "{}"),
     "weights_name_not_utf8": ("weights.cacw", _flip_first_weight_name_byte),
     "weights_value_nan": ("weights.cacw", lambda data: data[:-4] + b"\xff\xff\xff\xff"),

@@ -6,12 +6,26 @@ import numpy as np
 import pytest
 
 from cacxray import labels as lb
-from cacxray.errors import DegenerateLabelsError, NegativeScoreError
+from cacxray.errors import DegenerateLabelsError, InvalidConfigError, NegativeScoreError
 
 
 def test_fit_rejects_zero_variance():
     with pytest.raises(DegenerateLabelsError):
         lb.fit_label_transform([0.0, 0.0])
+
+
+@pytest.mark.parametrize("kw", [
+    dict(mu_log=math.nan),
+    dict(mu_log=math.inf),
+    dict(sigma_log=0.0),
+    dict(sigma_log=-7.66),
+    dict(sigma_log=math.inf),
+    dict(clip_max=0.0),
+    dict(epsilon=0.0),
+])
+def test_label_transform_rejects_invalid_parameters(kw):
+    with pytest.raises(InvalidConfigError):
+        lb.LabelTransform(**{"mu_log": 0.0, "sigma_log": 1.0, **kw})
 
 
 def test_fit_hand_log_arithmetic():

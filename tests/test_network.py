@@ -49,12 +49,12 @@ def test_invalid_config_rejected():
         nw.DenseNetConfig(
             input_dim=64, init_channels=16, growth_rate=8, block_layers=(),
             compression=0.5, head_hidden=64, use_batchnorm=True,
-        ).validate()
+        )
     with pytest.raises(InvalidConfigError):
         nw.DenseNetConfig(
             input_dim=64, init_channels=16, growth_rate=8, block_layers=(2, 2),
             compression=1.5, head_hidden=64, use_batchnorm=True,
-        ).validate()
+        )
 
 
 # --- init ----------------------------------------------------------------------

@@ -154,6 +154,8 @@ def test_stats_match_pooled_two_pass_oracle():
 def test_stats_reject_zero_variance():
     with pytest.raises(DegenerateDatasetError):
         pp.compute_dataset_stats([np.full((2, 2), 3.0)])
+    with pytest.raises(DegenerateDatasetError):
+        pp.DatasetStats(mu=0.0, sigma=0.0)
 
 
 def test_standardize_formula():
@@ -194,12 +196,12 @@ def test_pipeline_desk_dims_and_determinism():
 
 def test_pipeline_config_validation():
     with pytest.raises(InvalidConfigError):
-        pp.PreprocessConfig(resize_dim=10, crop_dim=20, eq_levels=256).validate()
+        pp.PreprocessConfig(resize_dim=10, crop_dim=20, eq_levels=256)
     for kw in ({"resize_dim": 0, "crop_dim": 0}, {"crop_dim": 0}, {"eq_levels": 1}):
         with pytest.raises(InvalidConfigError):
-            pp.PreprocessConfig(**kw).validate()
-    pp.PreprocessConfig().validate()
-    pp.PreprocessConfig(resize_dim=64, crop_dim=64, eq_levels=2).validate()
+            pp.PreprocessConfig(**kw)
+    pp.PreprocessConfig()
+    pp.PreprocessConfig(resize_dim=64, crop_dim=64, eq_levels=2)
 
 
 def test_stats_csv_round_trip():

@@ -174,4 +174,4 @@ _RANGED_FLOATS = [
 @pytest.mark.parametrize("cls,name", _RANGED_FLOATS, ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_range_checks_reject_nan(cls, name):
     with pytest.raises(errors.InvalidConfigError):
-        replace(cls(), **{name: math.nan}).validate()
+        replace(cls(), **{name: math.nan})

@@ -92,3 +92,11 @@ def test_sidecar_round_trip(tiny_net_cfg):
     cfg_back, lt_back = sidecar_from_json(text)
     assert cfg_back == tiny_net_cfg
     assert lt_back == lt
+
+
+@pytest.mark.parametrize("key,value", [("sigma_log", 0.0), ("sigma_log", -7.66), ("epsilon", 0.0), ("clip_max", 0.0)])
+def test_sidecar_rejects_invalid_label_transform(tiny_net_cfg, key, value):
+    doc = json.loads(sidecar_to_json(tiny_net_cfg, LabelTransform(mu_log=1.25, sigma_log=0.75)))
+    doc["label_transform"][key] = value
+    with pytest.raises(MalformedFileError, match=key):
+        sidecar_from_json(json.dumps(doc))

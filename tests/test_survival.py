@@ -311,3 +311,8 @@ def test_cohort_csv_round_trip():
 def test_cohort_csv_rejects_bad_schema():
     with pytest.raises(ValueError):
         sv.cohort_from_csv("id,time_years\np1,1.0\n")
+
+
+def test_cohort_csv_rejects_zero_follow_up_time():
+    with pytest.raises(ValueError, match="p2: follow-up time must be positive"):
+        sv.cohort_from_csv("id,time_years,event\np1,1.0,1\np2,0,0\n")

@@ -268,12 +268,13 @@ def test_blobs_csv_round_trip():
         dict(max_followup_years=0.0),
         dict(image_dim=32),
         dict(mass_scale=1.0),
+        dict(baseline_hazard=1e308),
     ],
 )
 def test_config_validation_rejects(kw):
     with pytest.raises(InvalidConfigError):
-        _cfg(**kw).validate()
+        _cfg(**kw)
 
 
 def test_default_config_valid():
-    sg.SynthConfig().validate()
+    sg.SynthConfig()

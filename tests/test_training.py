@@ -120,11 +120,11 @@ def test_train_rejects_empty_dataset(tiny_net_cfg):
 
 def test_train_config_validation():
     with pytest.raises(InvalidConfigError):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
     with pytest.raises(InvalidConfigError):
-        TrainConfig(learning_rate=-1.0).validate()
+        TrainConfig(learning_rate=-1.0)
     with pytest.raises(InvalidConfigError):
-        TrainConfig(freeze_policy="everything").validate()
+        TrainConfig(freeze_policy="everything")
 
 
 def test_training_reduces_loss_on_learnable_signal(tiny_net_cfg):
