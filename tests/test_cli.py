@@ -68,7 +68,7 @@ def flow(tmp_path_factory):
                  "--out", str(paths["surv"]), "--seed", "3"]) == 0
     assert main(["explain", "--config", c, "--data", str(paths["data"]),
                  "--model", str(paths["model"]), "--out", str(paths["xp"]),
-                 "--ids", "s00000,s00003"]) == 0
+                 "--ids", "s00000,s00003", "--seed", "3"]) == 0
     return paths
 
 
@@ -124,6 +124,21 @@ def test_train_manifest(flow):
     assert man["command"] == "train"
     assert man["seed"] == 3
     assert man["n"] == 32 and man["n_train"] == 26 and man["n_test"] == 6
+
+
+@pytest.mark.parametrize("command,key", [("train", "model"), ("evaluate", "eval"), ("crossval", "cv"),
+                                         ("survival", "surv"), ("explain", "xp")])
+def test_every_command_writes_its_manifest(flow, command, key):
+    man = json.loads((flow[key] / "manifest.json").read_text())
+    assert man["command"] == command
+    assert man["seed"] == 3
+    assert {"inputs", "version"} <= set(man)
+
+
+def test_dataset_manifest_describes_the_dataset(flow):
+    man = json.loads((flow["data"] / "manifest.json").read_text())
+    assert man["kind"] == "synthetic-cac-dataset"
+    assert "command" not in man
 
 
 def test_evaluate_outputs(flow):
