@@ -4,13 +4,22 @@ Subcommands: synth, train, evaluate, crossval, survival, explain. Settings
 come from an INI file (--config) merged over built-in desk-scale defaults.
 Each section is a dataclass (_PRESETS): its fields are the keys, its desk
 preset holds the defaults and each value is parsed by its field's type;
-unknown sections or keys are rejected by name. Each dataclass checks its
-values when it is built, so every command rejects a bad value, named as
-``[section] key``, before --out is created. A single master seed (--seed
-or [run] seed) feeds every random stream through fixed offsets: synth +0,
-train/test split +1, weight init +2, batch shuffling +3, bootstrap +4,
-cross-validation folds +5. Cross-validation initializes each fold's weights
-from the shuffling seed (+3), not from +2.
+unknown sections or keys are rejected by name, and an integer must lie
+strictly between -2**63 and 2**63. Each dataclass checks its values when it
+is built, so every command rejects a bad value, named as ``[section] key``,
+before --out is created. A single master seed (--seed or [run] seed) feeds
+every random stream through fixed offsets: synth +0, train/test split +1,
+weight init +2, batch shuffling +3, bootstrap +4, cross-validation folds +5.
+Cross-validation initializes each fold's weights from the shuffling seed
+(+3), not from +2.
+
+main runs every command in one order: build and check the config, create
+--out and write effective.cfg, call the cmd_* function, then write
+manifest.json (command, seed, version, and the inputs and fields the
+function returns). synth returns None: a dataset's manifest.json is the
+dataset description that synthgen.write_dataset writes. Outputs are written
+atomically (temp file + rename). effective.cfg holds every setting, master
+seed included, so passing it back as --config repeats the run.
 
 Exit codes come from the category of the error raised (see errors.py):
 0 success, 2 configuration or schema error, 3 training failure, 4 I/O or
@@ -18,10 +27,7 @@ unreadable input file (including a damaged weights, sidecar, statistics or
 split file in a model directory), 5 degenerate data (single class, no events,
 zero variance, non-convergence).
 
-Every command writes its outputs atomically (temp file + rename) into --out,
-plus manifest.json describing the run and effective.cfg holding every setting
-it ran with, master seed included, so that passing it back as --config
-repeats the run.
+From a checkout, without installing: PYTHONPATH=src python -m cacxray.cli ...
 """
 
 from __future__ import annotations
@@ -193,6 +199,9 @@ def _parse_value(hint, text: str, where: str):
     # NaN passes every range check in the sections' validation, so it stops here
     if hint is float and not math.isfinite(value):
         raise InvalidConfigError(f"{where} must be a finite number, got {text!r}")
+    # a huge integer would overflow numpy and float arithmetic downstream
+    if hint is int and not abs(value) < 2**63:
+        raise InvalidConfigError(f"{where} must lie strictly between -2**63 and 2**63")
     return value
 
 
@@ -253,18 +262,6 @@ def _write_json(path: Path, doc) -> None:
     atomic.write_text(path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, inputs: dict, extras: dict) -> None:
-    doc = {"command": command, "seed": cfg["run"].seed, "inputs": inputs, "version": __version__}
-    _write_json(out / "manifest.json", {**doc, **extras})
-
-
-def _prepare_out(args, cfg) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(out, cfg)
-    return out
-
-
 def _load_preprocessed(data_dir, pp_cfg: PreprocessConfig):
     ids, dicoms, records = read_dataset(data_dir)
     crops = [preprocess_uncalibrated(d, pp_cfg) for d in dicoms]
@@ -310,21 +307,17 @@ def _read_test_ids(model_dir) -> list[str]:
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
+def cmd_synth(args, cfg, out: Path) -> dict | None:
     synth_cfg = cfg["synth"]
     samples = generate_samples(synth_cfg)
     generate_survival(synth_cfg, samples)
     write_dataset(synth_cfg, samples, out)
     n_pos = sum(1 for s in samples if s.cac > 0)
     print(f"wrote {synth_cfg.n} samples ({n_pos} with cac > 0) to {out}")
-    return 0
+    return None  # write_dataset wrote the dataset's own manifest.json
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
+def cmd_train(args, cfg, out: Path) -> dict:
     tc = cfg["train"]
     frac = tc.train_fraction
     ids, crops, cacs, _ = _load_preprocessed(args.data, cfg["preprocess"])
@@ -353,15 +346,12 @@ def cmd_train(args) -> int:
     split = {"split_seed": split_seed, "train_fraction": frac,
              "train_ids": [ids[i] for i in train_idx], "test_ids": [ids[i] for i in test_idx]}
     _write_json(out / "split.json", split)
-    _write_manifest(out, "train", cfg, {"data": str(args.data)},
-                    {"n": n, "n_train": int(n_train), "n_test": int(n - n_train), "final_train_mae": history[-1]})
     print(f"trained {tc.epochs} epochs on {n_train} samples; final train MAE {history[-1]:.4f}")
-    return 0
+    return {"inputs": {"data": str(args.data)}, "n": n, "n_train": int(n_train), "n_test": int(n - n_train),
+            "final_train_mae": history[-1]}
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
+def cmd_evaluate(args, cfg, out: Path) -> dict:
     ev = cfg["evaluate"]
     params, lt, stats = _load_model_dir(args.model)
     ids, crops, cacs, _ = _load_preprocessed(args.data, cfg["preprocess"])
@@ -419,15 +409,11 @@ def cmd_evaluate(args) -> int:
             f"\"{r.stratum}\",{r.count},{r.mean_true_cac!r},{r.mean_predicted_cac!r}\n" for r in cal_rows
         ),
     )
-    inputs = {"data": str(args.data), "model": str(args.model), "split": args.split}
-    _write_manifest(out, "evaluate", cfg, inputs, {"n": len(samples)})
     print(f"AUC {auc:.4f} (95% CI {ci_lo:.4f}-{ci_hi:.4f}) on {len(samples)} samples")
-    return 0
+    return {"inputs": {"data": str(args.data), "model": str(args.model), "split": args.split}, "n": len(samples)}
 
 
-def cmd_crossval(args) -> int:
-    cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
+def cmd_crossval(args, cfg, out: Path) -> dict:
     _, crops, cacs, _ = _load_preprocessed(args.data, cfg["preprocess"])
     k = cfg["crossval"].folds
     report = cross_validate(
@@ -442,18 +428,15 @@ def cmd_crossval(args) -> int:
     )
     atomic.write_text(out / "crossval.csv", crossval_to_csv(report))
     atomic.write_text(out / "crossval.json", crossval_to_json(report) + "\n")
-    _write_manifest(out, "crossval", cfg, {"data": str(args.data), "folds": k}, {"mean": report.mean})
     mean = report.mean
     print(
         f"{k}-fold mean: accuracy {mean['accuracy']:.3f}, "
         f"balanced {mean['balanced_accuracy']:.3f}, rauc {mean['rauc']:.3f}"
     )
-    return 0
+    return {"inputs": {"data": str(args.data), "folds": k}, "mean": mean}
 
 
-def cmd_survival(args) -> int:
-    cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
+def cmd_survival(args, cfg, out: Path) -> dict:
     cohort_path = Path(args.cohort)
     if cohort_path.is_dir():
         cohort_path = cohort_path / "cohort.csv"
@@ -490,17 +473,14 @@ def cmd_survival(args) -> int:
         "adjusted_hazard_ratio": cox_bi.covariates[0].hazard_ratio,
     }
     _write_json(out / "survival.json", summary)
-    _write_manifest(out, "survival", cfg, {"cohort": str(args.cohort)}, {"n": len(records)})
     print(
         f"log-rank chi2 {lr.chi2:.3f} (p {lr.p_value:.4g}); "
         f"HR {summary['hazard_ratio']:.3f}, adjusted {summary['adjusted_hazard_ratio']:.3f}"
     )
-    return 0
+    return {"inputs": {"cohort": str(args.cohort)}, "n": len(records)}
 
 
-def cmd_explain(args) -> int:
-    cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
+def cmd_explain(args, cfg, out: Path) -> dict:
     params, _, stats = _load_model_dir(args.model)
     ids, crops, _, _ = _load_preprocessed(args.data, cfg["preprocess"])
     if args.ids:
@@ -519,9 +499,8 @@ def cmd_explain(args) -> int:
         map_path, overlay_path = export_saliency(sal, x, out, ids[i])
         written.append(map_path.name)
         written.append(overlay_path.name)
-    _write_manifest(out, "explain", cfg, {"data": str(args.data), "model": str(args.model)}, {"files": written})
     print(f"wrote {len(written)} saliency files for {len(sel)} images to {out}")
-    return 0
+    return {"inputs": {"data": str(args.data), "model": str(args.model)}, "files": written}
 
 
 # --- wiring --------------------------------------------------------------------
@@ -578,10 +557,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        _echo_config(out, cfg)
+        manifest = args.func(args, cfg, out)
+        if manifest is not None:
+            doc = {"command": args.command, "seed": cfg["run"].seed, "version": __version__, **manifest}
+            _write_json(out / "manifest.json", doc)
+        return 0
     except CacXrayError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

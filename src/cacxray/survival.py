@@ -33,8 +33,8 @@ class SubjectRecord:
     covariates: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.time_years > 0:
-            raise ValueError(f"subject {self.id}: follow-up time must be positive")
+        if not 0 < self.time_years < math.inf:
+            raise ValueError(f"subject {self.id}: follow-up time must be positive and finite")
 
 
 def chi2_sf(x: float, df: int = 1) -> float:

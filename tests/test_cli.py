@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -336,7 +337,7 @@ _SECTION_COMMANDS = {
     "survival": ["survival", "--cohort", "{data}"],
 }
 _HOSTILE_VALUES = {"nan": "nan", "inf": "inf", "-inf": "-inf", "0": "0", "-1": "-1",
-                   "1e308": "1e308", "empty": "", "text": "text"}
+                   "1e308": "1e308", "empty": "", "text": "text", "huge": "1" + "0" * 400}
 
 
 def _reject_constant(name):
@@ -364,6 +365,27 @@ def test_every_config_key_takes_hostile_values(flow, tmp_path, section, key, val
         assert not out.exists()
     for path in out.rglob("*.json"):
         json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def _integer_keys():
+    for sect, preset in cli._PRESETS.items():
+        hints = typing.get_type_hints(type(preset))
+        for key in cli._keys(sect):
+            if int in (hints[key], *typing.get_args(hints[key])):
+                yield sect, key, typing.get_origin(hints[key]) is tuple
+
+
+@pytest.mark.parametrize("section,key,pair", list(_integer_keys()))
+def test_huge_integer_exits_2_and_names_the_key(flow, tmp_path, capsys, section, key, pair):
+    huge = "1" + "0" * 400
+    cfg = tmp_path / "huge.ini"
+    value = f"{huge},{huge}" if pair else huge
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    argv = [a.format(data=flow["data"], model=flow["model"]) for a in _SECTION_COMMANDS[section]]
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert f"[{section}] {key} must lie strictly between" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key,value,named", [
@@ -532,6 +554,15 @@ def test_training_bits_do_not_depend_on_blas_thread_count(tmp_path):
         runs.append(((out / "weights.cacw").read_bytes(), (out / "history.csv").read_bytes()))
     assert len(runs[0][1].splitlines()) == 3  # header and two epochs
     assert runs[0] == runs[1]
+
+
+def test_module_entry_point_reports_version():
+    src = str(Path(cacxray.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "cacxray.cli", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "cacxray" in proc.stdout
 
 
 def test_installed_entry_point_reports_version():

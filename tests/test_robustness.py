@@ -155,7 +155,7 @@ def test_exit_code_table_covers_every_error_class():
     ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
 )
 def test_main_maps_each_error_to_its_exit_code(monkeypatch, tmp_path, capsys, exc_type, code):
-    def fail(args):
+    def fail(args, cfg, out):
         raise exc_type("boom")
 
     monkeypatch.setattr(cli, "cmd_synth", fail)

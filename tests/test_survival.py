@@ -314,5 +314,6 @@ def test_cohort_csv_rejects_bad_schema():
 
 
 def test_cohort_csv_rejects_zero_follow_up_time():
-    with pytest.raises(ValueError, match="p2: follow-up time must be positive"):
-        sv.cohort_from_csv("id,time_years,event\np1,1.0,1\np2,0,0\n")
+    for time in ("0", "inf"):
+        with pytest.raises(ValueError, match="p2: follow-up time must be positive and finite"):
+            sv.cohort_from_csv(f"id,time_years,event\np1,1.0,1\np2,{time},0\n")
