@@ -109,6 +109,9 @@ class _RunSection:
     def __post_init__(self):
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be nonnegative, got {self.seed}")
+        # --seed bypasses the INI integer bound, so the echo could not replay it
+        if self.seed >= 2**63:
+            raise InvalidConfigError("seed must lie strictly between -2**63 and 2**63")
 
 
 @dataclass(frozen=True)

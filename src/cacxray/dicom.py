@@ -283,14 +283,21 @@ def parse_dicom(data: bytes) -> DicomImage:
     return img
 
 
-def to_real_image(img: DicomImage) -> np.ndarray:
-    """Stored values -> real-world values: undo MONOCHROME1 inversion, then
-    apply the rescale slope/intercept. Returns float64 (rows, cols)."""
-    stored = img.pixels.astype(np.float64)
+def real_values(img: DicomImage, stored: np.ndarray) -> np.ndarray:
+    """Real-world values of the stored values ``stored`` of ``img``: undo
+    MONOCHROME1 inversion, then apply the rescale slope/intercept. Returns
+    float64 of the shape of ``stored``."""
+    values = np.asarray(stored).astype(np.float64)
     if img.photometric == "MONOCHROME1":
         _, hi = img.stored_value_range()
-        stored = hi - stored
-    return img.rescale_slope * stored + img.rescale_intercept
+        values = hi - values
+    return img.rescale_slope * values + img.rescale_intercept
+
+
+def to_real_image(img: DicomImage) -> np.ndarray:
+    """Stored values -> real-world values (see real_values). Returns float64
+    (rows, cols)."""
+    return real_values(img, img.pixels)
 
 
 # --- writer ------------------------------------------------------------------

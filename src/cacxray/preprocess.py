@@ -2,7 +2,9 @@
 
 Order is fixed: window clamp -> histogram equalization -> bilinear resize ->
 centre crop -> standardization with pooled dataset statistics. All stages run
-on float64 arrays; nothing is quantized.
+on float64 arrays; nothing is quantized. preprocess_uncalibrated runs the
+stages before the resize once per distinct stored pixel value and resizes
+only the crop window, with the staged chain's bits.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicom import DicomImage, to_real_image
+from .dicom import DicomImage, real_values
 from .errors import (
     CropLargerThanImageError,
     DegenerateDatasetError,
@@ -69,14 +71,21 @@ def equalize(values: np.ndarray, levels: int = 256) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if levels < 2:
         raise ValueError("levels must be at least 2")
+    return _equalize_counted(v, None, levels)
+
+
+def _equalize_counted(v: np.ndarray, counts: np.ndarray | None, levels: int) -> np.ndarray:
+    """equalize of an image in which counts[i] pixels hold the value v[i]
+    (one pixel each when counts is None)."""
     vmin = float(v.min())
     vmax = float(v.max())
     if vmax == vmin:
         return np.full(v.shape, float(levels - 1))
     bins = np.floor((v - vmin) / (vmax - vmin) * levels).astype(np.int64)
     np.clip(bins, 0, levels - 1, out=bins)
-    hist = np.bincount(bins.ravel(), minlength=levels)
-    cdf = np.cumsum(hist) / v.size
+    # weighted counts are float sums of integers, exact below 2**53 pixels
+    hist = np.bincount(bins.ravel(), weights=counts, minlength=levels)
+    cdf = np.cumsum(hist) / (v.size if counts is None else counts.sum())
     return (levels - 1) * cdf[bins]
 
 
@@ -89,6 +98,33 @@ def _axis_coords(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return i0, i1, pos - i0
 
 
+def _window_coords(src: int, dst: int, crop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Along one axis of a src -> dst resize, the output positions of the
+    centre crop: the sorted source indices they read, then i0, i1 as
+    positions into those indices, and the weight of i1."""
+    i0, i1, f = _axis_coords(src, dst)
+    window = slice((dst - crop) // 2, (dst - crop) // 2 + crop)
+    i0, i1, f = i0[window], i1[window], f[window]
+    read = np.zeros(src, dtype=bool)
+    read[i0] = True
+    read[i1] = True
+    position = np.cumsum(read) - 1
+    return np.flatnonzero(read), position[i0], position[i1], f
+
+
+def _resize_window(values_at, shape: tuple[int, int], dim: int, crop: int) -> np.ndarray:
+    """center_crop(resize_bilinear(v, dim), crop) computed on the crop window
+    only; ``values_at(rows, cols)`` returns float64 v[np.ix_(rows, cols)].
+    Separable: columns first on the source rows the window reads, then rows.
+    Per output pixel that is the arithmetic of interpolating the top and the
+    bottom source row, then between them, so the bits match."""
+    rows, r0, r1, fr = _window_coords(shape[0], dim, crop)
+    cols, c0, c1, fc = _window_coords(shape[1], dim, crop)
+    v = values_at(rows, cols)
+    t = v.take(c0, axis=1) * (1.0 - fc) + v.take(c1, axis=1) * fc
+    return t[r0] * (1.0 - fr)[:, None] + t[r1] * fr[:, None]
+
+
 def resize_bilinear(values: np.ndarray, target_dim: int) -> np.ndarray:
     """Resize a 2-D array to (target_dim, target_dim) by bilinear interpolation."""
     v = np.asarray(values, dtype=np.float64)
@@ -96,12 +132,7 @@ def resize_bilinear(values: np.ndarray, target_dim: int) -> np.ndarray:
         raise ValueError("expected a 2-D array")
     if target_dim < 1:
         raise ValueError("target_dim must be positive")
-    h, w = v.shape
-    r0, r1, fr = _axis_coords(h, target_dim)
-    c0, c1, fc = _axis_coords(w, target_dim)
-    top = v[np.ix_(r0, c0)] * (1.0 - fc) + v[np.ix_(r0, c1)] * fc
-    bot = v[np.ix_(r1, c0)] * (1.0 - fc) + v[np.ix_(r1, c1)] * fc
-    return top * (1.0 - fr)[:, None] + bot * fr[:, None]
+    return _resize_window(lambda rows, cols: v[rows].take(cols, axis=1), v.shape, target_dim, target_dim)
 
 
 def center_crop(values: np.ndarray, crop_dim: int) -> np.ndarray:
@@ -135,12 +166,26 @@ def standardize(values: np.ndarray, stats: DatasetStats) -> np.ndarray:
 
 def preprocess_uncalibrated(img: DicomImage, cfg: PreprocessConfig) -> np.ndarray:
     """Every stage before standardization; this is what dataset statistics are
-    computed on."""
-    real = to_real_image(img)
+    computed on. Equal, bit for bit, to
+
+        center_crop(resize_bilinear(equalize(window(to_real_image(img), c, w),
+            eq_levels), resize_dim), crop_dim)
+
+    Stored pixels are integers, so inversion, rescale, window and equalize
+    run once per distinct stored value present, the equalize histogram
+    summing each value's pixel count by bin. The resize reads that table
+    only at the source rows and columns of the crop window."""
+    lo = int(img.pixels.min())
+    shifted = np.subtract(img.pixels, lo, dtype=np.intp)
+    counts = np.bincount(shifted.ravel())
+    present = np.flatnonzero(counts)
+    real = real_values(img, present + lo)
     w = window(real, img.window_center, img.window_width)
-    e = equalize(w, cfg.eq_levels)
-    r = resize_bilinear(e, cfg.resize_dim)
-    return center_crop(r, cfg.crop_dim)
+    table = np.empty(counts.size)
+    table[present] = _equalize_counted(w, counts[present], cfg.eq_levels)
+    return _resize_window(
+        lambda rows, cols: table.take(shifted[rows].take(cols, axis=1)), shifted.shape, cfg.resize_dim, cfg.crop_dim
+    )
 
 
 def stats_to_csv(stats: DatasetStats) -> str:

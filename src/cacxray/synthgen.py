@@ -44,6 +44,7 @@ _ELLIPSE_AY_RANGE = (0.21, 0.31)
 _BLOB_MIN_SEP = 10.0  # pixels between blob centres, keeps deposits distinct
 _FAINT_BOX_CUTOFF = 0.15  # blobs dimmer than this fraction of blob_peak get no box
 _MAX_HAZARD_RATIO = 1e150
+_EXP_ZERO = 746.0  # np.exp(-x) is exactly 0.0 for every float64 x >= 745.14
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,14 @@ def _generate_one(cfg: SynthConfig, index: int) -> SynthSample:
             cx, cy = _place_blob(rng, dim, hw, ellipse, taken)
             taken.append((cx, cy))
             peak = mass / (2.0 * np.pi * sigma * sigma)
-            img += peak * np.exp(-(((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sigma * sigma)))
+            # past d**2 = 2 sigma**2 * _EXP_ZERO the term is exactly 0.0, so
+            # only the box of that radius around the centre is evaluated
+            reach = sigma * np.sqrt(2.0 * _EXP_ZERO)
+            near = np.s_[
+                max(int(cy - reach), 0) : min(int(cy + reach) + 2, dim),
+                max(int(cx - reach), 0) : min(int(cx + reach) + 2, dim),
+            ]
+            img[near] += peak * np.exp(-(((xx[near] - cx) ** 2 + (yy[near] - cy) ** 2) / (2.0 * sigma * sigma)))
             if peak >= _FAINT_BOX_CUTOFF * cfg.blob_peak:
                 x0 = int(round(cx)) - hw
                 y0 = int(round(cy)) - hw

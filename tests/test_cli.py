@@ -325,6 +325,24 @@ def test_seed_flag_below_zero_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_seed_flag_at_2_pow_63_exits_2(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "o"), "--seed", str(2**63)]) == 2
+    assert "[run] seed must lie strictly between -2**63 and 2**63" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_flag_below_2_pow_63_replays_through_its_echo(tmp_path):
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text("[synth]\nn = 2\n")
+    seed = str(2**63 - 1)
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "a"), "--seed", seed]) == 0
+    echo = tmp_path / "a" / "effective.cfg"
+    assert f"[run]\nseed = {seed}\n" in echo.read_text()
+    assert main(["synth", "--config", str(echo), "--out", str(tmp_path / "b")]) == 0
+    for rel in ["cohort.csv", "images/s00001.dcm", "effective.cfg"]:
+        assert (tmp_path / "b" / rel).read_bytes() == (tmp_path / "a" / rel).read_bytes(), rel
+
+
 # The command that reads each section, given the shared dataset and model.
 _SECTION_COMMANDS = {
     "run": ["synth"],

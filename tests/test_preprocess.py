@@ -1,9 +1,14 @@
 """Windowing, equalization, resize, crop, standardization, statistics file."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cacxray import dicom, preprocess as pp
+from cacxray import dicom, preprocess as pp, synthgen as sg
 from cacxray.errors import (
     CropLargerThanImageError,
     DegenerateDatasetError,
@@ -225,3 +230,110 @@ def test_stats_csv_round_trip():
 def test_stats_csv_rejects_malformed_and_nonpositive_sigma(text):
     with pytest.raises(MalformedFileError):
         pp.stats_from_csv(text)
+
+
+# --- pinned bits and the staged oracle ------------------------------------------
+
+_DESK = pp.PreprocessConfig(resize_dim=78, crop_dim=64, eq_levels=256)
+
+
+def _pinned_inputs(case):
+    if case in ("desk96", "desk512"):
+        dim, n = (96, 8) if case == "desk96" else (512, 4)
+        samples = sg.generate_samples(sg.SynthConfig(n=n, image_dim=dim, seed=5))
+        return [sg.sample_to_dicom(s) for s in samples], _DESK
+    s = sg.generate_samples(sg.SynthConfig(n=3, image_dim=96, seed=5))
+    if case == "monochrome1":
+        img = dataclasses.replace(sg.sample_to_dicom(s[1]), photometric="MONOCHROME1", rescale_slope=0.37,
+                                  rescale_intercept=-1024.5, window_center=250.0, window_width=150.0)
+    else:  # signed 16-bit stored values
+        img = dataclasses.replace(sg.sample_to_dicom(s[2]), bits_stored=16, pixel_representation=1,
+                                  pixels=(s[2].image.astype(np.int32) - 2048) * 16,
+                                  window_center=-20000.0, window_width=6000.0)
+    img.validate()
+    return [img], pp.PreprocessConfig()
+
+
+@pytest.mark.parametrize("case,digest", [
+    ("desk96", "986a63e17cecd2f286944357ddf200908500165a7df5199be102dab7cbe22b0a"),
+    ("desk512", "6c4b254ca2f24ce41b86fade02057ded5156dbeff025bae0db6886bbfd8afa30"),
+    ("monochrome1", "144d474551207d5097107aa8847b3698f38b925dfc2d24e7a49cd13b6595aeab"),
+    ("signed16", "ef67e688b25cddc8059dbbda494dd3449d58f8077693d234820f1215c1869914"),
+])
+def test_preprocessed_bits_are_pinned(case, digest):
+    # digests of the staged chain's crops (per-pixel window and equalize, full
+    # np.ix_ resize, then crop), taken before the value table replaced it
+    images, cfg = _pinned_inputs(case)
+    h = hashlib.sha256()
+    for img in images:
+        crop = pp.preprocess_uncalibrated(img, cfg)
+        assert np.ptp(crop) > 0  # the window leaves an image to equalize
+        h.update(crop.tobytes())
+    assert h.hexdigest() == digest
+
+
+@st.composite
+def _dicom_images(draw):
+    bits_allocated = draw(st.sampled_from([8, 16]))
+    bits_stored = 8 if bits_allocated == 8 else draw(st.sampled_from([12, 16]))
+    signed = draw(st.sampled_from([0, 1]))
+    half = 2 ** (bits_stored - 1)
+    lo, hi = (-half, half - 1) if signed else (0, 2 * half - 1)
+    dtype = draw(st.sampled_from([np.int64, dicom._PIXEL_DTYPES[(bits_allocated, signed)]]))
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    pixels = draw(hnp.arrays(dtype, (rows, cols), elements=st.integers(lo, hi)))
+    if draw(st.booleans()):
+        pixels[...] = pixels.flat[0]  # a constant image
+    finite = {"allow_nan": False, "allow_infinity": False}
+    return dicom.DicomImage(
+        rows=rows,
+        cols=cols,
+        bits_allocated=bits_allocated,
+        bits_stored=bits_stored,
+        pixel_representation=signed,
+        photometric=draw(st.sampled_from(["MONOCHROME1", "MONOCHROME2"])),
+        window_center=draw(st.floats(-70000.0, 70000.0, **finite)),
+        window_width=draw(st.floats(1e-3, 140000.0, **finite)),
+        pixels=pixels,
+        rescale_slope=draw(st.floats(-4.0, 4.0, **finite)),
+        rescale_intercept=draw(st.floats(-4096.0, 4096.0, **finite)),
+    )
+
+
+@st.composite
+def _preprocess_configs(draw):
+    resize_dim = draw(st.integers(1, 40))
+    return pp.PreprocessConfig(resize_dim, draw(st.integers(1, resize_dim)), draw(st.integers(2, 300)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_dicom_images(), _preprocess_configs())
+def test_value_table_path_equals_the_staged_chain(img, cfg):
+    img.validate()
+    staged = pp.center_crop(
+        pp.resize_bilinear(
+            pp.equalize(pp.window(dicom.to_real_image(img), img.window_center, img.window_width), cfg.eq_levels),
+            cfg.resize_dim,
+        ),
+        cfg.crop_dim,
+    )
+    out = pp.preprocess_uncalibrated(img, cfg)
+    assert out.shape == (cfg.crop_dim, cfg.crop_dim)
+    assert out.tobytes() == staged.tobytes()
+
+
+def _resize_two_row_reference(v, dim):
+    # full four-grid np.ix_ form of the bilinear resize
+    r0, r1, fr = pp._axis_coords(v.shape[0], dim)
+    c0, c1, fc = pp._axis_coords(v.shape[1], dim)
+    top = v[np.ix_(r0, c0)] * (1.0 - fc) + v[np.ix_(r0, c1)] * fc
+    bot = v[np.ix_(r1, c0)] * (1.0 - fc) + v[np.ix_(r1, c1)] * fc
+    return top * (1.0 - fr)[:, None] + bot * fr[:, None]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=30),
+                  elements=st.floats(-1e6, 1e6, allow_nan=False)),
+       st.integers(1, 45))
+def test_separable_resize_equals_the_two_row_form(v, dim):
+    assert pp.resize_bilinear(v, dim).tobytes() == _resize_two_row_reference(v, dim).tobytes()
