@@ -457,6 +457,7 @@ def cmd_survival(args, cfg, out: Path) -> dict:
     lr = log_rank(zero, positive)
     cox_uni = cox_fit(records, [group_cov])
     cox_bi = cox_fit(records, [group_cov, adjust_cov])
+    hr = cox_uni.by_name(group_cov)
     atomic.write_text(out / "km_group0.csv", km_to_csv(km_zero))
     atomic.write_text(out / "km_group1.csv", km_to_csv(km_pos))
     atomic.write_text(out / "cox_univariate.json", cox_to_json(cox_uni) + "\n")
@@ -471,9 +472,9 @@ def cmd_survival(args, cfg, out: Path) -> dict:
         "event_rate_group1": km_event_estimate(km_pos, horizon),
         "log_rank_chi2": lr.chi2,
         "log_rank_p": lr.p_value,
-        "hazard_ratio": cox_uni.covariates[0].hazard_ratio,
-        "hazard_ratio_ci": [cox_uni.covariates[0].ci_low, cox_uni.covariates[0].ci_high],
-        "adjusted_hazard_ratio": cox_bi.covariates[0].hazard_ratio,
+        "hazard_ratio": hr.hazard_ratio,
+        "hazard_ratio_ci": [hr.ci_low, hr.ci_high],
+        "adjusted_hazard_ratio": cox_bi.by_name(group_cov).hazard_ratio,
     }
     _write_json(out / "survival.json", summary)
     print(

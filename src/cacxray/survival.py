@@ -7,6 +7,7 @@ the Breslow approximation for tied events.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -51,6 +52,21 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def _times_events(records) -> tuple[np.ndarray, np.ndarray]:
+    times = np.asarray([r.time_years for r in records], dtype=float)
+    events = np.asarray([r.event for r in records], dtype=bool)
+    return times, events
+
+
+def _risk_table(times: np.ndarray, events: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each time t in ``at``: the count at risk (time >= t, so a censoring
+    at t stays in t's risk set) and the count of events at exactly t."""
+    at_risk = times.size - np.searchsorted(np.sort(times), at, "left")
+    event_times = np.sort(times[events])
+    n_events = np.searchsorted(event_times, at, "right") - np.searchsorted(event_times, at, "left")
+    return at_risk, n_events
+
+
 # --- Kaplan-Meier --------------------------------------------------------------
 
 
@@ -69,27 +85,18 @@ def kaplan_meier(records) -> KmCurve:
     records = list(records)
     if not records:
         raise EmptyCohortError("empty cohort")
-    times = np.asarray([r.time_years for r in records])
-    events = np.asarray([r.event for r in records], dtype=bool)
+    times, events = _times_events(records)
     event_times = np.unique(times[events])
-    out_t, out_s, out_n, out_d = [], [], [], []
-    s = 1.0
-    for t in event_times:
-        n_at_risk = int((times >= t).sum())
-        d = int(((times == t) & events).sum())
-        # (n - d)/n rather than 1 - d/n: exact for small integer counts, so
-        # hand-computed fractions like 2/3 compare bit-for-bit
-        s *= (n_at_risk - d) / n_at_risk
-        out_t.append(float(t))
-        out_s.append(s)
-        out_n.append(n_at_risk)
-        out_d.append(d)
+    n, d = _risk_table(times, events, event_times)
+    # (n - d)/n, not 1 - d/n, is exact for small counts, so hand-computed
+    # fractions like 2/3 compare bit-for-bit; cumprod multiplies in time order
+    survival = np.cumprod((n - d) / n)
     return KmCurve(
-        times=tuple(out_t),
-        survival=tuple(out_s),
-        at_risk=tuple(out_n),
-        n_events=tuple(out_d),
-        censoring_times=tuple(sorted(float(t) for t, e in zip(times, events) if not e)),
+        times=tuple(event_times.tolist()),
+        survival=tuple(survival.tolist()),
+        at_risk=tuple(n.tolist()),
+        n_events=tuple(d.tolist()),
+        censoring_times=tuple(np.sort(times[~events]).tolist()),
     )
 
 
@@ -98,18 +105,13 @@ def km_event_estimate(curve: KmCurve, horizon: float) -> float:
     A NaN horizon raises ValueError."""
     if math.isnan(horizon):
         raise ValueError("horizon is not a number")
-    est = 0.0
-    for t, s in zip(curve.times, curve.survival):
-        if t <= horizon:
-            est = 1.0 - s
-        else:
-            break
-    return est
+    k = bisect.bisect_right(curve.times, horizon)  # event times <= horizon
+    return 1.0 - curve.survival[k - 1] if k else 0.0
 
 
 def km_to_csv(curve: KmCurve) -> str:
     lines = ["time_years,survival,at_risk,events"]
-    lines.append(f"0.0,1.0,{(curve.at_risk[0] if curve.at_risk else 0)},0")
+    lines.append(f"0.0,1.0,{len(curve.censoring_times) + sum(curve.n_events)},0")
     for t, s, n, d in zip(curve.times, curve.survival, curve.at_risk, curve.n_events):
         lines.append(f"{t!r},{s!r},{n},{d}")
     return "\n".join(lines) + "\n"
@@ -137,28 +139,22 @@ def log_rank(group_a, group_b) -> LogRankResult:
     b = list(group_b)
     if not a or not b:
         raise EmptyCohortError("both groups must be nonempty")
-    ta = np.asarray([r.time_years for r in a])
-    ea = np.asarray([r.event for r in a], dtype=bool)
-    tb = np.asarray([r.time_years for r in b])
-    eb = np.asarray([r.event for r in b], dtype=bool)
+    ta, ea = _times_events(a)
+    tb, eb = _times_events(b)
     pooled_event_times = np.unique(np.concatenate([ta[ea], tb[eb]]))
     if pooled_event_times.size == 0:
         raise NoEventsError("no events in either group")
-    obs_a = exp_a = var = u = 0.0
-    for t in pooled_event_times:
-        n_a = int((ta >= t).sum())
-        n_b = int((tb >= t).sum())
-        d_a = int(((ta == t) & ea).sum())
-        d_b = int(((tb == t) & eb).sum())
-        n = n_a + n_b
-        d = d_a + d_b
-        obs_a += d_a
-        exp_a += d * n_a / n
-        # integer cross product keeps the statistic exactly antisymmetric
-        # under a group swap, so chi2 is bit-identical either way round
-        u += (d_a * n_b - d_b * n_a) / n
-        if n > 1:
-            var += d * (n_a / n) * (n_b / n) * (n - d) / (n - 1)
+    n_a, d_a = _risk_table(ta, ea, pooled_event_times)
+    n_b, d_b = _risk_table(tb, eb, pooled_event_times)
+    n = n_a + n_b
+    d = d_a + d_b
+    # integer cross product keeps the statistic exactly antisymmetric under a
+    # group swap, so chi2 is bit-identical either way round; n == 1 forces
+    # d == 1, so that variance term is 0 whatever its denominator
+    terms = np.stack([d_a, d * n_a / n, (d_a * n_b - d_b * n_a) / n,
+                      d * (n_a / n) * (n_b / n) * (n - d) / np.maximum(n - 1, 1)])
+    # cumsum adds in time order, as a running total does; np.sum adds pairwise
+    obs_a, exp_a, u, var = np.cumsum(terms, axis=1)[:, -1].tolist()
     if var == 0.0:
         return LogRankResult(chi2=0.0, p_value=1.0, observed_a=obs_a, expected_a=exp_a)
     chi2 = u ** 2 / var
@@ -204,33 +200,24 @@ def _cox_quantities(beta: np.ndarray, x: np.ndarray, times: np.ndarray, events: 
     eta = xt @ beta
     eta -= eta.max()  # guard exp overflow; cancels in every ratio below
     w = np.exp(eta)
-    p = x.shape[1]
-    s0 = 0.0
-    s1 = np.zeros(p)
-    s2 = np.zeros((p, p))
-    ll = 0.0
-    score = np.zeros(p)
-    info = np.zeros((p, p))
-    i = 0
-    n = len(tt)
-    while i < n:
-        j = i
-        while j < n and tt[j] == tt[i]:
-            j += 1
-        # everyone with this time enters the risk set before its events score
-        for m in range(i, j):
-            s0 += w[m]
-            s1 += w[m] * xt[m]
-            s2 += w[m] * np.outer(xt[m], xt[m])
-        d = int(ev[i:j].sum())
-        if d > 0:
-            xsum = xt[i:j][ev[i:j]].sum(axis=0)
-            mean = s1 / s0
-            # the max-shift on eta cancels: each event adds (eta - M) - (log s0 - M)
-            ll += float(eta[i:j][ev[i:j]].sum()) - d * float(np.log(s0))
-            score += xsum - d * mean
-            info += d * (s2 / s0 - np.outer(mean, mean))
-        i = j
+    # risk-set sums over time >= t, read at the last subject of t's tie group:
+    # everyone with this time enters the risk set before its events score
+    s0 = np.cumsum(w)
+    s1 = np.cumsum(w[:, None] * xt, axis=0)
+    s2 = np.cumsum(w[:, None, None] * (xt[:, :, None] * xt[:, None, :]), axis=0)
+    bounds = np.flatnonzero(np.r_[True, tt[1:] != tt[:-1], True])
+    starts, ends = bounds[:-1], bounds[1:]
+    with_events = np.logical_or.reduceat(ev, starts)
+    ll, score, info = 0.0, np.zeros_like(s1[0]), np.zeros_like(s2[0])
+    for i, j in zip(starts[with_events], ends[with_events]):
+        k = j - 1
+        hit = ev[i:j]
+        d = int(hit.sum())
+        mean = s1[k] / s0[k]
+        # the max-shift on eta cancels: each event adds (eta - M) - (log s0 - M)
+        ll += float(eta[i:j][hit].sum()) - d * float(np.log(s0[k]))
+        score += xt[i:j][hit].sum(axis=0) - d * mean
+        info += d * (s2[k] / s0[k] - np.outer(mean, mean))
     return ll, score, info
 
 
@@ -252,8 +239,7 @@ def cox_fit(records, covariate_names, max_iter: int = 50) -> CoxResult:
         x = np.asarray([[float(r.covariates[c]) for c in names] for r in records])
     except KeyError as exc:
         raise ValueError(f"subject missing covariate {exc.args[0]!r}") from exc
-    times = np.asarray([r.time_years for r in records])
-    events = np.asarray([r.event for r in records], dtype=bool)
+    times, events = _times_events(records)
     if not events.any():
         raise NoEventsError("no observed events")
     for jc, name in enumerate(names):
@@ -358,6 +344,9 @@ def cohort_from_csv(text: str) -> list[SubjectRecord]:
     for row in rows[1:]:
         if len(row) != len(header):
             raise ValueError(f"row has {len(row)} cells, header has {len(header)}")
+        event = int(row[idx["event"]])
+        if event not in (0, 1):
+            raise ValueError(f"subject {row[idx['id']]}: event must be 0 or 1, got {row[idx['event']]!r}")
         covs = {}
         for c in cov_cols:
             cell = row[idx[c]].strip()
@@ -367,7 +356,7 @@ def cohort_from_csv(text: str) -> list[SubjectRecord]:
             SubjectRecord(
                 id=row[idx["id"]],
                 time_years=float(row[idx["time_years"]]),
-                event=bool(int(row[idx["event"]])),
+                event=bool(event),
                 covariates=covs,
             )
         )

@@ -44,6 +44,7 @@ _ELLIPSE_AY_RANGE = (0.21, 0.31)
 _BLOB_MIN_SEP = 10.0  # pixels between blob centres, keeps deposits distinct
 _FAINT_BOX_CUTOFF = 0.15  # blobs dimmer than this fraction of blob_peak get no box
 _MAX_HAZARD_RATIO = 1e150
+_MAX_IMAGE_DIM = 65535  # DICOM Rows and Columns are 16-bit
 _EXP_ZERO = 746.0  # np.exp(-x) is exactly 0.0 for every float64 x >= 745.14
 
 
@@ -90,6 +91,10 @@ class SynthConfig:
         # deposit of the smallest width, or low scores become invisible
         if self.mass_scale * np.log1p(1.0) < 2.0 * np.pi * (r0 / 2.0) ** 2 * self.blob_peak:
             raise InvalidConfigError("mass_scale too small for blob_peak at cac = 1")
+        if self.image_dim > _MAX_IMAGE_DIM:
+            raise InvalidConfigError(
+                f"image_dim must be at most {_MAX_IMAGE_DIM} (16-bit DICOM Rows/Columns), got {self.image_dim}"
+            )
         # the largest blob box (half-width 2r) must fit comfortably inside the
         # smallest ellipse the generator can draw, or placement cannot terminate
         hw = 2.0 * r1

@@ -3,6 +3,7 @@ chain on a small dataset, plus configuration and exit-code contracts."""
 
 import configparser
 import csv
+import hashlib
 import io
 import json
 import os
@@ -184,6 +185,18 @@ def test_survival_outputs(flow):
     assert summary["n_group0"] + summary["n_group1"] == 32
     assert summary["hazard_ratio"] > 0.0
     assert 0.0 <= summary["log_rank_p"] <= 1.0
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("km_group0.csv", "731098f758922a549c5b9e226a192328d3f122f4d15781092cfe066cd37de2cc"),
+    ("km_group1.csv", "a26e30aaf8e6eb0527f4adbbb42a630dd94208938a67a07785c478c42c0dad54"),
+    ("cox_univariate.json", "294c84636b2d33d422fbbf41d4bb94facd615db05d8694d4fa3a3a39c13703a5"),
+    ("cox_bivariate.json", "ca40c03fd8d42da8364cf162a46b20ddedea67b530f933871353a657b25c1c5f"),
+    ("survival.json", "0e1b9fa8b255dfe5d2dca59a108d1e5addf25ec76f0e506f990d2b7ef7fed363"),
+])
+def test_survival_output_bits_are_pinned(flow, name, digest):
+    # taken before one risk-set count replaced the per-time rescans
+    assert hashlib.sha256((flow["surv"] / name).read_bytes()).hexdigest() == digest
 
 
 def test_explain_outputs(flow):
@@ -409,6 +422,8 @@ def test_huge_integer_exits_2_and_names_the_key(flow, tmp_path, capsys, section,
 @pytest.mark.parametrize("section,key,value,named", [
     ("run", "seed", "-1", "[run] seed"),
     ("synth", "hazard_ratio", "1e308", "hazard_ratio"),
+    ("synth", "image_dim", "65536", "[synth] image_dim"),
+    ("synth", "image_dim", "1000000000000", "[synth] image_dim"),
     ("synth", "baseline_hazard", "1e308", "[synth] baseline_hazard"),
     ("evaluate", "calibration_edges", "", "[evaluate] calibration_edges"),
     ("evaluate", "calibration_edges", "400,100", "[evaluate] calibration_edges"),
@@ -429,6 +444,14 @@ def test_out_of_range_value_exits_2_and_names_the_key(flow, tmp_path, capsys, se
     argv = [a.format(data=flow["data"], model=flow["model"]) for a in _SECTION_COMMANDS[section]]
     assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cohort_event_other_than_0_or_1_exits_2(flow, tmp_path):
+    (tmp_path / "cohort.csv").write_text("id,time_years,event,ai_cac_category\na,1.0,1,0\nb,2.0,2,1\n")
+    rc = main(["survival", "--config", str(flow["cfg"]), "--cohort", str(tmp_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
 
 
 def test_cohort_missing_event_column_exits_2(flow, tmp_path):

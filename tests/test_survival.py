@@ -1,10 +1,12 @@
 """Kaplan-Meier, log-rank, Cox proportional hazards, tail probabilities."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cacxray import survival as sv
 from cacxray.errors import (
@@ -91,6 +93,14 @@ def test_km_csv_is_step_function():
     lines = text.strip().split("\n")
     assert lines[0].startswith("time_years,survival")
     assert len(lines) >= 3
+
+
+def test_km_csv_time_zero_row_counts_the_whole_cohort():
+    # the first row is before anyone leaves, censorings before the first event included
+    text = sv.km_to_csv(sv.kaplan_meier([R("a", 1.0, False, {}), R("b", 2.0, True, {})]))
+    assert text.splitlines()[1] == "0.0,1.0,2,0"
+    text = sv.km_to_csv(sv.kaplan_meier([R(c, 1.0 + i, False, {}) for i, c in enumerate("abc")]))
+    assert text.splitlines()[1:] == ["0.0,1.0,3,0"]
 
 
 # --- log-rank -------------------------------------------------------------------
@@ -317,3 +327,180 @@ def test_cohort_csv_rejects_zero_follow_up_time():
     for time in ("0", "inf"):
         with pytest.raises(ValueError, match="p2: follow-up time must be positive and finite"):
             sv.cohort_from_csv(f"id,time_years,event\np1,1.0,1\np2,{time},0\n")
+
+
+def test_cohort_csv_rejects_event_other_than_0_or_1():
+    for event in ("2", "-1"):
+        with pytest.raises(ValueError, match=f"p2: event must be 0 or 1, got '{event}'"):
+            sv.cohort_from_csv(f"id,time_years,event\np1,1.0,1\np2,2.0,{event}\n")
+
+
+# --- pinned bits ------------------------------------------------------------------
+
+def _synth_cohort():
+    from cacxray.synthgen import SynthConfig, generate_samples, generate_survival
+
+    cfg = SynthConfig(n=2000, seed=123)
+    return generate_survival(cfg, generate_samples(cfg))
+
+
+def _tied_cohort():
+    # integer follow-up times: every time point carries many events and censorings
+    rng = np.random.default_rng(60)
+    return [
+        R(f"t{i}", float(rng.integers(1, 13)), bool(rng.random() < 0.6),
+          {"ai_cac_category": float(rng.integers(0, 4)), "esc_class": float(rng.integers(0, 4))})
+        for i in range(500)
+    ]
+
+
+def _sha(*parts):
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cohort,digests", [
+    (_synth_cohort, {
+        "km": "d2567fe7db1dce347880bb3c2112da5a8b3fb8eb7891d0cb15cc2f82349808e1",
+        "log_rank": "62a91e61a241cf3e83606f5f3f2e5fc6ad4a61cfbf09499a54fcf8a12f04987f",
+        "cox": "867c74dae2697d599d6299382fd8ab83e3ca46392f964a21f9e36bbc9a8033cc",
+    }),
+    (_tied_cohort, {
+        "km": "35baf14b7ec0bf07aa3d426b27e7e6cc8bc88f85eb4c40fea59d95bedd6e8366",
+        "log_rank": "8b945c550b5f224598fcae22f0b02fcf040f7fadfec9d9ebb4562f2550c499dd",
+        "cox": "c3aca50c0805a23e54a10dea3d04ab3e619a4908d1b840e957618bea7626dc7f",
+    }),
+])
+def test_survival_bits_are_pinned(cohort, digests):
+    # digests of the per-time rescans and the per-subject Cox sums, taken
+    # before one risk-set count replaced them; the dataclass reprs pin the
+    # Python types as well as the bits
+    records = cohort()
+    zero = [r for r in records if r.covariates["ai_cac_category"] <= 0]
+    positive = [r for r in records if r.covariates["ai_cac_category"] > 0]
+    got = {
+        "km": _sha(repr(sv.kaplan_meier(zero)), repr(sv.kaplan_meier(positive))),
+        "log_rank": _sha(repr(sv.log_rank(zero, positive))),
+        "cox": _sha(sv.cox_to_json(sv.cox_fit(records, ["ai_cac_category"])),
+                    sv.cox_to_json(sv.cox_fit(records, ["ai_cac_category", "esc_class"]))),
+    }
+    assert got == digests
+
+
+# --- per-time oracles ------------------------------------------------------------
+
+def _km_oracle(records):
+    """Counts times >= t and events at t for each event time, multiplies in time order."""
+    if not records:
+        raise EmptyCohortError("empty cohort")
+    times = np.array([r.time_years for r in records])
+    events = np.array([r.event for r in records], dtype=bool)
+    out_t, out_s, out_n, out_d = [], [], [], []
+    s = 1.0
+    for t in sorted(set(times[events].tolist())):
+        n = int((times >= t).sum())
+        d = int(((times == t) & events).sum())
+        s *= (n - d) / n
+        out_t.append(t)
+        out_s.append(s)
+        out_n.append(n)
+        out_d.append(d)
+    censored = tuple(sorted(times[~events].tolist()))
+    return sv.KmCurve(tuple(out_t), tuple(out_s), tuple(out_n), tuple(out_d), censored)
+
+
+def _log_rank_oracle(a, b):
+    """Per-time 2x2 tables, summed in time order."""
+    if not a or not b:
+        raise EmptyCohortError("both groups must be nonempty")
+    ta = np.array([r.time_years for r in a])
+    ea = np.array([r.event for r in a], dtype=bool)
+    tb = np.array([r.time_years for r in b])
+    eb = np.array([r.event for r in b], dtype=bool)
+    pooled = sorted(set(ta[ea].tolist()) | set(tb[eb].tolist()))
+    if not pooled:
+        raise NoEventsError("no events in either group")
+    obs = exp = u = var = 0.0
+    for t in pooled:
+        n_a, n_b = int((ta >= t).sum()), int((tb >= t).sum())
+        d_a, d_b = int(((ta == t) & ea).sum()), int(((tb == t) & eb).sum())
+        n, d = n_a + n_b, d_a + d_b
+        obs += d_a
+        exp += d * n_a / n
+        u += (d_a * n_b - d_b * n_a) / n
+        if n > 1:
+            var += d * (n_a / n) * (n_b / n) * (n - d) / (n - 1)
+    if var == 0.0:
+        return sv.LogRankResult(0.0, 1.0, obs, exp)
+    chi2 = u ** 2 / var
+    return sv.LogRankResult(chi2, sv.chi2_sf(chi2, 1), obs, exp)
+
+
+def _breslow_scan(beta, x, times, events):
+    """Breslow log-likelihood, score and information, one event at a time."""
+    eta = x @ beta
+    ll, score, info = 0.0, np.zeros(x.shape[1]), np.zeros((x.shape[1],) * 2)
+    for j in np.flatnonzero(events):
+        risk = times >= times[j]
+        w, xr = np.exp(eta[risk]), x[risk]
+        mean = (w[:, None] * xr).sum(axis=0) / w.sum()
+        ll += eta[j] - np.log(w.sum())
+        score += x[j] - mean
+        info += np.einsum("i,ij,ik->jk", w, xr, xr) / w.sum() - np.outer(mean, mean)
+    return ll, score, info
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except (EmptyCohortError, NoEventsError) as exc:
+        return repr(exc)
+
+
+@st.composite
+def _cohorts(draw, max_size=40):
+    """Follow-up times drawn from a pool, so ties are common: small integers,
+    or any positive finite floats."""
+    if draw(st.booleans()):
+        values = st.integers(1, 6).map(float)
+    else:
+        values = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    pool = draw(st.lists(values, min_size=1, max_size=max_size))
+    n = draw(st.integers(0, max_size))
+    times = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [R(f"s{i}", t, e, {}) for i, (t, e) in enumerate(zip(times, events))]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_cohorts())
+def test_kaplan_meier_equals_the_per_time_oracle(records):
+    assert _outcome(sv.kaplan_meier, records) == _outcome(_km_oracle, records)
+    if records:
+        curve = sv.kaplan_meier(records)
+        assert sv.km_to_csv(curve).split("\n")[1] == f"0.0,1.0,{len(records)},0"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_cohorts(), st.data())
+def test_log_rank_equals_the_per_time_oracle(records, data):
+    in_a = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
+    a = [r for r, k in zip(records, in_a) if k]
+    b = [r for r, k in zip(records, in_a) if not k]
+    assert _outcome(sv.log_rank, a, b) == _outcome(_log_rank_oracle, a, b)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_cohorts(), st.integers(1, 3), st.data())
+def test_cox_quantities_equal_a_per_event_breslow_scan(records, p, data):
+    if not records:
+        records = [R("s0", 1.0, True, {})]
+    times = np.array([r.time_years for r in records])
+    events = np.array([r.event for r in records], dtype=bool)
+    cells = st.integers(-3, 3).map(float) if data.draw(st.booleans()) else st.floats(-3.0, 3.0)
+    x = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p),
+                                    min_size=len(records), max_size=len(records))))
+    beta = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p)))
+    got = sv._cox_quantities(beta, x, times, events)
+    want = _breslow_scan(beta, x, times, events)
+    for g, w in zip(got, want):
+        assert np.asarray(g) == pytest.approx(np.asarray(w), rel=1e-9, abs=1e-9)

@@ -282,6 +282,8 @@ def test_blobs_csv_round_trip():
         dict(image_dim=32),
         dict(mass_scale=1.0),
         dict(baseline_hazard=1e308),
+        dict(image_dim=65536),
+        dict(image_dim=10**12),
     ],
 )
 def test_config_validation_rejects(kw):
@@ -291,3 +293,4 @@ def test_config_validation_rejects(kw):
 
 def test_default_config_valid():
     sg.SynthConfig()
+    sg.SynthConfig(image_dim=65535)  # the largest 16-bit DICOM Rows/Columns
