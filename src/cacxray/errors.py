@@ -135,6 +135,10 @@ class NoPositivesError(DegenerateDataError):
     """Precision-recall needs at least one positive sample."""
 
 
+class NonFiniteScoreError(DegenerateDataError, ValueError):
+    """A NaN or infinite model score, which no decision cutoff can rank."""
+
+
 class AllGridDegenerateError(DegenerateDataError):
     """Every threshold on the grid left a single truth class."""
 

@@ -40,6 +40,10 @@ def _check_nonnegative(scores: np.ndarray) -> None:
         raise NegativeScoreError(f"negative calcium score: {float(scores.min())}")
 
 
+def _log_domain(scores: np.ndarray, clip_max: float, epsilon: float) -> np.ndarray:
+    return np.log(np.minimum(scores, clip_max) + epsilon)
+
+
 def fit_label_transform(
     scores, clip_max: float = 2000.0, epsilon: float = 1e-5
 ) -> LabelTransform:
@@ -52,7 +56,7 @@ def fit_label_transform(
     if s.size < 2:
         raise ValueError("need at least two scores to fit a transform")
     _check_nonnegative(s)
-    logs = np.log(np.minimum(s, clip_max) + epsilon)
+    logs = _log_domain(s, clip_max, epsilon)
     # identical inputs give std ~1e-15 (mean-subtraction noise), not 0.0, so
     # test the actual spread rather than the computed std
     if logs.min() == logs.max():
@@ -66,7 +70,7 @@ def transform(scores, lt: LabelTransform):
     """clip -> log(. + eps) -> normalize. Accepts a scalar or an array."""
     s = np.asarray(scores, dtype=np.float64)
     _check_nonnegative(s)
-    out = (np.log(np.minimum(s, lt.clip_max) + lt.epsilon) - lt.mu_log) / lt.sigma_log
+    out = (_log_domain(s, lt.clip_max, lt.epsilon) - lt.mu_log) / lt.sigma_log
     return float(out) if np.isscalar(scores) or out.ndim == 0 else out
 
 
@@ -81,11 +85,11 @@ def transform_threshold(threshold: float, lt: LabelTransform) -> TransformedThre
     """Map a raw-score decision threshold into normalized log space."""
     if threshold < 0:
         raise NegativeScoreError(f"negative threshold: {threshold}")
-    t = (np.log(min(threshold, lt.clip_max) + lt.epsilon) - lt.mu_log) / lt.sigma_log
-    return TransformedThreshold(raw=float(threshold), transformed=float(t))
+    return TransformedThreshold(raw=float(threshold), transformed=transform(float(threshold), lt))
 
 
-def classify(value: float, threshold: TransformedThreshold) -> bool:
+def classify(value, threshold: TransformedThreshold):
     """Positive iff the transformed prediction strictly exceeds the
-    transformed threshold."""
-    return bool(value > threshold.transformed)
+    transformed threshold. Accepts a scalar (-> bool) or an array."""
+    out = np.asarray(value, dtype=np.float64) > threshold.transformed
+    return bool(out) if np.isscalar(value) or out.ndim == 0 else out

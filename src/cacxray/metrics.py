@@ -2,7 +2,8 @@
 
 Scores live in transformed (network output) space, truth in raw calcium-score
 space; ranking metrics only care that the score is monotone in the prediction.
-AUC is the exact Mann-Whitney statistic with tie correction (ties count half).
+AUC is the exact Mann-Whitney statistic with tie correction (ties count half),
+counted by sorted searches of the positives among the negatives.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import (
     AllGridDegenerateError,
+    NonFiniteScoreError,
     NoPositivesError,
     OneClassOnlyError,
     TooFewSamplesError,
@@ -58,29 +60,17 @@ def _scores_labels(samples, truth_threshold: float) -> tuple[np.ndarray, np.ndar
     return scores, truth > truth_threshold
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    sx = x[order]
-    n = x.size
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sx[1:] != sx[:-1]
-    group = np.cumsum(boundary) - 1
-    counts = np.bincount(group)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    avg = starts + (counts + 1) / 2.0  # mean of ranks start+1 .. start+count
-    ranks = np.empty(n)
-    ranks[order] = avg[group]
-    return ranks
-
-
 def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     npos = int(labels.sum())
     nneg = labels.size - npos
     if npos == 0 or nneg == 0:
         raise OneClassOnlyError(f"need both classes, got {npos} positives of {labels.size}")
-    ranks = _average_ranks(scores)
-    return float((ranks[labels].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
+    neg = np.sort(scores[~labels])
+    pos = scores[labels]
+    # negatives below each positive, counted once with ties and once without:
+    # twice the Mann-Whitney U, an exact integer, so one rounding as before
+    u2 = int(np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum())
+    return (u2 / 2) / (npos * nneg)
 
 
 def roc_auc(samples, truth_threshold: float = 0.0) -> float:
@@ -132,19 +122,14 @@ def confusion_at_threshold(
     samples, threshold: TransformedThreshold, truth_threshold: float = 0.0
 ) -> ConfusionCounts:
     """Strict-> decision rule on scores, strict-> truth rule on calcium."""
-    tp = fp = tn = fn = 0
-    for s in samples:
-        pred = classify(s.score, threshold)
-        actual = s.truth_cac > truth_threshold
-        if pred and actual:
-            tp += 1
-        elif pred:
-            fp += 1
-        elif actual:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    scores, actual = _scores_labels(samples, truth_threshold)
+    pred = classify(scores, threshold)
+    return ConfusionCounts(
+        tp=int((pred & actual).sum()),
+        fp=int((pred & ~actual).sum()),
+        tn=int((~pred & ~actual).sum()),
+        fn=int((~pred & actual).sum()),
+    )
 
 
 def diagnostic_metrics(c: ConfusionCounts) -> dict[str, float | None]:
@@ -168,17 +153,20 @@ def diagnostic_metrics(c: ConfusionCounts) -> dict[str, float | None]:
 
 def pr_curve(samples, truth_threshold: float = 0.0) -> list[tuple[float, float]]:
     """(recall, precision) points swept over the distinct scores descending,
-    with an inclusive decision rule (predict positive when score >= cutoff)."""
+    with an inclusive decision rule (predict positive when score >= cutoff).
+    Every score must be finite."""
     scores, labels = _scores_labels(samples, truth_threshold)
+    if not np.isfinite(scores).all():
+        raise NonFiniteScoreError("precision-recall needs finite scores")
     p = int(labels.sum())
     if p == 0:
         raise NoPositivesError("precision-recall needs at least one positive")
-    points = []
-    for t in np.unique(scores)[::-1]:
-        pred = scores >= t
-        tp = int((pred & labels).sum())
-        points.append((tp / p, tp / int(pred.sum())))
-    return points
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    # the last rank of each distinct score: everything up to it is predicted positive
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(labels[order])[last]
+    return list(zip((tp / p).tolist(), (tp / (last + 1)).tolist()))
 
 
 def rauc(samples, truth_grid=(0.0, 100.0, 400.0)) -> float:
@@ -245,15 +233,7 @@ def kfold_split(n: int, k: int = 5, seed: int = 0) -> list[np.ndarray]:
         raise ValueError("need at least two folds")
     if n < k:
         raise TooFewSamplesError(f"cannot split {n} samples into {k} folds")
-    perm = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for f in range(k):
-        size = base + (1 if f < extra else 0)
-        folds.append(perm[start : start + size])
-        start += size
-    return folds
+    return np.array_split(np.random.default_rng(seed).permutation(n), k)
 
 
 @dataclass(frozen=True)

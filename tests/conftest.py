@@ -4,8 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cacxray import dicom
+
+# properties run the same examples on every run, keep no example database and
+# have no deadline; each property sets only its max_examples
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 PREAMBLE_LEN = 132  # 128 zero bytes + "DICM"
 _LONG_VRS = {b"OB", b"OW", b"OF", b"SQ", b"UT", b"UN"}

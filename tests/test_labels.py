@@ -101,6 +101,20 @@ def test_threshold_transform_matches_formula():
     assert th_center.transformed == pytest.approx(0.0, abs=1e-9)
 
 
+def test_threshold_goes_through_transform_bit_for_bit():
+    lt = lb.fit_label_transform([0.0, 7.0, 220.0, 1500.0])
+    for t in (0.0, 0.5, 100.0, lt.clip_max, 10 * lt.clip_max):
+        # the formula transform_threshold spelled out before it called transform
+        old = float((np.log(min(t, lt.clip_max) + lt.epsilon) - lt.mu_log) / lt.sigma_log)
+        assert repr(lb.transform_threshold(t, lt).transformed) == repr(old)
+
+
+def test_classify_takes_an_array():
+    th = lb.TransformedThreshold(raw=0.0, transformed=0.5)
+    assert lb.classify(np.array([0.4, 0.5, 0.6]), th).tolist() == [False, False, True]
+    assert lb.classify(np.float64(0.6), th) is True
+
+
 def test_classify_boundary_is_strict():
     lt = lb.LabelTransform(mu_log=0.0, sigma_log=1.0)
     th = lb.transform_threshold(10.0, lt)

@@ -2,14 +2,17 @@
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cacxray import labels as lb
 from cacxray import metrics as mx
 from cacxray.errors import (
     AllGridDegenerateError,
+    NonFiniteScoreError,
     NoPositivesError,
     OneClassOnlyError,
     TooFewSamplesError,
@@ -429,3 +432,187 @@ def test_cross_validate_never_reads_held_out_labels():
     assert digests_a[0] == digests_b[0]
     # the other folds do see the perturbed labels in their training split
     assert any(a != b for a, b in zip(digests_a[1:], digests_b[1:]))
+
+
+# --- pinned bits -----------------------------------------------------------------
+
+def _pinned_samples(seed, tied):
+    # 300 subjects, about half with CAC > 0; the tied set scores on eight integers
+    rng = np.random.default_rng(seed)
+    truth = np.round(rng.uniform(0.0, 2000.0, 300) * rng.integers(0, 2, 300), 3)
+    if tied:
+        scores = rng.integers(-3, 4, 300).astype(float) + (truth > 0)
+    else:
+        scores = rng.standard_normal(300) + truth / 1000.0
+    return [S(float(s), float(t), str(i)) for i, (s, t) in enumerate(zip(scores, truth))]
+
+
+def _sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,tied,digests", [
+    (43, False, {
+        "roc_auc": "8d31649cc4b041c6aafd2c7f9c0caacc7a6bbdafbd40ac850a9c189a7f85d196",
+        "auc_confidence_interval": "3da6c8f42e9277d199402307fc809f817678d0157f02bd936fef5eb6c8fb6795",
+        "pr_curve": "0e16a1738e13d03f5cd7ba21127baf0969d7396e4e8bb7d8dadbecbb11a31d50",
+        "confusion_at_threshold": "9068c4ac86b2748b34b851e3a13af1f7f7e171d68aed81be8747d0a9a65f947a",
+        "rauc": "9b3015355ea580411a5d09fc7cd7d2d279831732dcf23026f2125b9ef363e7b2",
+        "calibration_table": "3bb527dbcf1904581344bb17dc9be25bb5caec4dff75d929e38d0c7ad4dde67b",
+    }),
+    (44, True, {
+        "roc_auc": "f3344868c0d93904116af29f2a6b67c6d0c3d45c30ad60c208946e97c1187cfe",
+        "auc_confidence_interval": "4c0e35cee2dc516566e1a074e67dffffa99951ff05e85edc704a5dcfa7c9da7a",
+        "pr_curve": "1a8e0874145aaab57a722ff1979c3f5b584127997912f07724db53634a9e768f",
+        "confusion_at_threshold": "227b7dcba72c7812e19a335b6bed163c453bca20078fdbafc8d9437f5a4c4fc7",
+        "rauc": "6665a0a83e54aa7efa47a8ff377b9441059a7e679508bd87e1e35baef8650fbd",
+        "calibration_table": "e608f355c2805f53815e4233641987d5c58bbb8aa2e02c00d9887f6046fc89f2",
+    }),
+])
+def test_metric_bits_are_pinned(seed, tied, digests):
+    # digests of the average-rank AUC, the per-threshold PR sweep and the
+    # per-sample confusion loop, taken before the sorted counts replaced them;
+    # the reprs pin the Python types as well as the bits. Nothing here goes
+    # through BLAS; calibration_table does go through np.log and np.exp, whose
+    # SIMD kernel numpy picks by CPU feature
+    samples = _pinned_samples(seed, tied)
+    lt = lb.fit_label_transform([s.truth_cac for s in samples])
+    got = {
+        "roc_auc": _sha(mx.roc_auc(samples)),
+        "auc_confidence_interval": _sha(mx.auc_confidence_interval(samples, n_resamples=2000, seed=5)),
+        "pr_curve": _sha(mx.pr_curve(samples)),
+        "confusion_at_threshold": _sha([mx.confusion_at_threshold(samples, _th(v)) for v in (-1.0, 0.0, 0.5, 1.0)]),
+        "rauc": _sha(mx.rauc(samples)),
+        "calibration_table": _sha(mx.calibration_table(samples, lt)),
+    }
+    assert got == digests
+
+
+def test_crossval_csv_bits_are_pinned():
+    # a noisy image level, so that the folds' figures are not all 1.0
+    images, cacs = _toy_cv_inputs(n=60, seed=45)
+    noise = np.random.default_rng(46).normal(0.0, 400.0, len(images))
+    noisy = [x + e for x, e in zip(images, noise)]
+    report = mx.cross_validate(noisy, cacs, None, None, k=5, seed=7, train_fn=_interp_train_fn)
+    assert hashlib.sha256(mx.crossval_to_csv(report).encode()).hexdigest() == (
+        "8a607de708a7640b5b4f284d077f00471d837d910f222ee017a92ec4327b17e6"
+    )
+
+
+# --- properties against oracles ------------------------------------------------------
+
+_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf]),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def _scored(draw, scores=_SCORES):
+    # scores drawn from a small pool, so that ties are common
+    pool = draw(st.lists(scores, min_size=1, max_size=8))
+    n = draw(st.integers(0, 60))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    positive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(values, dtype=np.float64), np.array(positive, dtype=bool)
+
+
+def _as_samples(scores, positive):
+    return [S(float(s), 5.0 if y else 0.0, str(i)) for i, (s, y) in enumerate(zip(scores, positive))]
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (NonFiniteScoreError, NoPositivesError, OneClassOnlyError, TooFewSamplesError) as exc:
+        return type(exc).__name__
+
+
+def _pair_count_auc(scores, positive):
+    if positive.all() or not positive.any():
+        raise OneClassOnlyError("one class")
+    p, n = scores[positive][:, None], scores[~positive][None, :]
+    return (int((p > n).sum()) + int((p == n).sum()) / 2) / (p.size * n.size)
+
+
+def _pr_sweep(scores, positive):
+    # the per-threshold sweep the sorted cumulative sum replaced
+    if not np.isfinite(scores).all():
+        raise NonFiniteScoreError("non-finite")
+    p = int(positive.sum())
+    if p == 0:
+        raise NoPositivesError("no positives")
+    points = []
+    for t in np.unique(scores)[::-1]:
+        pred = scores >= t
+        tp = int((pred & positive).sum())
+        points.append((tp / p, tp / int(pred.sum())))
+    return points
+
+
+def _kfold_size_loop(n, k, seed):
+    # the size loop np.array_split replaced
+    if n < k:
+        raise TooFewSamplesError("too few")
+    perm = np.random.default_rng(seed).permutation(n)
+    base, extra = divmod(n, k)
+    folds, start = [], 0
+    for f in range(k):
+        size = base + (1 if f < extra else 0)
+        folds.append(perm[start : start + size])
+        start += size
+    return folds
+
+
+@settings(max_examples=300)
+@given(_scored())
+def test_auc_equals_the_pair_count_bit_for_bit(scored):
+    samples = _as_samples(*scored)
+    assert _outcome(mx.roc_auc, samples) == _outcome(_pair_count_auc, *scored)
+
+
+@settings(max_examples=300)
+@given(_scored())
+def test_pr_curve_equals_the_per_threshold_sweep(scored):
+    assert _outcome(mx.pr_curve, _as_samples(*scored)) == _outcome(_pr_sweep, *scored)
+
+
+@settings(max_examples=300)
+@given(_scored(st.one_of(_SCORES, st.just(math.nan))), _SCORES,
+       st.lists(st.sampled_from([0.0, 50.0, 100.0, 400.0, 1500.0]), min_size=60, max_size=60),
+       st.sampled_from([0.0, 100.0, 400.0]))
+def test_confusion_equals_a_per_sample_tabulation(scored, cutoff, truth, truth_threshold):
+    scores, _ = scored
+    samples = [S(float(s), c, str(i)) for i, (s, c) in enumerate(zip(scores, truth))]
+    counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+    for s in samples:
+        pred, actual = s.score > cutoff, s.truth_cac > truth_threshold
+        counts[("t" if pred == actual else "f") + ("p" if pred else "n")] += 1
+    assert mx.confusion_at_threshold(samples, _th(cutoff), truth_threshold) == mx.ConfusionCounts(**counts)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 200), st.integers(2, 12), st.integers(0, 2**32))
+def test_kfold_split_equals_the_size_loop(n, k, seed):
+    got = _outcome(mx.kfold_split, n, k, seed)
+    assert got == _outcome(_kfold_size_loop, n, k, seed)
+    if n >= k:
+        want = _kfold_size_loop(n, k, seed)
+        assert all(a.dtype == b.dtype for a, b in zip(mx.kfold_split(n, k, seed), want))
+
+
+# --- non-finite scores ---------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pr_curve_rejects_non_finite_scores(bad):
+    samples = [S(0.9, 10, "a"), S(bad, 0, "b"), S(0.1, 0, "c")]
+    with pytest.raises(NonFiniteScoreError):
+        mx.pr_curve(samples, 0.0)
+
+
+def test_all_nan_scores_rank_as_one_tie():
+    # roc_auc and rauc still accept NaN scores; every pair of NaNs ties
+    samples = [S(math.nan, c, str(i)) for i, c in enumerate([0.0, 0.0, 50.0, 500.0, 0.0, 150.0])]
+    assert mx.roc_auc(samples, 0.0) == 0.5
+    assert mx.rauc(samples) == 0.5

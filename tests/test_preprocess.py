@@ -306,7 +306,7 @@ def _preprocess_configs(draw):
     return pp.PreprocessConfig(resize_dim, draw(st.integers(1, resize_dim)), draw(st.integers(2, 300)))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_dicom_images(), _preprocess_configs())
 def test_value_table_path_equals_the_staged_chain(img, cfg):
     img.validate()
@@ -331,7 +331,7 @@ def _resize_two_row_reference(v, dim):
     return top * (1.0 - fr)[:, None] + bot * fr[:, None]
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=30),
                   elements=st.floats(-1e6, 1e6, allow_nan=False)),
        st.integers(1, 45))

@@ -126,6 +126,7 @@ EXIT_CODES = {
     errors.NegativeScoreError: 5,
     errors.OneClassOnlyError: 5,
     errors.NoPositivesError: 5,
+    errors.NonFiniteScoreError: 5,
     errors.AllGridDegenerateError: 5,
     errors.TooFewSamplesError: 5,
     errors.EmptyCohortError: 5,
@@ -146,7 +147,7 @@ _CATEGORIES = {
 def test_exit_code_table_covers_every_error_class():
     defined = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, CacXrayError)}
     assert set(EXIT_CODES) == defined - _CATEGORIES
-    assert len(EXIT_CODES) == 25
+    assert len(EXIT_CODES) == 26
 
 
 @pytest.mark.parametrize(

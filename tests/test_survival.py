@@ -471,7 +471,7 @@ def _cohorts(draw, max_size=40):
     return [R(f"s{i}", t, e, {}) for i, (t, e) in enumerate(zip(times, events))]
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_cohorts())
 def test_kaplan_meier_equals_the_per_time_oracle(records):
     assert _outcome(sv.kaplan_meier, records) == _outcome(_km_oracle, records)
@@ -480,7 +480,7 @@ def test_kaplan_meier_equals_the_per_time_oracle(records):
         assert sv.km_to_csv(curve).split("\n")[1] == f"0.0,1.0,{len(records)},0"
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_cohorts(), st.data())
 def test_log_rank_equals_the_per_time_oracle(records, data):
     in_a = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
@@ -489,7 +489,7 @@ def test_log_rank_equals_the_per_time_oracle(records, data):
     assert _outcome(sv.log_rank, a, b) == _outcome(_log_rank_oracle, a, b)
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(_cohorts(), st.integers(1, 3), st.data())
 def test_cox_quantities_equal_a_per_event_breslow_scan(records, p, data):
     if not records:
