@@ -55,6 +55,7 @@ from .errors import (
     UnreadableInputError,
 )
 from .explain import export_saliency, gradcam
+from .framing import csv_text, json_text
 from .labels import fit_label_transform, transform, transform_threshold
 from .metrics import (
     ScoredSample,
@@ -211,8 +212,10 @@ def _parse_value(hint, text: str, where: str):
 def _load_config(args) -> dict:
     """Each section built from its preset with the --config values parsed
     over it, [run] seed replaced by --seed and [crossval] folds by --folds
-    when given, and the derived seeds filled in. A value its section rejects
-    raises InvalidConfigError naming the section."""
+    when given, and the derived seeds filled in. A value its section rejects,
+    or an explain --limit below 1, raises InvalidConfigError."""
+    if getattr(args, "limit", 1) < 1:
+        raise InvalidConfigError(f"--limit must be at least 1, got {args.limit}")
     values = {sect: {} for sect in _PRESETS}
     if args.config is not None:
         cp = configparser.ConfigParser(interpolation=None)
@@ -262,7 +265,7 @@ def _echo_config(out: Path, cfg: dict) -> None:
 
 
 def _write_json(path: Path, doc) -> None:
-    atomic.write_text(path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    atomic.write_text(path, json_text(doc) + "\n")
 
 
 def _load_preprocessed(data_dir, pp_cfg: PreprocessConfig):
@@ -342,10 +345,7 @@ def cmd_train(args, cfg, out: Path) -> dict:
     save_weights(out / "weights.cacw", fitted)
     atomic.write_text(out / "sidecar.json", sidecar_to_json(cfg["model"], lt) + "\n")
     atomic.write_text(out / "stats.csv", stats_to_csv(stats))
-    atomic.write_text(
-        out / "history.csv",
-        "epoch,train_mae\n" + "".join(f"{e + 1},{v!r}\n" for e, v in enumerate(history)),
-    )
+    atomic.write_text(out / "history.csv", csv_text(("epoch", "train_mae"), enumerate(history, 1)))
     split = {"split_seed": split_seed, "train_fraction": frac,
              "train_ids": [ids[i] for i in train_idx], "test_ids": [ids[i] for i in test_idx]}
     _write_json(out / "split.json", split)
@@ -400,18 +400,10 @@ def cmd_evaluate(args, cfg, out: Path) -> dict:
         **diag,
     }
     _write_json(out / "report.json", report)
-    atomic.write_text(
-        out / "pr_curve.csv",
-        "recall,precision\n" + "".join(f"{r!r},{p!r}\n" for r, p in pr_curve(samples, truth_th)),
-    )
-    cal_rows = calibration_table(samples, lt, ev.calibration_edges)
-    atomic.write_text(
-        out / "calibration.csv",
-        "stratum,count,mean_true_cac,mean_predicted_cac\n"
-        + "".join(
-            f"\"{r.stratum}\",{r.count},{r.mean_true_cac!r},{r.mean_predicted_cac!r}\n" for r in cal_rows
-        ),
-    )
+    atomic.write_text(out / "pr_curve.csv", csv_text(("recall", "precision"), pr_curve(samples, truth_th)))
+    header = ("stratum", "count", "mean_true_cac", "mean_predicted_cac")
+    calibration = [[getattr(r, c) for c in header] for r in calibration_table(samples, lt, ev.calibration_edges)]
+    atomic.write_text(out / "calibration.csv", csv_text(header, calibration))
     print(f"AUC {auc:.4f} (95% CI {ci_lo:.4f}-{ci_hi:.4f}) on {len(samples)} samples")
     return {"inputs": {"data": str(args.data), "model": str(args.model), "split": args.split}, "n": len(samples)}
 
@@ -555,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--ids", help="comma-separated image ids (default: first --limit)")
-    p.add_argument("--limit", type=int, default=8)
+    p.add_argument("--limit", type=int, default=8, help="images to explain without --ids (at least 1)")
     p.set_defaults(func=cmd_explain)
     return parser
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import atomic
 from .errors import ShapeMismatchError
+from .framing import plain_file_name
 from .model import ModelParams, forward, prediction_feature_gradient
 from .preprocess import resize_bilinear
 
@@ -48,9 +49,11 @@ def _to_pgm(values: np.ndarray) -> bytes:
 def export_saliency(
     saliency: np.ndarray, base_image: np.ndarray, out_dir, image_id: str
 ) -> tuple[Path, Path]:
-    """Write ``<id>.map.pgm`` (the saliency map) and ``<id>.overlay.pgm``
-    (min-max normalized base image and map side by side). Returns both paths.
-    Deterministic bytes for identical inputs."""
+    """Write ``<id>.map.pgm`` (the saliency map) and ``<id>.overlay.pgm`` (min-max
+    normalized base image and map side by side); return both paths. Same inputs give
+    the same bytes; an id that is not a plain file name raises ValueError."""
+    if not plain_file_name(image_id):
+        raise ValueError(f"image id {image_id!r} is not a plain file name")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sal = np.asarray(saliency, dtype=np.float64)

@@ -1,8 +1,11 @@
-"""Bounds-checked little-endian reading, shared by the binary formats (DICOM
-part 10 and the weights file)."""
+"""The framing of every file the package reads or writes: one bounds-checked
+little-endian reader (DICOM, weights), one CSV dialect, one strict JSON dumper."""
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import struct
 
 from .errors import TruncatedFileError
@@ -30,3 +33,23 @@ class Reader:
         """Read the little-endian struct ``fmt`` (no byte-order prefix)."""
         fmt = "<" + fmt
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+
+def csv_text(header, rows) -> str:
+    """CSV with ``"\\n"`` line ends, minimal quoting and cells by ``str`` (a float's
+    ``repr``). A carriage return raises ValueError: csv.writer leaves it unquoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    if "\r" in buf.getvalue():
+        raise ValueError("a CSV cell holds a carriage return")
+    return buf.getvalue()
+
+
+def json_text(doc) -> str:
+    """Strict JSON (RFC 8259: NaN and Infinity raise ValueError), sorted keys."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+def plain_file_name(name: str) -> bool:
+    """One file inside a directory: not empty, ``.`` or ``..``; no ``/`` or NUL."""
+    return name not in ("", ".", "..") and "/" not in name and "\0" not in name

@@ -8,7 +8,6 @@ counted by sorted searches of the positives among the negatives.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import (
     OneClassOnlyError,
     TooFewSamplesError,
 )
+from .framing import csv_text, json_text
 from .labels import (
     LabelTransform,
     TransformedThreshold,
@@ -256,19 +256,12 @@ _CSV_COLUMNS = ("fold", "accuracy", "balanced_accuracy", "sensitivity", "specifi
 
 
 def crossval_to_csv(report: CrossValReport) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
-    for fr in report.folds:
-        lines.append(",".join([str(fr.fold)] + [repr(getattr(fr, c)) for c in _CSV_COLUMNS[1:]]))
-    lines.append(",".join(["Mean"] + [repr(report.mean[c]) for c in _CSV_COLUMNS[1:]]))
-    return "\n".join(lines) + "\n"
+    rows = [[getattr(fr, c) for c in _CSV_COLUMNS] for fr in report.folds]
+    return csv_text(_CSV_COLUMNS, rows + [["Mean"] + [report.mean[c] for c in _CSV_COLUMNS[1:]]])
 
 
 def crossval_to_json(report: CrossValReport) -> str:
-    return json.dumps(
-        {"folds": [asdict(fr) for fr in report.folds], "mean": report.mean},
-        sort_keys=True,
-        indent=2,
-    )
+    return json_text({"folds": [asdict(fr) for fr in report.folds], "mean": report.mean})
 
 
 def _default_train_fn(train_images, train_targets, net_cfg, train_cfg):

@@ -29,7 +29,7 @@ from ..errors import (
     ShapeMismatchError,
     TruncatedFileError,
 )
-from ..framing import Reader
+from ..framing import Reader, json_text
 from ..labels import LabelTransform
 from .network import DenseNetConfig, ModelParams, build_net
 
@@ -109,8 +109,7 @@ def load_weights(path, cfg: DenseNetConfig) -> ModelParams:
 
 
 def sidecar_to_json(cfg: DenseNetConfig, lt: LabelTransform) -> str:
-    doc = {"net": dataclasses.asdict(cfg), "label_transform": dataclasses.asdict(lt)}
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json_text({"net": dataclasses.asdict(cfg), "label_transform": dataclasses.asdict(lt)})
 
 
 def _field_from_json(hint, value, where: str):

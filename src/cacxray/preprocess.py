@@ -21,6 +21,7 @@ from .errors import (
     MalformedFileError,
     NonPositiveWidthError,
 )
+from .framing import csv_text
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def preprocess_uncalibrated(img: DicomImage, cfg: PreprocessConfig) -> np.ndarra
 
 
 def stats_to_csv(stats: DatasetStats) -> str:
-    return f"mu,sigma\n{stats.mu!r},{stats.sigma!r}\n"
+    return csv_text(("mu", "sigma"), [(stats.mu, stats.sigma)])
 
 
 def stats_from_csv(text: str) -> DatasetStats:

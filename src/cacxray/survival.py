@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -24,6 +23,7 @@ from .errors import (
     NegativeStatisticError,
     NoEventsError,
 )
+from .framing import csv_text, json_text
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,9 @@ def km_event_estimate(curve: KmCurve, horizon: float) -> float:
 
 
 def km_to_csv(curve: KmCurve) -> str:
-    lines = ["time_years,survival,at_risk,events"]
-    lines.append(f"0.0,1.0,{len(curve.censoring_times) + sum(curve.n_events)},0")
-    for t, s, n, d in zip(curve.times, curve.survival, curve.at_risk, curve.n_events):
-        lines.append(f"{t!r},{s!r},{n},{d}")
-    return "\n".join(lines) + "\n"
+    start = (0.0, 1.0, len(curve.censoring_times) + sum(curve.n_events), 0)
+    steps = zip(curve.times, curve.survival, curve.at_risk, curve.n_events)
+    return csv_text(("time_years", "survival", "at_risk", "events"), [start, *steps])
 
 
 # --- log-rank -------------------------------------------------------------------
@@ -303,7 +301,7 @@ def cox_fit(records, covariate_names, max_iter: int = 50) -> CoxResult:
 
 def cox_to_json(result: CoxResult) -> str:
     """Strict JSON: an undefined ``p_value`` (se == 0) is written as null."""
-    return json.dumps(asdict(result), sort_keys=True, indent=2, allow_nan=False)
+    return json_text(asdict(result))
 
 
 # --- cohort CSV -------------------------------------------------------------------
@@ -318,15 +316,12 @@ def cohort_to_csv(records) -> str:
     records = list(records)
     extra = sorted({k for r in records for k in r.covariates} - set(_KNOWN_COVARIATES))
     known = [k for k in _KNOWN_COVARIATES if any(k in r.covariates for r in records)]
-    cols = list(_FIXED_COLUMNS) + known + extra
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for r in records:
-        row = [r.id, repr(float(r.time_years)), int(r.event)]
-        row += [repr(float(r.covariates[k])) if k in r.covariates else "" for k in known + extra]
-        writer.writerow(row)
-    return buf.getvalue()
+    rows = [
+        [r.id, float(r.time_years), int(r.event)]
+        + [float(r.covariates[k]) if k in r.covariates else "" for k in known + extra]
+        for r in records
+    ]
+    return csv_text(list(_FIXED_COLUMNS) + known + extra, rows)
 
 
 def cohort_from_csv(text: str) -> list[SubjectRecord]:

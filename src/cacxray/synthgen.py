@@ -17,9 +17,6 @@ content depends only on (seed, i), never on n or on other samples.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,7 +24,8 @@ import numpy as np
 
 from . import atomic
 from .dicom import DicomImage, parse_dicom, write_test_dicom
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, MalformedFileError
+from .framing import csv_text, json_text, plain_file_name
 from .preprocess import resize_bilinear
 from .survival import SubjectRecord, cohort_from_csv, cohort_to_csv
 
@@ -64,8 +62,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidConfigError("n must be positive")
+        if not 1 <= self.n <= 100000:  # sample ids keep five digits, s00000 to s99999
+            raise InvalidConfigError(f"n must lie in [1, 100000], got {self.n}")
         if not 0.0 <= self.zero_fraction <= 1.0:
             raise InvalidConfigError("zero_fraction must lie in [0, 1]")
         if not self.cac_max > 1.0:
@@ -308,13 +306,7 @@ def sample_to_dicom(sample: SynthSample) -> DicomImage:
 
 
 def blobs_to_csv(samples: list[SynthSample]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "x", "y", "w", "h"])
-    for s in samples:
-        for x, y, w, h in s.blob_boxes:
-            writer.writerow([s.id, x, y, w, h])
-    return buf.getvalue()
+    return csv_text(("id", "x", "y", "w", "h"), [(s.id, *box) for s in samples for box in s.blob_boxes])
 
 
 def write_dataset(cfg: SynthConfig, samples: list[SynthSample], out_dir) -> None:
@@ -327,14 +319,15 @@ def write_dataset(cfg: SynthConfig, samples: list[SynthSample], out_dir) -> None
         atomic.write_bytes(out / "images" / f"{s.id}.dcm", write_test_dicom(sample_to_dicom(s)))
     atomic.write_text(out / "cohort.csv", cohort_to_csv([s.record for s in samples]))
     atomic.write_text(out / "blobs.csv", blobs_to_csv(samples))
-    manifest = {"kind": "synthetic-cac-dataset", **asdict(cfg)}
-    atomic.write_text(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    atomic.write_text(out / "manifest.json", json_text({"kind": "synthetic-cac-dataset", **asdict(cfg)}) + "\n")
 
 
 def read_dataset(data_dir) -> tuple[list[str], list[DicomImage], list[SubjectRecord]]:
-    """Load a dataset directory; images come back in cohort order."""
+    """Load a dataset directory, images in cohort order; ids must be distinct plain file names."""
     root = Path(data_dir)
     records = cohort_from_csv((root / "cohort.csv").read_text())
     ids = [r.id for r in records]
+    if len(set(ids)) < len(ids) or not all(map(plain_file_name, ids)):
+        raise MalformedFileError("cohort ids must be distinct plain file names")
     images = [parse_dicom((root / "images" / f"{sid}.dcm").read_bytes()) for sid in ids]
     return ids, images, records

@@ -424,6 +424,8 @@ def test_huge_integer_exits_2_and_names_the_key(flow, tmp_path, capsys, section,
     ("synth", "hazard_ratio", "1e308", "hazard_ratio"),
     ("synth", "image_dim", "65536", "[synth] image_dim"),
     ("synth", "image_dim", "1000000000000", "[synth] image_dim"),
+    ("synth", "n", "100001", "[synth] n"),
+    ("synth", "n", "9223372036854775807", "[synth] n"),
     ("synth", "baseline_hazard", "1e308", "[synth] baseline_hazard"),
     ("evaluate", "calibration_edges", "", "[evaluate] calibration_edges"),
     ("evaluate", "calibration_edges", "400,100", "[evaluate] calibration_edges"),
@@ -488,6 +490,57 @@ def test_missing_model_dir_exits_4(flow, tmp_path):
     rc = main(["evaluate", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
                "--model", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
     assert rc == 4
+
+
+def _files_outside(root: Path, out: Path) -> set:
+    return {p for p in root.rglob("*") if p.is_file() and out not in p.parents}
+
+
+def _traversing_id(data: Path) -> None:
+    # the id climbs two levels out of images/, where a matching image waits
+    cohort = data / "cohort.csv"
+    cohort.write_text(cohort.read_text().replace("\ns00000,", "\n../../evil,", 1))
+    shutil.copy(data / "images" / "s00000.dcm", data.parent / "evil.dcm")
+
+
+def _repeated_ids(data: Path) -> None:
+    cohort = data / "cohort.csv"
+    header, *rows = cohort.read_text().splitlines(keepends=True)
+    cohort.write_text(header + "".join(rows + rows))
+
+
+@pytest.mark.parametrize("command", ["train", "explain"])
+@pytest.mark.parametrize("damage", [_traversing_id, _repeated_ids])
+def test_unsafe_or_repeated_cohort_id_exits_4(flow, tmp_path, capsys, command, damage):
+    data = tmp_path / "data"
+    shutil.copytree(flow["data"], data)
+    damage(data)
+    out = tmp_path / "outroot" / "maps"
+    argv = [command, "--config", str(flow["cfg"]), "--data", str(data), "--out", str(out), "--seed", "3"]
+    if command == "explain":
+        argv += ["--model", str(flow["model"])]
+    before = _files_outside(tmp_path, out)
+    assert main(argv) == 4
+    assert "cohort id" in capsys.readouterr().err
+    assert _files_outside(tmp_path, out) == before
+    assert not list(out.glob("*.pgm")) and not (out / "weights.cacw").exists()
+
+
+def test_explain_limit_takes_the_first_ids(flow, tmp_path):
+    out = tmp_path / "o"
+    assert main(["explain", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
+                 "--model", str(flow["model"]), "--out", str(out), "--limit", "2"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["files"] == [
+        "s00000.map.pgm", "s00000.overlay.pgm", "s00001.map.pgm", "s00001.overlay.pgm"]
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_explain_limit_below_one_exits_2_before_out_exists(flow, tmp_path, capsys, limit):
+    out = tmp_path / "o"
+    assert main(["explain", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
+                 "--model", str(flow["model"]), "--out", str(out), "--limit", limit]) == 2
+    assert "--limit must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_one_class_evaluation_exits_5(flow, tmp_path, capsys):

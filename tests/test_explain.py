@@ -127,3 +127,11 @@ def test_export_constant_base_image(tmp_path):
 def test_export_shape_mismatch_rejected(tmp_path):
     with pytest.raises(ShapeMismatchError):
         export_saliency(np.zeros((4, 4)), np.zeros((4, 5)), tmp_path, "bad")
+
+
+@pytest.mark.parametrize("image_id", ["", ".", "..", "../../evil", "a/b", "a\0b"])
+def test_export_refuses_an_id_that_is_not_a_plain_file_name(tmp_path, image_id):
+    out = tmp_path / "a" / "b"
+    with pytest.raises(ValueError, match="not a plain file name"):
+        export_saliency(np.zeros((4, 4)), np.zeros((4, 4)), out, image_id)
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))

@@ -1,9 +1,15 @@
-"""The bounds-checked reader both binary formats share."""
+"""The framing every file shares: the bounds-checked reader of the binary
+formats, the one CSV dialect and the strict JSON dumper of the text outputs,
+and the rule for an id that names a file."""
+
+import math
+from pathlib import Path
 
 import pytest
 
+import cacxray
 from cacxray.errors import MalformedFileError, TruncatedFileError
-from cacxray.framing import Reader
+from cacxray.framing import Reader, csv_text, json_text, plain_file_name
 
 
 def test_reader_reads_little_endian_and_stops_at_the_end():
@@ -22,3 +28,43 @@ def test_reader_reads_little_endian_and_stops_at_the_end():
     assert r.take(0, "nothing") == b""
     assert issubclass(TruncatedFileError, MalformedFileError)
     assert TruncatedFileError.exit_code == 4
+
+
+def test_csv_text_quotes_only_what_needs_it_and_writes_floats_by_repr():
+    rows = [("a,b", 0.1, 3), ('say "hi"', -0.0, 0), ("two\nlines", 1e-300, -7), ("", 2.5, 1)]
+    assert csv_text(("id", "x", "n"), rows) == 'id,x,n\n"a,b",0.1,3\n"say ""hi""",-0.0,0\n"two\nlines",1e-300,-7\n,2.5,1\n'
+    assert csv_text(("mu", "sigma"), []) == "mu,sigma\n"
+
+
+def test_csv_text_refuses_a_carriage_return():
+    # csv.writer leaves it unquoted, and csv.reader cannot read that back
+    with pytest.raises(ValueError, match="carriage return"):
+        csv_text(("id",), [("a\rb",)])
+
+
+def test_json_text_is_strict_sorted_and_indented():
+    assert json_text({"b": [1, None], "a": 0.1}) == '{\n  "a": 0.1,\n  "b": [\n    1,\n    null\n  ]\n}'
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            json_text({"mean": {"rauc": bad}})
+
+
+@pytest.mark.parametrize("name,plain", [
+    ("s00000", True), ("a b", True), ("..x", True), ("x.", True),
+    ("", False), (".", False), ("..", False), ("../../evil", False), ("a/b", False), ("/abs", False),
+    ("a\0b", False),
+])
+def test_plain_file_name(name, plain):
+    assert plain_file_name(name) is plain
+
+
+def test_only_framing_writes_json_or_csv():
+    # one dialect for every text output: no module outside framing forks it
+    package = Path(cacxray.__file__).parent
+    framing = package / "framing.py"
+    offenders = [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if path != framing and ("json.dumps(" in path.read_text() or "csv.writer(" in path.read_text())
+    ]
+    assert offenders == []

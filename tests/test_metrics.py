@@ -401,6 +401,13 @@ def test_crossval_csv_columns_and_mean_row():
     assert "mean" in json_doc
 
 
+def test_crossval_json_refuses_a_non_finite_mean():
+    fold = mx.FoldReport(fold=1, accuracy=0.5, balanced_accuracy=0.5, sensitivity=0.5, specificity=0.5, rauc=0.5)
+    mean = {"accuracy": 0.5, "balanced_accuracy": 0.5, "sensitivity": 0.5, "specificity": 0.5, "rauc": math.nan}
+    with pytest.raises(ValueError):
+        mx.crossval_to_json(mx.CrossValReport(folds=(fold,), mean=mean))
+
+
 def test_cross_validate_never_reads_held_out_labels():
     """Perturbing one fold's labels must not change what that fold trains on."""
     images, cacs = _toy_cv_inputs()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -316,6 +317,38 @@ def test_cohort_csv_round_trip():
         assert rt.event == orig.event
         for key, val in orig.covariates.items():
             assert rt.covariates[key] == pytest.approx(val, abs=1e-12)
+
+
+_COVARIATES = ("ai_cac", "cac", "ai_cac_category", "esc_class", "bmi")
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def _csv_records(draw):
+    """Ids of any text with commas, quotes and line feeds mixed in (csv_text
+    refuses a carriage return), any positive finite follow-up time, and
+    each covariate present or absent, holding any float but NaN (every NaN
+    is written as 'nan', so its payload has no text)."""
+    ids = st.text(st.one_of(st.sampled_from(',"\n '), st.characters(exclude_characters="\r")))
+    times = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    covariates = st.dictionaries(st.sampled_from(_COVARIATES), st.floats(allow_nan=False))
+    n = draw(st.integers(0, 8))
+    return [R(draw(ids), draw(times), draw(st.booleans()), draw(covariates)) for _ in range(n)]
+
+
+@settings(max_examples=200)
+@given(_csv_records())
+def test_cohort_csv_round_trips_ids_and_floats_bit_for_bit(records):
+    back = sv.cohort_from_csv(sv.cohort_to_csv(records))
+    assert [(r.id, _bits(r.time_years), r.event) for r in back] == [
+        (r.id, _bits(r.time_years), r.event) for r in records
+    ]
+    assert [{k: _bits(v) for k, v in r.covariates.items()} for r in back] == [
+        {k: _bits(v) for k, v in r.covariates.items()} for r in records
+    ]
 
 
 def test_cohort_csv_rejects_bad_schema():

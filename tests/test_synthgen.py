@@ -11,7 +11,7 @@ import pytest
 
 from cacxray import synthgen as sg
 from cacxray.dicom import parse_dicom, write_test_dicom
-from cacxray.errors import InvalidConfigError
+from cacxray.errors import InvalidConfigError, MalformedFileError
 from cacxray.survival import SubjectRecord, cohort_to_csv, log_rank
 
 
@@ -202,6 +202,15 @@ def test_write_read_round_trip(tmp_path):
     for s, r in zip(samples, records):
         assert r.time_years == pytest.approx(s.record.time_years, rel=1e-12)
         assert r.event == s.record.event
+
+
+@pytest.mark.parametrize("ids", [[""], ["."], [".."], ["../x"], ["a/b"], ["a\0b"], ["s1", "s2", "s1"]])
+def test_read_dataset_refuses_unsafe_or_repeated_ids_before_reading_images(tmp_path, ids):
+    # no images/ directory: reading any image would raise FileNotFoundError
+    rows = [SubjectRecord(id=sid, time_years=1.0, event=True, covariates={"cac": 0.0}) for sid in ids]
+    (tmp_path / "cohort.csv").write_text(cohort_to_csv(rows))
+    with pytest.raises(MalformedFileError, match="cohort id"):
+        sg.read_dataset(tmp_path)
 
 
 def test_write_dataset_deterministic_bytes(tmp_path):
