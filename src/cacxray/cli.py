@@ -142,6 +142,9 @@ class _EvaluateSection:
             raise InvalidConfigError(f"confidence_level must lie in (0, 1), got {self.confidence_level}")
         if self.bootstrap_resamples < 1:
             raise InvalidConfigError(f"bootstrap_resamples must be at least 1, got {self.bootstrap_resamples}")
+        # 8 MB of resampled AUCs: more adds no precision, and 2**63 of them cannot be allocated
+        if self.bootstrap_resamples > 1_000_000:
+            raise InvalidConfigError(f"bootstrap_resamples must be at most 1000000, got {self.bootstrap_resamples}")
         # truth scores are nonnegative, so a first edge of at most 0 holds them all
         edges = self.calibration_edges
         if not edges or edges[0] > 0 or any(a >= b for a, b in zip(edges, edges[1:])):

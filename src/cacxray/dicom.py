@@ -20,6 +20,7 @@ a partial image.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
@@ -62,7 +63,9 @@ class DicomImage:
     """Decoded single-frame grayscale image plus the tags the pipeline uses.
 
     ``pixels`` holds stored values (pre rescale, pre photometric inversion)
-    as an integer array of shape (rows, cols).
+    as an integer array of shape (rows, cols). From ``parse_dicom`` it is a
+    read-only view of the file's bytes in the stored dtype (``<u1``, ``<i1``,
+    ``<u2`` or ``<i2``), not a copy.
     """
 
     rows: int
@@ -78,8 +81,9 @@ class DicomImage:
     rescale_intercept: float = 0.0
 
     def validate(self) -> None:
-        """Raise MalformedFileError if the fields are not mutually consistent,
-        or UnsupportedPhotometricError for a photometric interpretation other
+        """Raise MalformedFileError if the fields are not mutually consistent
+        or a decimal field (window, rescale) is not finite, or
+        UnsupportedPhotometricError for a photometric interpretation other
         than MONOCHROME1/MONOCHROME2. The header fields are checked before the
         pixel array."""
         if self.rows < 1 or self.cols < 1:
@@ -92,6 +96,9 @@ class DicomImage:
             raise MalformedFileError(f"PixelRepresentation {self.pixel_representation} not in {{0, 1}}")
         if self.photometric not in ("MONOCHROME1", "MONOCHROME2"):
             raise UnsupportedPhotometricError(self.photometric)
+        for el in _ELEMENTS:
+            if el.vr == "DS" and not math.isfinite(getattr(self, el.field)):
+                raise MalformedFileError(f"{el.keyword} must be finite, got {getattr(self, el.field)}")
         if not self.window_width > 0:
             raise MalformedFileError(f"WindowWidth must be positive, got {self.window_width}")
         if self.pixels.shape != (self.rows, self.cols):
@@ -151,16 +158,16 @@ def _name(el: _Element) -> str:
     return f"{el.keyword} {_fmt_tag(el.tag)}"
 
 
-def _decode_us(value: bytes, el: _Element) -> int:
+def _decode_us(value: memoryview, el: _Element) -> int:
     if len(value) != 2:
         raise MalformedFileError(f"element {_name(el)} expected a 2-byte unsigned value, got {len(value)} bytes")
     return struct.unpack("<H", value)[0]
 
 
-def _decode_ds(value: bytes, el: _Element) -> float:
+def _decode_ds(value: memoryview, el: _Element) -> float:
     """Decimal string; multi-valued entries resolve to the first value."""
     try:
-        text = value.decode("ascii")
+        text = str(value, "ascii")
     except UnicodeDecodeError as exc:
         raise MalformedFileError(f"element {_name(el)} is not an ASCII decimal string") from exc
     first = text.split("\\")[0].strip(" \x00")
@@ -175,14 +182,14 @@ def _encode_ds(x: float) -> bytes:
     return _pad_even(repr(float(x)).encode("ascii"), b" ")
 
 
-def _decode_cs(value: bytes, el: _Element) -> str:
+def _decode_cs(value: memoryview, el: _Element) -> str:
     try:
-        return value.decode("ascii").strip(" \x00")
+        return str(value, "ascii").strip(" \x00")
     except UnicodeDecodeError as exc:
         raise MalformedFileError(f"element {_name(el)} is not an ASCII code string") from exc
 
 
-# VR -> (decode(value bytes, element) -> field value, encode(field value) -> bytes).
+# VR -> (decode(value memoryview, element) -> field value, encode(field value) -> bytes).
 # OW carries the raw pixel bytes; _pixels_from_bytes and write_test_dicom
 # convert between those and the pixel array.
 _CODECS = {
@@ -196,7 +203,7 @@ _CODECS = {
 # --- reader ------------------------------------------------------------------
 
 
-def _read_element(r: Reader, explicit: bool) -> tuple[tuple[int, int], bytes]:
+def _read_element(r: Reader, explicit: bool) -> tuple[tuple[int, int], memoryview]:
     tag = r.unpack("HH", "an element tag")
     what = f"element {_fmt_tag(tag)}"
     if explicit:
@@ -219,11 +226,11 @@ def _parse_file_meta(r: Reader) -> str:
     transfer syntax UID."""
     ts = None
     saw_meta = False
-    while r.data.startswith(b"\x02\x00", r.pos):
+    while r.data[r.pos : r.pos + 2] == b"\x02\x00":
         saw_meta = True
         tag, value = _read_element(r, explicit=True)
         if tag == _META_TRANSFER_SYNTAX:
-            ts = value.decode("ascii", "replace").rstrip("\x00 ")
+            ts = str(value, "ascii", "replace").rstrip("\x00 ")
     if not saw_meta:
         raise MalformedFileError("file meta group is missing")
     if ts is None:
@@ -231,8 +238,9 @@ def _parse_file_meta(r: Reader) -> str:
     return ts
 
 
-def _pixels_from_bytes(raw: bytes, fields: dict) -> np.ndarray:
-    """PixelData as an int32 (rows, cols) array. A BitsAllocated and
+def _pixels_from_bytes(raw: memoryview, fields: dict) -> np.ndarray:
+    """PixelData as a (rows, cols) array over ``raw`` itself, in the stored
+    dtype: no copy, and read-only when ``raw`` is. A BitsAllocated and
     PixelRepresentation pair with no pixel layout gives an empty array;
     validate then names the bad field, as it checks the header first."""
     dtype = _PIXEL_DTYPES.get((fields["bits_allocated"], fields["pixel_representation"]))
@@ -245,7 +253,7 @@ def _pixels_from_bytes(raw: bytes, fields: dict) -> np.ndarray:
         raise MalformedFileError(
             f"PixelData holds {len(raw)} bytes, expected {expected} for {rows}x{cols}"
         )
-    return np.frombuffer(raw[:expected], dtype=dtype).reshape(rows, cols).astype(np.int32)
+    return np.frombuffer(raw, dtype=dtype, count=rows * cols).reshape(rows, cols)
 
 
 def parse_dicom(data: bytes) -> DicomImage:
@@ -254,7 +262,11 @@ def parse_dicom(data: bytes) -> DicomImage:
     Raises MalformedFileError (TruncatedFileError when the stream ends inside
     an element), UnsupportedTransferSyntaxError, MissingRequiredTagError, or
     UnsupportedPhotometricError; never returns a partially populated image.
+    The image's pixels are a read-only view of ``data`` when it is ``bytes``;
+    any other buffer is copied once first, so the image never aliases memory
+    the caller can change.
     """
+    data = bytes(data)
     if len(data) < 132 or data[128:132] != b"DICM":
         raise MalformedFileError("missing DICM marker at offset 128")
     r = Reader(data, 132)
@@ -263,7 +275,7 @@ def parse_dicom(data: bytes) -> DicomImage:
         raise UnsupportedTransferSyntaxError(ts)
     explicit = ts == EXPLICIT_VR_LE
 
-    found: dict[tuple[int, int], bytes] = {}
+    found: dict[tuple[int, int], memoryview] = {}
     while r.remaining() > 0:
         tag, value = _read_element(r, explicit)
         if tag in _TAGS:

@@ -16,13 +16,15 @@ class Reader:
     TruncatedFileError naming ``what`` was being read."""
 
     def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = pos
 
     def remaining(self) -> int:
         return len(self.data) - self.pos
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
+        """The next ``n`` bytes as a memoryview slice of the input, not a
+        copy: it changes if a mutable input does."""
         if n < 0 or self.pos + n > len(self.data):
             raise TruncatedFileError(f"file ends inside {what}")
         out = self.data[self.pos : self.pos + n]

@@ -68,7 +68,7 @@ def weights_from_bytes(data: bytes, cfg: DenseNetConfig) -> ModelParams:
     for _ in range(count):
         (name_len,) = r.unpack("H", "a tensor name length")
         try:
-            name = r.take(name_len, "a tensor name").decode("utf-8")
+            name = str(r.take(name_len, "a tensor name"), "utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedFileError(f"tensor name is not UTF-8: {exc}") from exc
         (rank,) = r.unpack("B", f"rank of {name}")

@@ -19,6 +19,8 @@ import cacxray
 from cacxray import cli
 from cacxray.cli import main
 
+from conftest import replace_element_payload
+
 SMALL_INI = """
 [synth]
 n = 32
@@ -437,6 +439,8 @@ def test_huge_integer_exits_2_and_names_the_key(flow, tmp_path, capsys, section,
     ("evaluate", "confidence_level", "1.5", "[evaluate] confidence_level"),
     ("evaluate", "confidence_level", "1", "[evaluate] confidence_level"),
     ("evaluate", "confidence_level", "0", "[evaluate] confidence_level"),
+    ("evaluate", "bootstrap_resamples", "1000001", "[evaluate] bootstrap_resamples"),
+    ("evaluate", "bootstrap_resamples", "9223372036854775807", "[evaluate] bootstrap_resamples"),
     ("survival", "horizon_years", "-1", "[survival] horizon_years"),
     ("survival", "horizon_years", "0", "[survival] horizon_years"),
 ])
@@ -541,6 +545,22 @@ def test_explain_limit_below_one_exits_2_before_out_exists(flow, tmp_path, capsy
                  "--model", str(flow["model"]), "--out", str(out), "--limit", limit]) == 2
     assert "--limit must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tag, payload", [
+    ((0x0028, 0x1050), b"nan   "),  # WindowCenter, written as 2048.0
+    ((0x0028, 0x1051), b"inf   "),  # WindowWidth, written as 4096.0
+    ((0x0028, 0x1053), b"inf "),  # RescaleSlope, written as 1.0
+])
+def test_dataset_image_with_a_non_finite_decimal_exits_4(flow, tmp_path, capsys, tag, payload):
+    data = tmp_path / "data"
+    shutil.copytree(flow["data"], data)
+    image = data / "images" / "s00005.dcm"
+    image.write_bytes(replace_element_payload(image.read_bytes(), tag, payload))
+    rc = main(["evaluate", "--config", str(flow["cfg"]), "--data", str(data),
+               "--model", str(flow["model"]), "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert rc == 4
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_one_class_evaluation_exits_5(flow, tmp_path, capsys):

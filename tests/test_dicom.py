@@ -1,5 +1,7 @@
 """DICOM fixture writer / parser round trips and malformed-input handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,11 @@ def test_absent_optional_element_takes_its_default(tag, field, default):
         ((0x0028, 0x1051), b"0 ", MalformedFileError),  # WindowWidth 0
         ((0x0028, 0x0101), b"\x01\x00", MalformedFileError),  # pixels exceed 1 bit
         (TAG_PHOTOMETRIC, b"PALETTE COLOR ", UnsupportedPhotometricError),
+        (TAG_WINDOW_CENTER, b"nan ", MalformedFileError),
+        ((0x0028, 0x1051), b"inf ", MalformedFileError),  # WindowWidth
+        ((0x0028, 0x1052), b"-inf    ", MalformedFileError),  # RescaleIntercept
+        ((0x0028, 0x1053), b"inf ", MalformedFileError),  # RescaleSlope
+        ((0x0028, 0x1053), b"nan ", MalformedFileError),
     ],
 )
 def test_inconsistent_header_rejected(tag, payload, error):
@@ -190,10 +197,61 @@ def test_writer_runs_the_same_validation():
         (dict(rows=3), MalformedFileError),
         (dict(pixels=np.full((2, 3), 4096)), MalformedFileError),
         (dict(pixels=np.zeros((2, 3))), MalformedFileError),
+        (dict(window_center=float("nan")), MalformedFileError),
+        (dict(window_width=float("inf")), MalformedFileError),
+        (dict(rescale_intercept=float("-inf")), MalformedFileError),
+        (dict(rescale_slope=float("inf")), MalformedFileError),
         (dict(photometric="RGB"), UnsupportedPhotometricError),
     ):
         with pytest.raises(error):
             dicom.write_test_dicom(dicom.DicomImage(**{**_NON_DEFAULT, **change}))
+
+
+_STORED_DTYPES = {(8, 0): "<u1", (8, 1): "<i1", (16, 0): "<u2", (16, 1): "<i2"}
+
+
+@pytest.mark.parametrize("ts", [dicom.EXPLICIT_VR_LE, dicom.IMPLICIT_VR_LE])
+@pytest.mark.parametrize("bits, signed", sorted(_STORED_DTYPES))
+def test_pixels_are_a_read_only_view_in_the_stored_dtype(ts, bits, signed):
+    info = np.iinfo(_STORED_DTYPES[bits, signed])
+    pixels = np.array([[info.min, info.min + 1, 0], [info.max, 7, info.max - 1]], dtype=np.int64)
+    img = dicom.DicomImage(
+        rows=2, cols=3, bits_allocated=bits, bits_stored=bits, pixel_representation=signed,
+        photometric="MONOCHROME2", window_center=0.0, window_width=10.0, pixels=pixels,
+    )
+    data = dicom.write_test_dicom(img, transfer_syntax=ts)
+    back = dicom.parse_dicom(data)
+    assert back.pixels.dtype == np.dtype(_STORED_DTYPES[bits, signed])
+    assert not back.pixels.flags.writeable
+    assert np.array_equal(back.pixels, pixels)
+    assert np.shares_memory(back.pixels, np.frombuffer(data, np.uint8))
+
+
+@pytest.mark.parametrize("wrap", [bytearray, lambda data: memoryview(bytearray(data))])
+def test_pixels_do_not_alias_a_mutable_input(wrap):
+    img = dicom.DicomImage(**_NON_DEFAULT)
+    buf = wrap(dicom.write_test_dicom(img))
+    back = dicom.parse_dicom(buf)
+    buf[-12:] = b"\xff" * 12  # the six 16-bit pixels end the file
+    assert np.array_equal(back.pixels, img.pixels)
+
+
+def test_parsing_allocates_no_copy_of_the_pixels():
+    img = dicom.DicomImage(
+        rows=512, cols=512, bits_allocated=16, bits_stored=12, pixel_representation=0,
+        photometric="MONOCHROME2", window_center=2048.0, window_width=4096.0,
+        pixels=np.random.default_rng(4).integers(0, 4096, (512, 512)),
+    )
+    data = dicom.write_test_dicom(img)
+    tracemalloc.start()
+    try:
+        back = dicom.parse_dicom(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the pixels take 512 KiB; any copy of them would show in the peak
+    assert peak < 64 * 1024
+    assert np.array_equal(back.pixels, img.pixels)
 
 
 def test_cut_inside_an_element_is_a_truncated_file():

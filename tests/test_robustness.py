@@ -1,21 +1,22 @@
 """Damaged input files and the exit-code contract.
 
 Every file the command line reads back from a model directory (weights,
-sidecar, statistics, split) and the cohort file is cut at every byte and has
-every byte replaced in turn by 0x00, 0xff, '"' and ','. Each mutation must
-load or raise an error that ``main`` maps to an exit code; a KeyError,
-TypeError or IndexError would surface as a traceback. The table at the end
-pins the exit code of every error class, and every float range check of the
-library configs must reject NaN.
+sidecar, statistics, split), a DICOM image and the cohort file is cut at
+every byte and has every byte replaced in turn by 0x00, 0xff, '"' and ','.
+Each mutation must load or raise an error that ``main`` maps to an exit
+code; a KeyError, TypeError or IndexError would surface as a traceback. The
+table at the end pins the exit code of every error class, and every float
+range check of the library configs must reject NaN.
 """
 
 import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from cacxray import cli, errors
+from cacxray import cli, dicom, errors
 from cacxray.errors import CacXrayError
 from cacxray.labels import LabelTransform
 from cacxray.model import (
@@ -91,6 +92,16 @@ def test_every_split_mutation_loads_or_exits_4(model_dir):
     path = model_dir / "split.json"
     assert cli._read_test_ids(model_dir) == ["s00001", "s00003"]
     _assert_loads_or_exits_4(path.read_bytes(), _through_file(path, lambda: cli._read_test_ids(model_dir)))
+
+
+@pytest.mark.parametrize("ts", [dicom.EXPLICIT_VR_LE, dicom.IMPLICIT_VR_LE])
+def test_every_dicom_mutation_loads_or_exits_4(ts):
+    img = dicom.DicomImage(
+        rows=2, cols=2, bits_allocated=16, bits_stored=12, pixel_representation=1,
+        photometric="MONOCHROME1", window_center=40.0, window_width=80.0,
+        pixels=np.array([[-2048, 0], [7, 2047]]), rescale_slope=2.0, rescale_intercept=-1024.0,
+    )
+    _assert_loads_or_exits_4(dicom.write_test_dicom(img, transfer_syntax=ts), dicom.parse_dicom)
 
 
 def test_every_cohort_mutation_loads_or_raises_a_mapped_error():
