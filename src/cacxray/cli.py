@@ -271,15 +271,17 @@ def _write_json(path: Path, doc) -> None:
     atomic.write_text(path, json_text(doc) + "\n")
 
 
-def _load_preprocessed(data_dir, pp_cfg: PreprocessConfig):
+def _load_dataset(data_dir):
+    """Ids, parsed images and CAC scores of a dataset directory. Every id and
+    every row's 'cac' column is checked here; each command then preprocesses
+    only the images it uses."""
     ids, dicoms, records = read_dataset(data_dir)
-    crops = [preprocess_uncalibrated(d, pp_cfg) for d in dicoms]
     cacs = []
     for r in records:
         if "cac" not in r.covariates:
             raise InvalidConfigError(f"cohort row {r.id} lacks a 'cac' column")
         cacs.append(float(r.covariates["cac"]))
-    return ids, crops, np.asarray(cacs), records
+    return ids, dicoms, np.asarray(cacs)
 
 
 def _read_text(path: Path) -> str:
@@ -329,7 +331,7 @@ def cmd_synth(args, cfg, out: Path) -> dict | None:
 def cmd_train(args, cfg, out: Path) -> dict:
     tc = cfg["train"]
     frac = tc.train_fraction
-    ids, crops, cacs, _ = _load_preprocessed(args.data, cfg["preprocess"])
+    ids, dicoms, cacs = _load_dataset(args.data)
     n = len(ids)
     split_seed = _seed(cfg, "split")
     perm = np.random.default_rng(split_seed).permutation(n)
@@ -338,9 +340,10 @@ def cmd_train(args, cfg, out: Path) -> dict:
     if n_train < 2:
         raise EmptyDatasetError("training split has fewer than two samples")
 
-    stats = compute_dataset_stats([crops[i] for i in train_idx])
+    crops = [preprocess_uncalibrated(dicoms[i], cfg["preprocess"]) for i in train_idx]
+    stats = compute_dataset_stats(crops)
     lt = fit_label_transform(cacs[train_idx])
-    xtr = [standardize(crops[i], stats) for i in train_idx]
+    xtr = [standardize(crop, stats) for crop in crops]
     ytr = transform(cacs[train_idx], lt)
     params = init_model(cfg["model"], _seed(cfg, "init"))
     fitted, history = train(list(zip(xtr, ytr)), tc, params)
@@ -360,7 +363,7 @@ def cmd_train(args, cfg, out: Path) -> dict:
 def cmd_evaluate(args, cfg, out: Path) -> dict:
     ev = cfg["evaluate"]
     params, lt, stats = _load_model_dir(args.model)
-    ids, crops, cacs, _ = _load_preprocessed(args.data, cfg["preprocess"])
+    ids, dicoms, cacs = _load_dataset(args.data)
 
     if args.split == "internal":
         keep = set(_read_test_ids(args.model))
@@ -373,7 +376,7 @@ def cmd_evaluate(args, cfg, out: Path) -> dict:
     if not sel:
         raise EmptyCohortError("evaluation set is empty")
 
-    x = [standardize(crops[i], stats) for i in sel]
+    x = [standardize(preprocess_uncalibrated(dicoms[i], cfg["preprocess"]), stats) for i in sel]
     scores = predict(params, x)
     samples = [
         ScoredSample(score=float(scores[j]), truth_cac=float(cacs[i]), id=ids[i])
@@ -412,7 +415,8 @@ def cmd_evaluate(args, cfg, out: Path) -> dict:
 
 
 def cmd_crossval(args, cfg, out: Path) -> dict:
-    _, crops, cacs, _ = _load_preprocessed(args.data, cfg["preprocess"])
+    _, dicoms, cacs = _load_dataset(args.data)
+    crops = [preprocess_uncalibrated(d, cfg["preprocess"]) for d in dicoms]
     k = cfg["crossval"].folds
     report = cross_validate(
         crops,
@@ -481,7 +485,7 @@ def cmd_survival(args, cfg, out: Path) -> dict:
 
 def cmd_explain(args, cfg, out: Path) -> dict:
     params, _, stats = _load_model_dir(args.model)
-    ids, crops, _, _ = _load_preprocessed(args.data, cfg["preprocess"])
+    ids, dicoms, _ = _load_dataset(args.data)
     if args.ids:
         wanted = [s.strip() for s in args.ids.split(",") if s.strip()]
         index = {sid: i for i, sid in enumerate(ids)}
@@ -493,7 +497,7 @@ def cmd_explain(args, cfg, out: Path) -> dict:
         sel = list(range(min(len(ids), args.limit)))
     written = []
     for i in sel:
-        x = standardize(crops[i], stats)
+        x = standardize(preprocess_uncalibrated(dicoms[i], cfg["preprocess"]), stats)
         sal = gradcam(params, x)
         map_path, overlay_path = export_saliency(sal, x, out, ids[i])
         written.append(map_path.name)

@@ -306,12 +306,6 @@ def real_values(img: DicomImage, stored: np.ndarray) -> np.ndarray:
     return img.rescale_slope * values + img.rescale_intercept
 
 
-def to_real_image(img: DicomImage) -> np.ndarray:
-    """Stored values -> real-world values (see real_values). Returns float64
-    (rows, cols)."""
-    return real_values(img, img.pixels)
-
-
 # --- writer ------------------------------------------------------------------
 
 

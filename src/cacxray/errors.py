@@ -77,10 +77,6 @@ class NonPositiveWidthError(DegenerateDataError):
     """Window width must be strictly positive."""
 
 
-class CropLargerThanImageError(DegenerateDataError):
-    """Requested centre crop exceeds the image extent."""
-
-
 class DegenerateDatasetError(DegenerateDataError):
     """Pixel statistics without a finite mean and a finite positive standard
     deviation (a pool of zero variance, say); standardization is undefined."""

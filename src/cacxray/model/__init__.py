@@ -10,7 +10,6 @@ from .network import (
     desk_config,
     feature_map_dim,
     forward,
-    gradient_check,
     init_model,
     loss_mae,
     prediction_feature_gradient,
@@ -40,7 +39,6 @@ __all__ = [
     "desk_config",
     "feature_map_dim",
     "forward",
-    "gradient_check",
     "init_model",
     "load_weights",
     "loss_mae",

@@ -49,6 +49,12 @@ class DenseNetConfig:
             raise InvalidConfigError("head_hidden must be positive")
         if not self.block_layers or any(l < 1 for l in self.block_layers):
             raise InvalidConfigError("block_layers must be a nonempty tuple of positives")
+        # DenseNet-264 has 130 dense layers; a layout far deeper, from a damaged
+        # sidecar say, would exhaust memory while its net is built
+        if sum(self.block_layers) > 1000:
+            raise InvalidConfigError(
+                f"block_layers must hold at most 1000 dense layers in total, got {sum(self.block_layers)}"
+            )
         if not 0.0 < self.compression <= 1.0:
             raise InvalidConfigError("compression must lie in (0, 1]")
         if feature_map_dim(self) < 1:
@@ -333,45 +339,3 @@ def prediction_feature_gradient(params: ModelParams, trace: ForwardTrace) -> np.
     dy = np.ones((trace.predictions.shape[0], 1))
     return net.backward_walk(dy, ctx, None, stop_at=net.first_block_index + 1)
 
-
-def gradient_check(
-    params: ModelParams,
-    batch,
-    targets,
-    step: float = 1e-5,
-    freeze_policy: str = "none",
-    max_entries_per_tensor: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Works on a private copy of the parameters. Checks every unfrozen tensor;
-    if ``max_entries_per_tensor`` is set, a seeded sample of entries per
-    tensor, else every entry. Relative error is |a - f| / max(1e-6, |a|, |f|).
-    """
-    work = params.copy()
-    t = np.asarray(targets, dtype=np.float64)
-    trace = forward(work, batch, "train", freeze_policy)
-    grads = backward(work, trace, t)
-    pick_rng = np.random.default_rng(seed)
-    worst = 0.0
-    for name, g in sorted(grads.items()):
-        tensor = work.tensors[name]
-        flat_g = np.asarray(g).ravel()
-        n = tensor.size
-        if max_entries_per_tensor is not None and n > max_entries_per_tensor:
-            idx = pick_rng.choice(n, size=max_entries_per_tensor, replace=False)
-        else:
-            idx = np.arange(n)
-        flat_t = tensor.ravel()
-        for j in idx:
-            orig = flat_t[j]
-            flat_t[j] = orig + step
-            lo_plus = loss_mae(forward(work, batch, "train", freeze_policy).predictions, t)
-            flat_t[j] = orig - step
-            lo_minus = loss_mae(forward(work, batch, "train", freeze_policy).predictions, t)
-            flat_t[j] = orig
-            fd = (lo_plus - lo_minus) / (2.0 * step)
-            rel = abs(flat_g[j] - fd) / max(1e-6, abs(flat_g[j]), abs(fd))
-            worst = max(worst, rel)
-    return worst

@@ -4,7 +4,8 @@ Order is fixed: window clamp -> histogram equalization -> bilinear resize ->
 centre crop -> standardization with pooled dataset statistics. All stages run
 on float64 arrays; nothing is quantized. preprocess_uncalibrated runs the
 stages before the resize once per distinct stored pixel value and resizes
-only the crop window, with the staged chain's bits.
+only the crop window. The staged chain, one stage per call over every pixel,
+is the test oracle in tests/oracles.py, and the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .dicom import DicomImage, real_values
 from .errors import (
-    CropLargerThanImageError,
     DegenerateDatasetError,
     InvalidConfigError,
     MalformedFileError,
@@ -62,22 +62,12 @@ def window(values: np.ndarray, center: float, width: float) -> np.ndarray:
     return np.clip(np.asarray(values, dtype=np.float64), lo, hi)
 
 
-def equalize(values: np.ndarray, levels: int = 256) -> np.ndarray:
-    """Histogram equalization by CDF remap.
-
-    Pixels are binned uniformly over [min, max] into ``levels`` bins and each
-    becomes (levels - 1) * cdf(its bin). Output is real-valued in
-    [0, levels - 1]; a constant image maps to the constant levels - 1.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if levels < 2:
-        raise ValueError("levels must be at least 2")
-    return _equalize_counted(v, None, levels)
-
-
-def _equalize_counted(v: np.ndarray, counts: np.ndarray | None, levels: int) -> np.ndarray:
-    """equalize of an image in which counts[i] pixels hold the value v[i]
-    (one pixel each when counts is None)."""
+def _equalize_counted(v: np.ndarray, counts: np.ndarray, levels: int) -> np.ndarray:
+    """Histogram equalization by CDF remap of an image in which counts[i]
+    pixels hold the value v[i]. The values are binned uniformly over
+    [min, max] into ``levels`` bins and each becomes (levels - 1) * cdf(its
+    bin): real-valued in [0, levels - 1], the constant levels - 1 for a
+    constant image."""
     vmin = float(v.min())
     vmax = float(v.max())
     if vmax == vmin:
@@ -85,8 +75,8 @@ def _equalize_counted(v: np.ndarray, counts: np.ndarray | None, levels: int) -> 
     bins = np.floor((v - vmin) / (vmax - vmin) * levels).astype(np.int64)
     np.clip(bins, 0, levels - 1, out=bins)
     # weighted counts are float sums of integers, exact below 2**53 pixels
-    hist = np.bincount(bins.ravel(), weights=counts, minlength=levels)
-    cdf = np.cumsum(hist) / (v.size if counts is None else counts.sum())
+    hist = np.bincount(bins, weights=counts, minlength=levels)
+    cdf = np.cumsum(hist) / counts.sum()
     return (levels - 1) * cdf[bins]
 
 
@@ -114,8 +104,9 @@ def _window_coords(src: int, dst: int, crop: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _resize_window(values_at, shape: tuple[int, int], dim: int, crop: int) -> np.ndarray:
-    """center_crop(resize_bilinear(v, dim), crop) computed on the crop window
-    only; ``values_at(rows, cols)`` returns float64 v[np.ix_(rows, cols)].
+    """The centre (crop, crop) region of the dim x dim bilinear resize of v,
+    biased toward the top-left when the margin is odd, computed on that
+    window only; ``values_at(rows, cols)`` returns float64 v[np.ix_(rows, cols)].
     Separable: columns first on the source rows the window reads, then rows.
     Per output pixel that is the arithmetic of interpolating the top and the
     bottom source row, then between them, so the bits match."""
@@ -136,20 +127,6 @@ def resize_bilinear(values: np.ndarray, target_dim: int) -> np.ndarray:
     return _resize_window(lambda rows, cols: v[rows].take(cols, axis=1), v.shape, target_dim, target_dim)
 
 
-def center_crop(values: np.ndarray, crop_dim: int) -> np.ndarray:
-    """Take the central (crop_dim, crop_dim) region, biased toward the top-left
-    when the margin is odd."""
-    v = np.asarray(values, dtype=np.float64)
-    h, w = v.shape
-    if crop_dim > h or crop_dim > w:
-        raise CropLargerThanImageError(f"crop {crop_dim} exceeds image {h}x{w}")
-    if crop_dim < 1:
-        raise ValueError("crop_dim must be positive")
-    oy = (h - crop_dim) // 2
-    ox = (w - crop_dim) // 2
-    return v[oy : oy + crop_dim, ox : ox + crop_dim]
-
-
 def compute_dataset_stats(images: list[np.ndarray]) -> DatasetStats:
     """Pooled pixel mean and population standard deviation over all images."""
     if not images:
@@ -167,7 +144,8 @@ def standardize(values: np.ndarray, stats: DatasetStats) -> np.ndarray:
 
 def preprocess_uncalibrated(img: DicomImage, cfg: PreprocessConfig) -> np.ndarray:
     """Every stage before standardization; this is what dataset statistics are
-    computed on. Equal, bit for bit, to
+    computed on. Equal, bit for bit, to the staged chain of the test oracle
+    in tests/oracles.py,
 
         center_crop(resize_bilinear(equalize(window(to_real_image(img), c, w),
             eq_levels), resize_dim), crop_dim)

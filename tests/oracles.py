@@ -1,0 +1,98 @@
+"""Reference implementations that the tests check the package against.
+
+None of these is on a path the package runs.
+
+- ``equalize``, ``center_crop`` and ``to_real_image`` are the staged
+  preprocessing chain, one stage per call over every pixel, sharing no code
+  with the package's preprocessing. Composed as
+  ``center_crop(resize_bilinear(equalize(window(to_real_image(img), c, w),
+  levels), resize_dim), crop_dim)`` they give, bit for bit, what
+  ``preprocess.preprocess_uncalibrated`` computes from one lookup table over
+  the distinct stored values.
+- ``gradient_check`` compares the analytic gradients of ``backward`` with
+  central differences of the loss through ``forward``.
+"""
+
+import numpy as np
+
+from cacxray.dicom import DicomImage
+from cacxray.model import ModelParams, backward, forward, loss_mae
+
+
+def to_real_image(img: DicomImage) -> np.ndarray:
+    """Real-world values of every stored pixel as float64 (rows, cols):
+    MONOCHROME1 is inverted about the largest storable value, then the
+    rescale slope and intercept apply."""
+    values = np.asarray(img.pixels, dtype=np.float64)
+    if img.photometric == "MONOCHROME1":
+        top = 2**img.bits_stored - 1 if img.pixel_representation == 0 else 2 ** (img.bits_stored - 1) - 1
+        values = top - values
+    return img.rescale_slope * values + img.rescale_intercept
+
+
+def equalize(values: np.ndarray, levels: int = 256) -> np.ndarray:
+    """Histogram equalization by CDF remap.
+
+    Pixels are binned uniformly over [min, max] into ``levels`` bins and each
+    becomes (levels - 1) * cdf(its bin). Output is real-valued in
+    [0, levels - 1]; a constant image maps to the constant levels - 1.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    lo, hi = v.min(), v.max()
+    if lo == hi:
+        return np.full(v.shape, float(levels - 1))
+    bins = np.clip(np.floor((v - lo) / (hi - lo) * levels).astype(np.int64), 0, levels - 1)
+    cdf = np.cumsum(np.bincount(bins.ravel(), minlength=levels)) / v.size
+    return (levels - 1) * cdf[bins]
+
+
+def center_crop(values: np.ndarray, crop_dim: int) -> np.ndarray:
+    """The central (crop_dim, crop_dim) region, biased toward the top-left
+    when the margin is odd."""
+    v = np.asarray(values, dtype=np.float64)
+    top = (v.shape[0] - crop_dim) // 2
+    left = (v.shape[1] - crop_dim) // 2
+    return v[top : top + crop_dim, left : left + crop_dim]
+
+
+def gradient_check(
+    params: ModelParams,
+    batch,
+    targets,
+    step: float = 1e-5,
+    freeze_policy: str = "none",
+    max_entries_per_tensor: int | None = None,
+    seed: int = 0,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Works on a private copy of the parameters. Checks every unfrozen tensor;
+    if ``max_entries_per_tensor`` is set, a seeded sample of entries per
+    tensor, else every entry. Relative error is |a - f| / max(1e-6, |a|, |f|).
+    """
+    work = params.copy()
+    t = np.asarray(targets, dtype=np.float64)
+    trace = forward(work, batch, "train", freeze_policy)
+    grads = backward(work, trace, t)
+    pick_rng = np.random.default_rng(seed)
+    worst = 0.0
+    for name, g in sorted(grads.items()):
+        tensor = work.tensors[name]
+        flat_g = np.asarray(g).ravel()
+        n = tensor.size
+        if max_entries_per_tensor is not None and n > max_entries_per_tensor:
+            idx = pick_rng.choice(n, size=max_entries_per_tensor, replace=False)
+        else:
+            idx = np.arange(n)
+        flat_t = tensor.ravel()
+        for j in idx:
+            orig = flat_t[j]
+            flat_t[j] = orig + step
+            lo_plus = loss_mae(forward(work, batch, "train", freeze_policy).predictions, t)
+            flat_t[j] = orig - step
+            lo_minus = loss_mae(forward(work, batch, "train", freeze_policy).predictions, t)
+            flat_t[j] = orig
+            fd = (lo_plus - lo_minus) / (2.0 * step)
+            rel = abs(flat_g[j] - fd) / max(1e-6, abs(flat_g[j]), abs(fd))
+            worst = max(worst, rel)
+    return worst

@@ -241,6 +241,39 @@ def test_evaluate_split_all_uses_whole_dataset(flow, tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["n"] == 32
 
 
+def _count_preprocessing(monkeypatch):
+    calls = []
+    real = cli.preprocess_uncalibrated
+
+    def counted(img, cfg):
+        calls.append(img)
+        return real(img, cfg)
+
+    monkeypatch.setattr(cli, "preprocess_uncalibrated", counted)
+    return calls
+
+
+def test_evaluate_preprocesses_only_the_held_out_images(flow, tmp_path, monkeypatch):
+    calls = _count_preprocessing(monkeypatch)
+    rc = main(["evaluate", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
+               "--model", str(flow["model"]), "--out", str(tmp_path), "--seed", "3"])
+    assert rc == 0
+    n_test = json.loads((flow["model"] / "manifest.json").read_text())["n_test"]
+    assert len(calls) == n_test
+    for name in ("report.json", "pr_curve.csv", "calibration.csv"):
+        assert (tmp_path / name).read_bytes() == (flow["eval"] / name).read_bytes(), name
+
+
+def test_explain_preprocesses_only_the_images_it_explains(flow, tmp_path, monkeypatch):
+    calls = _count_preprocessing(monkeypatch)
+    rc = main(["explain", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
+               "--model", str(flow["model"]), "--out", str(tmp_path), "--limit", "1", "--seed", "3"])
+    assert rc == 0
+    assert len(calls) == 1
+    for name in ("s00000.map.pgm", "s00000.overlay.pgm"):
+        assert (tmp_path / name).read_bytes() == (flow["xp"] / name).read_bytes(), name
+
+
 def test_freeze_policy_comes_from_config(flow, tmp_path):
     cfg = tmp_path / "frozen.ini"
     cfg.write_text(SMALL_INI + "freeze_policy = last_block_and_head\n")
@@ -429,6 +462,8 @@ def test_huge_integer_exits_2_and_names_the_key(flow, tmp_path, capsys, section,
     ("synth", "n", "100001", "[synth] n"),
     ("synth", "n", "9223372036854775807", "[synth] n"),
     ("synth", "baseline_hazard", "1e308", "[synth] baseline_hazard"),
+    ("model", "block_layers", "1001", "[model] block_layers"),
+    ("model", "block_layers", "2000000", "[model] block_layers"),
     ("evaluate", "calibration_edges", "", "[evaluate] calibration_edges"),
     ("evaluate", "calibration_edges", "400,100", "[evaluate] calibration_edges"),
     ("evaluate", "calibration_edges", "100,400", "[evaluate] calibration_edges"),
@@ -617,6 +652,7 @@ _DAMAGED_MODEL_FILES = {
     "sidecar_lacks_label_transform": ("sidecar.json", _sidecar_without("label_transform")),
     "sidecar_is_a_list": ("sidecar.json", lambda text: "[1,2]"),
     "sidecar_block_layers_not_a_list": ("sidecar.json", _sidecar_field("net", "block_layers", 5)),
+    "sidecar_block_layers_too_deep": ("sidecar.json", _sidecar_field("net", "block_layers", [1000000])),
     "sidecar_sigma_log_zero": ("sidecar.json", _sidecar_field("label_transform", "sigma_log", 0)),
     "sidecar_sigma_log_negative": ("sidecar.json", _sidecar_field("label_transform", "sigma_log", -7.66)),
     "sidecar_epsilon_zero": ("sidecar.json", _sidecar_field("label_transform", "epsilon", 0)),

@@ -4,10 +4,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cacxray.errors import InvalidConfigError, ShapeMismatchError, StaleTraceError
 from cacxray.model import network as nw
 from cacxray.model import weights_to_bytes
+from oracles import gradient_check
 
 
 def _batch(rng, n, dim):
@@ -55,6 +57,14 @@ def test_invalid_config_rejected():
             input_dim=64, init_channels=16, growth_rate=8, block_layers=(2, 2),
             compression=1.5, head_hidden=64, use_batchnorm=True,
         )
+
+
+def test_dense_layers_are_bounded_in_total():
+    # the bound sits far above DenseNet-264's 130 and below what exhausts memory
+    assert nw.build_net(nw.DenseNetConfig(input_dim=64, init_channels=2, growth_rate=1, block_layers=(1000,)))
+    for layout in ((1001,), (600, 401), (1000000,)):
+        with pytest.raises(InvalidConfigError, match="at most 1000 dense layers"):
+            nw.DenseNetConfig(block_layers=layout)
 
 
 # --- init ----------------------------------------------------------------------
@@ -239,6 +249,39 @@ def test_freeze_policy_checked_in_eval_mode(tiny_net_cfg):
         nw.forward(p, _batch(np.random.default_rng(7), 1, 8), mode="eval", freeze_policy="everything")
 
 
+# --- batch independence in eval mode --------------------------------------------
+
+@pytest.fixture(scope="module")
+def eval_pool():
+    """Desk init weights with random running moments, a fixed pool of 12
+    images, and each image's prediction and features bytes from a batch-1
+    eval forward."""
+    cfg = nw.desk_config()
+    p = nw.init_model(cfg, seed=13)
+    rng = np.random.default_rng(13)
+    for name, t in p.tensors.items():
+        if name.endswith(".running_mean"):
+            t[...] = rng.uniform(-0.5, 0.5, t.shape)
+        elif name.endswith(".running_var"):
+            t[...] = rng.uniform(0.5, 1.5, t.shape)
+    pool = _batch(rng, 12, cfg.input_dim)
+    alone = []
+    for x in pool:
+        trace = nw.forward(p, [x], mode="eval")
+        alone.append((trace.predictions.tobytes(), trace.features.tobytes()))
+    return p, pool, alone
+
+
+@settings(max_examples=50)
+@given(picks=st.lists(st.integers(0, 11), min_size=1, max_size=16))
+def test_eval_prediction_does_not_depend_on_its_batch(eval_pool, picks):
+    # any batch of pool images, repeats allowed, in any order
+    p, pool, alone = eval_pool
+    trace = nw.forward(p, [pool[i] for i in picks], mode="eval")
+    for j, i in enumerate(picks):
+        assert (trace.predictions[j : j + 1].tobytes(), trace.features[j : j + 1].tobytes()) == alone[i], (j, i)
+
+
 # --- gradient checks --------------------------------------------------------------
 
 GRAD_CONFIGS = [
@@ -258,5 +301,5 @@ def test_gradients_match_finite_differences(label, overrides, policy, seed):
     rng = np.random.default_rng(seed)
     batch = _batch(rng, 2, 8)
     targets = rng.standard_normal(2)
-    err = nw.gradient_check(p, batch, targets, step=1e-5, freeze_policy=policy)
+    err = gradient_check(p, batch, targets, step=1e-5, freeze_policy=policy)
     assert err < 1e-4, f"{label}: max relative error {err:.3e}"

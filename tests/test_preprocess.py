@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from cacxray import dicom, preprocess as pp, synthgen as sg
 from cacxray.errors import (
-    CropLargerThanImageError,
     DegenerateDatasetError,
     InvalidConfigError,
     MalformedFileError,
@@ -18,6 +17,7 @@ from cacxray.errors import (
 )
 
 from conftest import random_dicom
+from oracles import center_crop, equalize, to_real_image
 
 
 # --- window ---------------------------------------------------------------------
@@ -41,17 +41,17 @@ def test_window_rejects_nonpositive_width():
         pp.window(np.zeros(3), center=0.0, width=0.0)
 
 
-# --- equalize -------------------------------------------------------------------
+# --- equalize: the oracle, which the value-table property below holds the package to
 
 def test_equalize_constant_image_is_constant():
-    out = pp.equalize(np.full((3, 3), 7.0), 256)
+    out = equalize(np.full((3, 3), 7.0), 256)
     assert np.ptp(out) == 0.0
 
 
 def test_equalize_two_pixel_cdf_remap():
     # bins: pixel 0 holds half the mass, pixel 1 the rest; the remap sends
     # cdf to [0, 255], so the span is 255 * (1 - 0.5)
-    out = pp.equalize(np.array([[0.0, 1.0]]), 256)
+    out = equalize(np.array([[0.0, 1.0]]), 256)
     assert out[0, 0] < out[0, 1]
     assert out.max() - out.min() == pytest.approx(127.5, abs=1e-12)
     assert out[0, 1] == 255.0
@@ -59,7 +59,7 @@ def test_equalize_two_pixel_cdf_remap():
 
 def test_equalize_uniform_ramp_is_affine_in_rank():
     ramp = np.arange(16.0).reshape(4, 4)
-    out = pp.equalize(ramp, 16)
+    out = equalize(ramp, 16)
     # brute-force CDF: each of the 16 bins holds one pixel
     cdf = (np.arange(16) + 1) / 16.0
     assert np.allclose(out.ravel(), cdf * 15.0, atol=1e-12)
@@ -75,7 +75,7 @@ def test_monotonicity_on_random_images(op):
         if op == "window":
             out = pp.window(img, center=rng.uniform(0, 2000), width=rng.uniform(1, 3000))
         else:
-            out = pp.equalize(img, int(rng.integers(2, 300)))
+            out = equalize(img, int(rng.integers(2, 300)))
         order = np.argsort(img.ravel(), kind="stable")
         assert np.all(np.diff(out.ravel()[order]) >= 0)
         # equal inputs must map to equal outputs
@@ -123,19 +123,15 @@ def test_resize_output_within_input_range():
     assert out.min() >= img.min() - 1e-12 and out.max() <= img.max() + 1e-12
 
 
-# --- crop -----------------------------------------------------------------------
+# --- crop: the oracle -------------------------------------------------------------
 
 def test_center_crop_identity_and_offsets():
     img4 = np.arange(16.0).reshape(4, 4)
-    assert np.array_equal(pp.center_crop(img4, 4), img4)
-    assert np.array_equal(pp.center_crop(img4, 2), img4[1:3, 1:3])
+    assert np.array_equal(center_crop(img4, 4), img4)
+    assert np.array_equal(center_crop(img4, 2), img4[1:3, 1:3])
     img5 = np.arange(25.0).reshape(5, 5)
-    assert np.array_equal(pp.center_crop(img5, 2), img5[1:3, 1:3])
+    assert np.array_equal(center_crop(img5, 2), img5[1:3, 1:3])
 
-
-def test_center_crop_rejects_oversize():
-    with pytest.raises(CropLargerThanImageError):
-        pp.center_crop(np.zeros((3, 3)), 4)
 
 
 # --- dataset stats / standardize -------------------------------------------------
@@ -310,9 +306,9 @@ def _preprocess_configs(draw):
 @given(_dicom_images(), _preprocess_configs())
 def test_value_table_path_equals_the_staged_chain(img, cfg):
     img.validate()
-    staged = pp.center_crop(
+    staged = center_crop(
         pp.resize_bilinear(
-            pp.equalize(pp.window(dicom.to_real_image(img), img.window_center, img.window_width), cfg.eq_levels),
+            equalize(pp.window(to_real_image(img), img.window_center, img.window_width), cfg.eq_levels),
             cfg.resize_dim,
         ),
         cfg.crop_dim,

@@ -145,7 +145,6 @@ EXIT_CODES = {
     errors.ConstantCovariateError: 5,
     errors.DivergedError: 5,
     errors.NonPositiveWidthError: 5,
-    errors.CropLargerThanImageError: 5,
     errors.StaleTraceError: 5,
     errors.NegativeStatisticError: 5,
 }
@@ -158,7 +157,7 @@ _CATEGORIES = {
 def test_exit_code_table_covers_every_error_class():
     defined = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, CacXrayError)}
     assert set(EXIT_CODES) == defined - _CATEGORIES
-    assert len(EXIT_CODES) == 26
+    assert len(EXIT_CODES) == 25
 
 
 @pytest.mark.parametrize(

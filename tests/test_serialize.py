@@ -100,3 +100,10 @@ def test_sidecar_rejects_invalid_label_transform(tiny_net_cfg, key, value):
     doc["label_transform"][key] = value
     with pytest.raises(MalformedFileError, match=key):
         sidecar_from_json(json.dumps(doc))
+
+
+def test_sidecar_rejects_a_layout_too_deep_to_build(tiny_net_cfg):
+    doc = json.loads(sidecar_to_json(tiny_net_cfg, LabelTransform(mu_log=1.25, sigma_log=0.75)))
+    doc["net"]["block_layers"] = [1000000]
+    with pytest.raises(MalformedFileError, match="block_layers"):
+        sidecar_from_json(json.dumps(doc))
