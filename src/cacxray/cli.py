@@ -216,7 +216,8 @@ def _load_config(args) -> dict:
     """Each section built from its preset with the --config values parsed
     over it, [run] seed replaced by --seed and [crossval] folds by --folds
     when given, and the derived seeds filled in. A value its section rejects,
-    or an explain --limit below 1, raises InvalidConfigError."""
+    a [model] input_dim other than [preprocess] crop_dim for a command that
+    builds a net, or an explain --limit below 1, raises InvalidConfigError."""
     if getattr(args, "limit", 1) < 1:
         raise InvalidConfigError(f"--limit must be at least 1, got {args.limit}")
     values = {sect: {} for sect in _PRESETS}
@@ -247,6 +248,10 @@ def _load_config(args) -> dict:
             cfg[sect] = replace(preset, **values[sect])
         except InvalidConfigError as exc:
             raise InvalidConfigError(f"[{sect}] {exc}") from exc
+    # train and crossval build a net from [model], and its input is the crop
+    input_dim, crop_dim = cfg["model"].input_dim, cfg["preprocess"].crop_dim
+    if args.command in ("train", "crossval") and input_dim != crop_dim:
+        raise InvalidConfigError(f"[model] input_dim {input_dim} must equal [preprocess] crop_dim {crop_dim}")
     return cfg
 
 

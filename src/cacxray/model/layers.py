@@ -2,10 +2,16 @@
 
 Everything runs in float64 on (N, C, H, W) arrays so analytic gradients can be
 verified against central finite differences. Layers never mutate their input
-activations. For the backward pass, a stride-1 convolution caches its input
-as a zero-padded channels-last copy, and a strided convolution caches its
-im2col matrix. The only strided convolution is the stem, whose input is the
-image, so its backward computes the weight gradient only.
+activations, and an input may be a view, such as the leading channels of a
+dense block's feature buffer. For the backward pass, a stride-1 convolution
+caches its input as a zero-padded channels-last copy, and a strided
+convolution caches its im2col matrix. The only strided convolution is the
+stem, whose input is the image, so its backward computes the weight gradient
+only. Batch normalization caches its input itself with the moments it used,
+which costs nothing when that input is a view into a dense block's buffer,
+and recomputes the normalized input in backward. A layer only reads its
+cache in backward, so a backward can run twice on one cache; the network
+drops each cache once its backward walk has passed the layer.
 
 Parameter naming: each layer owns entries in a flat ``tensors`` dict under its
 dotted name, e.g. ``block0.layer1.conv2.w`` or ``head.fc1.b``. Weight decay
@@ -195,8 +201,13 @@ class BatchNorm2d(Layer):
     Train mode normalizes by biased batch statistics and updates the running
     moments in place; eval mode normalizes by the stored running moments and
     leaves them untouched. ``ctx.mode`` alone picks the branch, in forward
-    and in backward.
+    and in backward. The cache is the input with the mean and inverse
+    standard deviation it was normalized by; backward recomputes the
+    normalized input from them only where it reads it, in train mode or for
+    parameter gradients.
     """
+
+    AXES = (0, 2, 3)
 
     def __init__(self, name: str, channels: int):
         super().__init__(name)
@@ -217,42 +228,46 @@ class BatchNorm2d(Layer):
         tensors[self.rmname] = np.zeros(c)
         tensors[self.rvname] = np.ones(c)
 
+    def _channels(self, ctx, name):
+        return ctx.tensors[name][None, :, None, None]
+
     def forward(self, x, ctx):
-        g = ctx.tensors[self.gname]
-        b = ctx.tensors[self.bname]
         if ctx.mode == "train":
-            m = x.mean(axis=(0, 2, 3))
-            v = x.var(axis=(0, 2, 3))
-            rm = ctx.tensors[self.rmname]
-            rv = ctx.tensors[self.rvname]
-            rm *= 1.0 - BN_MOMENTUM
-            rm += BN_MOMENTUM * m
-            rv *= 1.0 - BN_MOMENTUM
-            rv += BN_MOMENTUM * v
+            # one pass for the mean, one for the variance of the centred input:
+            # the same sums np.mean and np.var take, without np.var's second mean
+            nel = x.shape[0] * x.shape[2] * x.shape[3]
+            m = np.add.reduce(x, axis=self.AXES, keepdims=True) / nel
+            d = x - m
+            v = np.add.reduce(d * d, axis=self.AXES, keepdims=True) / nel
+            for name, moment in ((self.rmname, m), (self.rvname, v)):
+                running = ctx.tensors[name]
+                running *= 1.0 - BN_MOMENTUM
+                running += BN_MOMENTUM * moment.ravel()
         else:
-            m = ctx.tensors[self.rmname].copy()
-            v = ctx.tensors[self.rvname].copy()
+            # a copy, so the cache keeps the moments this pass read
+            m = self._channels(ctx, self.rmname).copy()
+            v = self._channels(ctx, self.rvname)
+            d = x - m
         inv = 1.0 / np.sqrt(v + BN_EPS)
-        xhat = (x - m[None, :, None, None]) * inv[None, :, None, None]
-        ctx.caches[self.name] = (xhat, inv)
-        return g[None, :, None, None] * xhat + b[None, :, None, None]
+        xhat = d  # normalized in place: d is not read again
+        xhat *= inv
+        ctx.caches[self.name] = (x, m, inv)
+        return self._channels(ctx, self.gname) * xhat + self._channels(ctx, self.bname)
 
     def backward(self, dy, ctx, grads):
-        xhat, inv = ctx.caches[self.name]
-        g = ctx.tensors[self.gname]
-        axes = (0, 2, 3)
+        x, m, inv = ctx.caches[self.name]
+        train = ctx.mode == "train"
+        xhat = (x - m) * inv if train or grads is not None else None
         if grads is not None:
-            grads[self.gname] = grads.get(self.gname, 0.0) + np.sum(dy * xhat, axis=axes)
-            grads[self.bname] = grads.get(self.bname, 0.0) + np.sum(dy, axis=axes)
-        dxhat = dy * g[None, :, None, None]
-        if ctx.mode != "train":
-            return dxhat * inv[None, :, None, None]
+            grads[self.gname] = grads.get(self.gname, 0.0) + np.sum(dy * xhat, axis=self.AXES)
+            grads[self.bname] = grads.get(self.bname, 0.0) + np.sum(dy, axis=self.AXES)
+        dxhat = dy * self._channels(ctx, self.gname)
+        if not train:
+            return dxhat * inv
         nel = dy.shape[0] * dy.shape[2] * dy.shape[3]
-        s1 = np.sum(dxhat, axis=axes)
-        s2 = np.sum(dxhat * xhat, axis=axes)
-        return (inv[None, :, None, None] / nel) * (
-            nel * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None]
-        )
+        s1 = np.sum(dxhat, axis=self.AXES, keepdims=True)
+        s2 = np.sum(dxhat * xhat, axis=self.AXES, keepdims=True)
+        return (inv / nel) * (nel * dxhat - s1 - xhat * s2)
 
 
 class ReLU(Layer):

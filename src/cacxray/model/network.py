@@ -6,8 +6,14 @@ floor(compression * channels) followed by 2x2 average pooling), global average
 pooling, a hidden fully connected layer with ReLU, and a single linear output.
 Each dense layer is a plain list [BN] -> ReLU -> 1x1 conv (4 * growth
 channels) -> [BN] -> ReLU -> 3x3 conv (growth channels) that its dense block
-runs, concatenating the output onto the running feature stack. The entries'
-``layers``, in order, give the parameter listing order.
+runs. A block keeps one feature buffer as wide as its output: each layer
+reads the channels before its own as a view and writes its growth channels
+after them, so the concatenation copies nothing (Pleiss et al. 2017,
+"Memory-Efficient Implementation of DenseNets", arXiv:1707.06990). The
+entries' ``layers``, in order, give the parameter listing order.
+
+A backward walk drops each layer's cache as soon as it has passed that
+layer, so a trace serves one walk.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .layers import (
 )
 
 FREEZE_POLICIES = ("none", "last_block_and_head")
+WIDTH_BOUNDS = {"input_dim": 65535, "init_channels": 1024, "growth_rate": 1024, "head_hidden": 4096}
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,12 @@ class DenseNetConfig:
             raise InvalidConfigError("input_dim, init_channels and growth_rate must be positive")
         if self.head_hidden < 1:
             raise InvalidConfigError("head_hidden must be positive")
+        # DenseNet-264 starts at 64 channels and grows by 32, and 65535 is the
+        # largest side a DICOM image has; widths far beyond these, from a
+        # damaged sidecar say, would exhaust memory when the weights are drawn
+        for key, bound in WIDTH_BOUNDS.items():
+            if getattr(self, key) > bound:
+                raise InvalidConfigError(f"{key} must be at most {bound}, got {getattr(self, key)}")
         if not self.block_layers or any(l < 1 for l in self.block_layers):
             raise InvalidConfigError("block_layers must be a nonempty tuple of positives")
         # DenseNet-264 has 130 dense layers; a layout far deeper, from a damaged
@@ -102,7 +115,12 @@ class ModelParams:
 
 @dataclass(eq=False)
 class ForwardTrace:
-    """Everything backward needs to replay a forward pass."""
+    """Everything backward needs to replay a forward pass.
+
+    A trace serves one backward walk: ``backward`` or
+    ``prediction_feature_gradient`` drops the caches as it walks past them
+    and marks the trace spent, and a second walk raises StaleTraceError.
+    """
 
     predictions: np.ndarray  # (N,)
     features: np.ndarray  # first dense block output (N, C, h, w), the finest block grid
@@ -111,14 +129,25 @@ class ForwardTrace:
     caches: dict
     params_id: int
     params_version: int
+    spent: bool = False
+
+
+def _release(ctx: RunCtx, layers) -> None:
+    """Drop the backward state of ``layers``: the walk has passed them."""
+    for layer in layers:
+        ctx.caches.pop(layer.name, None)
 
 
 class _DenseBlock:
-    """Dense layers, each a plain list [bn1] relu1 conv1 [bn2] relu2 conv2
-    whose output is concatenated onto the running feature stack."""
+    """Dense layers, each a plain list [bn1] relu1 conv1 [bn2] relu2 conv2,
+    sharing one feature buffer: a layer reads the channels before its own
+    and writes its growth channels after them."""
 
     def __init__(self, name: str, c_in: int, n_layers: int, growth: int, use_bn: bool):
         self.name = name
+        self.c_in = c_in
+        self.growth = growth
+        self.c_out = c_in + n_layers * growth
         inner = 4 * growth
         # (input width, layer list) of each dense layer
         self.dense_layers = []
@@ -133,20 +162,26 @@ class _DenseBlock:
         self.layers = [layer for _, seq in self.dense_layers for layer in seq]
 
     def forward(self, x, ctx):
-        for _, seq in self.dense_layers:
-            new = x
+        n, _, h, w = x.shape
+        buf = np.empty((n, self.c_out, h, w))
+        buf[:, : self.c_in] = x
+        for c, seq in self.dense_layers:
+            new = buf[:, :c]
             for layer in seq:
                 new = layer.forward(new, ctx)
-            x = np.concatenate([x, new], axis=1)
-        return x
+            buf[:, c : c + self.growth] = new
+        return buf
 
     def backward(self, dy, ctx, grads):
+        # dy is the walk's own gradient of the buffer: each layer's input
+        # gradient adds into it in place
         for c, seq in reversed(self.dense_layers):
-            d = dy[:, c:]
+            d = dy[:, c : c + self.growth]
             for layer in reversed(seq):
                 d = layer.backward(d, ctx, grads)
-            dy = dy[:, :c] + d
-        return dy
+            dy[:, :c] += d
+            _release(ctx, seq)
+        return dy[:, : self.c_in]
 
 
 class _Transition:
@@ -173,12 +208,13 @@ class _Net:
         c = cfg.init_channels
         n_blocks = len(cfg.block_layers)
         for b, n_layers in enumerate(cfg.block_layers):
-            entries.append(_DenseBlock(f"block{b}", c, n_layers, cfg.growth_rate, cfg.use_batchnorm))
+            block = _DenseBlock(f"block{b}", c, n_layers, cfg.growth_rate, cfg.use_batchnorm)
+            entries.append(block)
             if b == 0:
                 self.first_block_index = len(entries) - 1
             if b == n_blocks - 1:
                 self.last_block_index = len(entries) - 1
-            c += n_layers * cfg.growth_rate
+            c = block.c_out
             if b < n_blocks - 1:
                 c_out = int(np.floor(cfg.compression * c))
                 entries.append(_Transition(f"trans{b}", c, c_out))
@@ -203,6 +239,7 @@ class _Net:
     def backward_walk(self, dy, ctx, grads, stop_at: int):
         for i in range(len(self.entries) - 1, stop_at - 1, -1):
             dy = self.entries[i].backward(dy, ctx, grads)
+            _release(ctx, self.entries[i].layers)
         return dy
 
 
@@ -284,6 +321,15 @@ def forward(params: ModelParams, batch, mode: str = "eval", freeze_policy: str =
 def _check_trace(params: ModelParams, trace: ForwardTrace) -> None:
     if trace.params_id != id(params) or trace.params_version != params.version:
         raise StaleTraceError("trace was produced by different (or since-updated) parameters")
+    if trace.spent:
+        raise StaleTraceError("trace was spent by an earlier backward walk")
+
+
+def _walk(params: ModelParams, trace: ForwardTrace, dy, grads, stop_at: int) -> np.ndarray:
+    """Walk back from the output to entry ``stop_at``, spending the trace."""
+    trace.spent = True
+    ctx = RunCtx(tensors=params.tensors, mode=trace.mode, caches=trace.caches)
+    return build_net(params.cfg).backward_walk(dy, ctx, grads, stop_at)
 
 
 def loss_mae(predictions: np.ndarray, targets) -> float:
@@ -306,7 +352,8 @@ def backward(params: ModelParams, trace: ForwardTrace, targets) -> dict[str, np.
     """Gradients of the MAE objective for every unfrozen parameter.
 
     The trace must come from a train-mode forward on these exact params
-    (no optimizer step in between), otherwise StaleTraceError.
+    (no optimizer step in between) that no walk has spent, otherwise
+    StaleTraceError.
     """
     _check_trace(params, trace)
     if trace.mode != "train":
@@ -314,11 +361,9 @@ def backward(params: ModelParams, trace: ForwardTrace, targets) -> dict[str, np.
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != trace.predictions.shape:
         raise ValueError(f"targets {t.shape} do not match predictions {trace.predictions.shape}")
-    net = build_net(params.cfg)
-    ctx = RunCtx(tensors=params.tensors, mode=trace.mode, caches=trace.caches)
     dy = _loss_grad(trace.predictions, t)[:, None]
     grads: dict[str, np.ndarray] = {}
-    net.backward_walk(dy, ctx, grads, stop_at=_first_trained(net, trace.freeze_policy))
+    _walk(params, trace, dy, grads, _first_trained(build_net(params.cfg), trace.freeze_policy))
     return grads
 
 
@@ -329,13 +374,12 @@ def prediction_feature_gradient(params: ModelParams, trace: ForwardTrace) -> np.
     Samples are independent above it in eval mode (BN reads running moments),
     so each slice [i] is the gradient of prediction i alone. Shape matches
     trace.features. Parameter gradients are not computed. The trace must come
-    from an eval-mode forward on these exact params, otherwise StaleTraceError.
+    from an eval-mode forward on these exact params that no walk has spent,
+    otherwise StaleTraceError.
     """
     _check_trace(params, trace)
     if trace.mode != "eval":
         raise StaleTraceError("feature gradients need an eval-mode trace")
-    net = build_net(params.cfg)
-    ctx = RunCtx(tensors=params.tensors, mode=trace.mode, caches=trace.caches)
     dy = np.ones((trace.predictions.shape[0], 1))
-    return net.backward_walk(dy, ctx, None, stop_at=net.first_block_index + 1)
+    return _walk(params, trace, dy, None, build_net(params.cfg).first_block_index + 1)
 

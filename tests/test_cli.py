@@ -464,6 +464,11 @@ def test_huge_integer_exits_2_and_names_the_key(flow, tmp_path, capsys, section,
     ("synth", "baseline_hazard", "1e308", "[synth] baseline_hazard"),
     ("model", "block_layers", "1001", "[model] block_layers"),
     ("model", "block_layers", "2000000", "[model] block_layers"),
+    ("model", "growth_rate", "1000000000", "[model] growth_rate"),
+    ("model", "growth_rate", "1025", "[model] growth_rate"),
+    ("model", "init_channels", "1025", "[model] init_channels"),
+    ("model", "head_hidden", "4097", "[model] head_hidden"),
+    ("model", "input_dim", "65536", "[model] input_dim"),
     ("evaluate", "calibration_edges", "", "[evaluate] calibration_edges"),
     ("evaluate", "calibration_edges", "400,100", "[evaluate] calibration_edges"),
     ("evaluate", "calibration_edges", "100,400", "[evaluate] calibration_edges"),
@@ -485,6 +490,17 @@ def test_out_of_range_value_exits_2_and_names_the_key(flow, tmp_path, capsys, se
     argv = [a.format(data=flow["data"], model=flow["model"]) for a in _SECTION_COMMANDS[section]]
     assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "crossval"])
+def test_input_dim_other_than_crop_dim_exits_2(flow, tmp_path, capsys, command):
+    cfg = tmp_path / "dims.ini"
+    cfg.write_text(SMALL_INI.replace("input_dim = 16", "input_dim = 32"))
+    rc = main([command, "--config", str(cfg), "--data", str(flow["data"]), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "[model] input_dim 32" in err and "[preprocess] crop_dim 16" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -653,6 +669,7 @@ _DAMAGED_MODEL_FILES = {
     "sidecar_is_a_list": ("sidecar.json", lambda text: "[1,2]"),
     "sidecar_block_layers_not_a_list": ("sidecar.json", _sidecar_field("net", "block_layers", 5)),
     "sidecar_block_layers_too_deep": ("sidecar.json", _sidecar_field("net", "block_layers", [1000000])),
+    "sidecar_growth_rate_too_wide": ("sidecar.json", _sidecar_field("net", "growth_rate", 1000000000)),
     "sidecar_sigma_log_zero": ("sidecar.json", _sidecar_field("label_transform", "sigma_log", 0)),
     "sidecar_sigma_log_negative": ("sidecar.json", _sidecar_field("label_transform", "sigma_log", -7.66)),
     "sidecar_epsilon_zero": ("sidecar.json", _sidecar_field("label_transform", "epsilon", 0)),

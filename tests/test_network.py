@@ -67,6 +67,17 @@ def test_dense_layers_are_bounded_in_total():
             nw.DenseNetConfig(block_layers=layout)
 
 
+def test_widths_are_bounded():
+    # DenseNet-264 and DenseNet-161 widths at the paper's input size build
+    for widths in (dict(growth_rate=32, block_layers=(6, 12, 64, 48)), dict(init_channels=96, growth_rate=48)):
+        assert nw.DenseNetConfig(input_dim=1024, **widths)
+    assert nw.DenseNetConfig(input_dim=65535, init_channels=1024, growth_rate=1024, head_hidden=4096)
+    for key, value in (("input_dim", 65536), ("init_channels", 1025), ("growth_rate", 1025),
+                       ("growth_rate", 1000000000), ("head_hidden", 4097)):
+        with pytest.raises(InvalidConfigError, match=f"{key} must be at most"):
+            nw.DenseNetConfig(**{key: value})
+
+
 # --- init ----------------------------------------------------------------------
 
 def test_init_deterministic_bitwise(tiny_net_cfg):
@@ -187,6 +198,26 @@ def test_feature_gradient_requires_eval_mode_trace(tiny_net_cfg):
         nw.prediction_feature_gradient(p, trace)
 
 
+def test_backward_spends_its_trace(tiny_net_cfg):
+    p = nw.init_model(tiny_net_cfg, seed=7)
+    trace = nw.forward(p, _batch(np.random.default_rng(4), 2, 8), mode="train")
+    nw.backward(p, trace, np.array([0.3, -0.1]))
+    assert trace.spent and not trace.caches  # the walk dropped every cache it passed
+    with pytest.raises(StaleTraceError, match="spent"):
+        nw.backward(p, trace, np.array([0.3, -0.1]))
+
+
+def test_feature_gradient_spends_its_trace(tiny_net_cfg):
+    p = nw.init_model(tiny_net_cfg, seed=7)
+    trace = nw.forward(p, _batch(np.random.default_rng(4), 2, 8), mode="eval")
+    nw.prediction_feature_gradient(p, trace)
+    # the walk stops above the first block, so only the state below it is left
+    assert trace.spent and trace.caches
+    assert all(name.startswith(("stem.", "block0.")) for name in trace.caches)
+    with pytest.raises(StaleTraceError, match="spent"):
+        nw.prediction_feature_gradient(p, trace)
+
+
 def test_backward_rejects_stale_trace(tiny_net_cfg):
     from cacxray.model.training import sgd_step
 
@@ -288,6 +319,9 @@ GRAD_CONFIGS = [
     ("bn_on", dict(use_batchnorm=True, block_layers=(1,), compression=1.0), "none", 10),
     ("bn_off", dict(use_batchnorm=False, block_layers=(2,), compression=0.5), "none", 11),
     ("frozen", dict(use_batchnorm=True, block_layers=(1, 1), compression=0.5), "last_block_and_head", 12),
+    # three dense layers in one block: each layer's input gradient adds into
+    # the gradient of the channels the earlier layers wrote
+    ("bn_on_deep", dict(use_batchnorm=True, block_layers=(3,), compression=1.0), "none", 13),
 ]
 
 
@@ -303,3 +337,41 @@ def test_gradients_match_finite_differences(label, overrides, policy, seed):
     targets = rng.standard_normal(2)
     err = gradient_check(p, batch, targets, step=1e-5, freeze_policy=policy)
     assert err < 1e-4, f"{label}: max relative error {err:.3e}"
+
+
+# --- bits of a train step through deep dense blocks ---------------------------------
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# taken before the dense blocks shared one feature buffer
+DEEP_BLOCK_DIGESTS = {
+    True: "548fe1c36da87d48689af7c55fd5fcfedc27bded84f11e25e2aefc66d27cdc01",
+    False: "fed71c477f29b097f6f5eea7e1cc2de513331e494a2618ca587d5cec5bcb719e",
+}
+
+
+@pytest.mark.parametrize("use_bn", [True, False])
+def test_deep_block_train_step_bits_are_pinned(use_bn):
+    # several dense layers per block, so every layer reads a stack that
+    # earlier layers grew, and its input gradient adds into theirs
+    cfg = nw.DenseNetConfig(
+        input_dim=16, init_channels=4, growth_rate=3, block_layers=(3, 4),
+        compression=0.5, head_hidden=5, use_batchnorm=use_bn,
+    )
+    p = nw.init_model(cfg, seed=31)
+    rng = np.random.default_rng(31)
+    batch = _batch(rng, 3, cfg.input_dim)
+    trace = nw.forward(p, batch, mode="train")
+    grads = nw.backward(p, trace, rng.standard_normal(3))
+    moments = [t for name, t in p.tensors.items() if name.endswith((".running_mean", ".running_var"))]
+    assert len(moments) == (4 * sum(cfg.block_layers) if use_bn else 0)
+    evaluated = nw.forward(p, batch, mode="eval")
+    feature_grad = nw.prediction_feature_gradient(p, evaluated)
+    parts = [grads[name] for name in sorted(grads)] + [trace.predictions] + moments
+    parts += [evaluated.predictions, evaluated.features, feature_grad]
+    assert _digest(parts) == DEEP_BLOCK_DIGESTS[use_bn]
