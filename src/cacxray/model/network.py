@@ -12,8 +12,9 @@ after them, so the concatenation copies nothing (Pleiss et al. 2017,
 "Memory-Efficient Implementation of DenseNets", arXiv:1707.06990). The
 entries' ``layers``, in order, give the parameter listing order.
 
-A backward walk drops each layer's cache as soon as it has passed that
-layer, so a trace serves one walk.
+A forward keeps backward state only for the entries that its trace's one
+backward walk reaches (see ForwardTrace), and the walk drops each layer's
+cache as soon as it has passed that layer.
 """
 
 from __future__ import annotations
@@ -117,17 +118,19 @@ class ModelParams:
 class ForwardTrace:
     """Everything backward needs to replay a forward pass.
 
-    A trace serves one backward walk: ``backward`` or
-    ``prediction_feature_gradient`` drops the caches as it walks past them
-    and marks the trace spent, and a second walk raises StaleTraceError.
+    A trace serves one backward walk, which ends at entry ``walk_to``: the
+    first trained entry in train mode, the one after the first dense block
+    in eval mode. ``caches`` holds the backward state of the entries from
+    ``walk_to`` on, which the walk drops as it passes them; a second walk, or
+    one on other ``params`` than the trace holds, raises StaleTraceError.
     """
 
     predictions: np.ndarray  # (N,)
     features: np.ndarray  # first dense block output (N, C, h, w), the finest block grid
     mode: str
-    freeze_policy: str
+    walk_to: int  # index into the net's entries
     caches: dict
-    params_id: int
+    params: ModelParams
     params_version: int
     spent: bool = False
 
@@ -236,12 +239,6 @@ class _Net:
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return [shape for layer in self.param_layers() for shape in layer.param_shapes()]
 
-    def backward_walk(self, dy, ctx, grads, stop_at: int):
-        for i in range(len(self.entries) - 1, stop_at - 1, -1):
-            dy = self.entries[i].backward(dy, ctx, grads)
-            _release(ctx, self.entries[i].layers)
-        return dy
-
 
 @functools.lru_cache(maxsize=16)
 def build_net(cfg: DenseNetConfig) -> _Net:
@@ -289,47 +286,52 @@ def forward(params: ModelParams, batch, mode: str = "eval", freeze_policy: str =
     ``batch`` is a sequence of (input_dim, input_dim) arrays. Train mode uses
     batch statistics in BN layers and updates their running moments in place;
     eval mode reads running moments and mutates nothing. In train mode the
-    entries that ``freeze_policy`` freezes run as in eval mode, and the trace
-    keeps no backward state for them.
+    entries that ``freeze_policy`` freezes run as in eval mode. The trace
+    keeps no backward state for the entries below its ``walk_to``.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     net = build_net(params.cfg)
-    first_trained = _first_trained(net, freeze_policy)
+    first_trained = _first_trained(net, freeze_policy)  # checks the policy in either mode
+    walk_to = first_trained if mode == "train" else net.first_block_index + 1
     x = _stack_batch(batch, params.cfg.input_dim)
     ctx = RunCtx(tensors=params.tensors, mode=mode)
     features = None
     h = x
     for i, entry in enumerate(net.entries):
-        # a frozen entry gets its own eval-mode context, dropped with its
-        # caches as soon as the entry returns
-        frozen = mode == "train" and i < first_trained
-        h = entry.forward(h, RunCtx(tensors=params.tensors, mode="eval") if frozen else ctx)
+        # an entry below the walk gets its own eval-mode context, dropped with
+        # its caches as soon as the entry returns
+        h = entry.forward(h, ctx if i >= walk_to else RunCtx(tensors=params.tensors, mode="eval"))
         if i == net.first_block_index:
             features = h
     return ForwardTrace(
         predictions=h[:, 0],
         features=features,
         mode=mode,
-        freeze_policy=freeze_policy,
+        walk_to=walk_to,
         caches=ctx.caches,
-        params_id=id(params),
+        params=params,
         params_version=params.version,
     )
 
 
-def _check_trace(params: ModelParams, trace: ForwardTrace) -> None:
-    if trace.params_id != id(params) or trace.params_version != params.version:
+def _walk(params: ModelParams, trace: ForwardTrace, mode: str, seed, grads) -> np.ndarray:
+    """Check and spend ``trace``, then walk back from the output to entry
+    ``trace.walk_to``. ``seed(trace.predictions)`` is the (N, 1) gradient
+    the walk starts from, taken once the trace has passed its checks."""
+    if trace.params is not params or trace.params_version != params.version:
         raise StaleTraceError("trace was produced by different (or since-updated) parameters")
     if trace.spent:
         raise StaleTraceError("trace was spent by an earlier backward walk")
-
-
-def _walk(params: ModelParams, trace: ForwardTrace, dy, grads, stop_at: int) -> np.ndarray:
-    """Walk back from the output to entry ``stop_at``, spending the trace."""
+    if trace.mode != mode:
+        raise StaleTraceError(f"this walk needs {mode} mode, but the trace is from {trace.mode} mode")
+    dy = seed(trace.predictions)
     trace.spent = True
-    ctx = RunCtx(tensors=params.tensors, mode=trace.mode, caches=trace.caches)
-    return build_net(params.cfg).backward_walk(dy, ctx, grads, stop_at)
+    ctx = RunCtx(tensors=params.tensors, mode=mode, caches=trace.caches)
+    for entry in reversed(build_net(params.cfg).entries[trace.walk_to :]):
+        dy = entry.backward(dy, ctx, grads)
+        _release(ctx, entry.layers)
+    return dy
 
 
 def loss_mae(predictions: np.ndarray, targets) -> float:
@@ -343,9 +345,12 @@ def loss_mae(predictions: np.ndarray, targets) -> float:
     return float(np.mean(np.abs(p - t)))
 
 
-def _loss_grad(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    # subgradient of mean |p - t|; 0 where p == t
-    return np.sign(predictions - targets) / predictions.size
+def _loss_grad(predictions: np.ndarray, targets) -> np.ndarray:
+    # subgradient of mean |p - t| as an (N, 1) column; 0 where p == t
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != predictions.shape:
+        raise ValueError(f"targets {t.shape} do not match predictions {predictions.shape}")
+    return (np.sign(predictions - t) / predictions.size)[:, None]
 
 
 def backward(params: ModelParams, trace: ForwardTrace, targets) -> dict[str, np.ndarray]:
@@ -355,15 +360,8 @@ def backward(params: ModelParams, trace: ForwardTrace, targets) -> dict[str, np.
     (no optimizer step in between) that no walk has spent, otherwise
     StaleTraceError.
     """
-    _check_trace(params, trace)
-    if trace.mode != "train":
-        raise StaleTraceError("backward needs a train-mode trace")
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != trace.predictions.shape:
-        raise ValueError(f"targets {t.shape} do not match predictions {trace.predictions.shape}")
-    dy = _loss_grad(trace.predictions, t)[:, None]
     grads: dict[str, np.ndarray] = {}
-    _walk(params, trace, dy, grads, _first_trained(build_net(params.cfg), trace.freeze_policy))
+    _walk(params, trace, "train", lambda predictions: _loss_grad(predictions, targets), grads)
     return grads
 
 
@@ -377,9 +375,4 @@ def prediction_feature_gradient(params: ModelParams, trace: ForwardTrace) -> np.
     from an eval-mode forward on these exact params that no walk has spent,
     otherwise StaleTraceError.
     """
-    _check_trace(params, trace)
-    if trace.mode != "eval":
-        raise StaleTraceError("feature gradients need an eval-mode trace")
-    dy = np.ones((trace.predictions.shape[0], 1))
-    return _walk(params, trace, dy, None, build_net(params.cfg).first_block_index + 1)
-
+    return _walk(params, trace, "eval", lambda predictions: np.ones((predictions.shape[0], 1)), None)

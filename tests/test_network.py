@@ -1,6 +1,7 @@
 """Whole-network contracts: channel arithmetic, forward semantics, gradients."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -201,21 +202,46 @@ def test_feature_gradient_requires_eval_mode_trace(tiny_net_cfg):
 def test_backward_spends_its_trace(tiny_net_cfg):
     p = nw.init_model(tiny_net_cfg, seed=7)
     trace = nw.forward(p, _batch(np.random.default_rng(4), 2, 8), mode="train")
+    with pytest.raises(ValueError, match="targets"):  # and leaves the trace unspent
+        nw.backward(p, trace, np.zeros(3))
     nw.backward(p, trace, np.array([0.3, -0.1]))
     assert trace.spent and not trace.caches  # the walk dropped every cache it passed
     with pytest.raises(StaleTraceError, match="spent"):
         nw.backward(p, trace, np.array([0.3, -0.1]))
+    with pytest.raises(StaleTraceError, match="spent"):  # the trace is checked before the targets
+        nw.backward(p, trace, np.zeros(3))
 
 
 def test_feature_gradient_spends_its_trace(tiny_net_cfg):
     p = nw.init_model(tiny_net_cfg, seed=7)
     trace = nw.forward(p, _batch(np.random.default_rng(4), 2, 8), mode="eval")
     nw.prediction_feature_gradient(p, trace)
-    # the walk stops above the first block, so only the state below it is left
-    assert trace.spent and trace.caches
-    assert all(name.startswith(("stem.", "block0.")) for name in trace.caches)
+    assert trace.spent and not trace.caches  # the walk dropped every cache it passed
     with pytest.raises(StaleTraceError, match="spent"):
         nw.prediction_feature_gradient(p, trace)
+
+
+def test_eval_trace_keeps_state_only_where_its_walk_reaches(tiny_net_cfg):
+    p = nw.init_model(tiny_net_cfg, seed=7)
+    trace = nw.forward(p, _batch(np.random.default_rng(4), 2, 8), mode="eval")
+    # the feature-gradient walk ends above the first block
+    assert trace.caches
+    assert not any(name.startswith(("stem.", "block0.")) for name in trace.caches)
+    nw.prediction_feature_gradient(p, trace)
+    assert not trace.caches
+
+
+def test_trace_holds_its_params(tiny_net_cfg):
+    # by reference: a freed ModelParams' address can be taken by a new one,
+    # which must not pass for it
+    p = nw.init_model(tiny_net_cfg, seed=7)
+    ref = weakref.ref(p)
+    trace = nw.forward(p, _batch(np.random.default_rng(4), 2, 8), mode="train")
+    q = p.copy()
+    del p
+    assert ref() is not None
+    with pytest.raises(StaleTraceError):
+        nw.backward(q, trace, np.array([0.3, -0.1]))
 
 
 def test_backward_rejects_stale_trace(tiny_net_cfg):
