@@ -17,15 +17,17 @@ main runs every command in one order: build and check the config, create
 --out and write effective.cfg, call the cmd_* function, then write
 manifest.json (command, seed, version, and the inputs and fields the
 function returns). synth returns None: a dataset's manifest.json is the
-dataset description that synthgen.write_dataset writes. Outputs are written
-atomically (temp file + rename). effective.cfg holds every setting, master
-seed included, so passing it back as --config repeats the run.
+dataset description that synthgen.write_dataset writes. Every file is read
+and written through framing: text as UTF-8, outputs atomically (temp file +
+rename). effective.cfg holds every setting, master seed included, so passing
+it back as --config repeats the run.
 
 Exit codes come from the category of the error raised (see errors.py):
-0 success, 2 configuration or schema error, 3 training failure, 4 I/O or
-unreadable input file (including a damaged weights, sidecar, statistics or
-split file in a model directory), 5 degenerate data (single class, no events,
-zero variance, non-convergence).
+0 success, 2 configuration or schema error (a cohort whose content is wrong
+included), 3 training failure, 4 I/O or unreadable input file (including a
+damaged weights, sidecar, statistics or split file in a model directory, and
+any text file that is not UTF-8 or that CSV or JSON cannot frame), 5
+degenerate data (single class, no events, zero variance, non-convergence).
 
 From a checkout, without installing: PYTHONPATH=src python -m cacxray.cli ...
 """
@@ -35,7 +37,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
-import json
 import math
 import sys
 import typing
@@ -44,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, atomic
+from . import __version__
 from .errors import (
     CacXrayError,
     ConfigError,
@@ -55,7 +56,7 @@ from .errors import (
     UnreadableInputError,
 )
 from .explain import export_saliency, gradcam
-from .framing import csv_text, json_text
+from .framing import csv_text, json_text, json_value, read_text, write_text
 from .labels import fit_label_transform, transform, transform_threshold
 from .metrics import (
     ScoredSample,
@@ -269,11 +270,11 @@ def _echo_config(out: Path, cfg: dict) -> None:
         cp[sect] = {key: _format_value(getattr(section, key)) for key in _keys(sect)}
     buf = io.StringIO()
     cp.write(buf)
-    atomic.write_text(out / "effective.cfg", buf.getvalue())
+    write_text(out / "effective.cfg", buf.getvalue())
 
 
 def _write_json(path: Path, doc) -> None:
-    atomic.write_text(path, json_text(doc) + "\n")
+    write_text(path, json_text(doc) + "\n")
 
 
 def _load_dataset(data_dir):
@@ -289,20 +290,13 @@ def _load_dataset(data_dir):
     return ids, dicoms, np.asarray(cacs)
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedFileError(f"{path.name} is not UTF-8 text") from exc
-
-
 def _load_model_dir(model_dir):
     """Parameters, label transform and pixel statistics of a train output;
     a damaged file raises an UnreadableInputError."""
     model_dir = Path(model_dir)
-    net_cfg, lt = sidecar_from_json(_read_text(model_dir / "sidecar.json"))
+    net_cfg, lt = sidecar_from_json(read_text(model_dir / "sidecar.json"))
     params = load_weights(model_dir / "weights.cacw", net_cfg)
-    stats = stats_from_csv(_read_text(model_dir / "stats.csv"))
+    stats = stats_from_csv(read_text(model_dir / "stats.csv"))
     return params, lt, stats
 
 
@@ -310,10 +304,7 @@ def _read_test_ids(model_dir) -> list[str]:
     split_path = Path(model_dir) / "split.json"
     if not split_path.exists():
         raise InvalidConfigError("--split internal needs split.json in the model directory")
-    try:
-        doc = json.loads(_read_text(split_path))
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"split.json is not JSON: {exc}") from exc
+    doc = json_value(read_text(split_path), "split.json")
     ids = doc.get("test_ids") if type(doc) is dict else None
     if type(ids) is not list or not all(type(i) is str for i in ids):
         raise MalformedFileError("split.json holds no list of test ids")
@@ -354,9 +345,9 @@ def cmd_train(args, cfg, out: Path) -> dict:
     fitted, history = train(list(zip(xtr, ytr)), tc, params)
 
     save_weights(out / "weights.cacw", fitted)
-    atomic.write_text(out / "sidecar.json", sidecar_to_json(cfg["model"], lt) + "\n")
-    atomic.write_text(out / "stats.csv", stats_to_csv(stats))
-    atomic.write_text(out / "history.csv", csv_text(("epoch", "train_mae"), enumerate(history, 1)))
+    write_text(out / "sidecar.json", sidecar_to_json(cfg["model"], lt) + "\n")
+    write_text(out / "stats.csv", stats_to_csv(stats))
+    write_text(out / "history.csv", csv_text(("epoch", "train_mae"), enumerate(history, 1)))
     split = {"split_seed": split_seed, "train_fraction": frac,
              "train_ids": [ids[i] for i in train_idx], "test_ids": [ids[i] for i in test_idx]}
     _write_json(out / "split.json", split)
@@ -411,10 +402,10 @@ def cmd_evaluate(args, cfg, out: Path) -> dict:
         **diag,
     }
     _write_json(out / "report.json", report)
-    atomic.write_text(out / "pr_curve.csv", csv_text(("recall", "precision"), pr_curve(samples, truth_th)))
+    write_text(out / "pr_curve.csv", csv_text(("recall", "precision"), pr_curve(samples, truth_th)))
     header = ("stratum", "count", "mean_true_cac", "mean_predicted_cac")
     calibration = [[getattr(r, c) for c in header] for r in calibration_table(samples, lt, ev.calibration_edges)]
-    atomic.write_text(out / "calibration.csv", csv_text(header, calibration))
+    write_text(out / "calibration.csv", csv_text(header, calibration))
     print(f"AUC {auc:.4f} (95% CI {ci_lo:.4f}-{ci_hi:.4f}) on {len(samples)} samples")
     return {"inputs": {"data": str(args.data), "model": str(args.model), "split": args.split}, "n": len(samples)}
 
@@ -433,8 +424,8 @@ def cmd_crossval(args, cfg, out: Path) -> dict:
         truth_threshold=cfg["evaluate"].truth_threshold,
         rauc_grid=cfg["evaluate"].rauc_grid,
     )
-    atomic.write_text(out / "crossval.csv", crossval_to_csv(report))
-    atomic.write_text(out / "crossval.json", crossval_to_json(report) + "\n")
+    write_text(out / "crossval.csv", crossval_to_csv(report))
+    write_text(out / "crossval.json", crossval_to_json(report) + "\n")
     mean = report.mean
     print(
         f"{k}-fold mean: accuracy {mean['accuracy']:.3f}, "
@@ -447,7 +438,7 @@ def cmd_survival(args, cfg, out: Path) -> dict:
     cohort_path = Path(args.cohort)
     if cohort_path.is_dir():
         cohort_path = cohort_path / "cohort.csv"
-    records = cohort_from_csv(cohort_path.read_text())
+    records = cohort_from_csv(read_text(cohort_path))
     group_cov = cfg["survival"].group
     adjust_cov = cfg["survival"].adjust
     horizon = cfg["survival"].horizon_years
@@ -462,10 +453,10 @@ def cmd_survival(args, cfg, out: Path) -> dict:
     cox_uni = cox_fit(records, [group_cov])
     cox_bi = cox_fit(records, [group_cov, adjust_cov])
     hr = cox_uni.by_name(group_cov)
-    atomic.write_text(out / "km_group0.csv", km_to_csv(km_zero))
-    atomic.write_text(out / "km_group1.csv", km_to_csv(km_pos))
-    atomic.write_text(out / "cox_univariate.json", cox_to_json(cox_uni) + "\n")
-    atomic.write_text(out / "cox_bivariate.json", cox_to_json(cox_bi) + "\n")
+    write_text(out / "km_group0.csv", km_to_csv(km_zero))
+    write_text(out / "km_group1.csv", km_to_csv(km_pos))
+    write_text(out / "cox_univariate.json", cox_to_json(cox_uni) + "\n")
+    write_text(out / "cox_bivariate.json", cox_to_json(cox_bi) + "\n")
     summary = {
         "group_covariate": group_cov,
         "adjust_covariate": adjust_cov,

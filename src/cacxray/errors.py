@@ -50,7 +50,8 @@ class DegenerateDataError(CacXrayError):
 class MalformedFileError(UnreadableInputError):
     """Bytes or text that do not parse as their format: a DICOM part-10 file
     (bad magic, inconsistent fields, invalid pixel payload), a weights file,
-    a sidecar, a statistics file or a split file."""
+    a sidecar, a statistics file or a split file, or any text file that is
+    not UTF-8 or that CSV or JSON cannot frame."""
 
 
 class TruncatedFileError(MalformedFileError):

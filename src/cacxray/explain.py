@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atomic
 from .errors import ShapeMismatchError
-from .framing import plain_file_name
+from .framing import plain_file_name, write_bytes
 from .model import ModelParams, forward, prediction_feature_gradient
 from .preprocess import resize_bilinear
 
@@ -64,6 +63,6 @@ def export_saliency(
     base_norm = (base - base.min()) / span if span > 0 else np.zeros_like(base)
     map_path = out / f"{image_id}.map.pgm"
     overlay_path = out / f"{image_id}.overlay.pgm"
-    atomic.write_bytes(map_path, _to_pgm(sal))
-    atomic.write_bytes(overlay_path, _to_pgm(np.concatenate([base_norm, sal], axis=1)))
+    write_bytes(map_path, _to_pgm(sal))
+    write_bytes(overlay_path, _to_pgm(np.concatenate([base_norm, sal], axis=1)))
     return map_path, overlay_path

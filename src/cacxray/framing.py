@@ -1,5 +1,6 @@
 """The framing of every file the package reads or writes: one bounds-checked
-little-endian reader (DICOM, weights), one CSV dialect, one strict JSON dumper."""
+little-endian reader (DICOM, weights); UTF-8 text whatever the locale, one CSV
+dialect, one JSON parser and one strict JSON dumper; atomic writes."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ import csv
 import io
 import json
 import struct
+from pathlib import Path
 
-from .errors import TruncatedFileError
+from .errors import MalformedFileError, TruncatedFileError
 
 
 class Reader:
@@ -37,6 +39,30 @@ class Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
+def read_text(path: Path) -> str:
+    """``path`` as UTF-8 text whatever the locale; other bytes raise MalformedFileError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"{path.name} is not UTF-8 text") from exc
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The nonblank rows of ``text``; a csv.Error (a cell past the field limit) raises MalformedFileError."""
+    try:
+        return [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise MalformedFileError(f"unreadable CSV: {exc}") from exc
+
+
+def json_value(text: str, what: str):
+    """``text`` as JSON; text that is not JSON or nests too deep raises MalformedFileError naming ``what``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedFileError(f"{what} is not JSON: {exc}") from exc
+
+
 def csv_text(header, rows) -> str:
     """CSV with ``"\\n"`` line ends, minimal quoting and cells by ``str`` (a float's
     ``repr``). A carriage return raises ValueError: csv.writer leaves it unquoted."""
@@ -50,6 +76,18 @@ def csv_text(header, rows) -> str:
 def json_text(doc) -> str:
     """Strict JSON (RFC 8259: NaN and Infinity raise ValueError), sorted keys."""
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+def write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over
+    ``path``, so no reader ever sees a partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    tmp.replace(path)
+
+
+def write_text(path: Path, text: str) -> None:
+    write_bytes(path, text.encode("utf-8"))
 
 
 def plain_file_name(name: str) -> bool:

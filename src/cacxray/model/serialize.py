@@ -13,7 +13,6 @@ field by field, so a weights file is self-describing.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import struct
 import typing
@@ -21,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import atomic
 from ..errors import (
     BadMagicError,
     InvalidConfigError,
@@ -29,7 +27,7 @@ from ..errors import (
     ShapeMismatchError,
     TruncatedFileError,
 )
-from ..framing import Reader, json_text
+from ..framing import Reader, json_text, json_value, write_bytes
 from ..labels import LabelTransform
 from .network import DenseNetConfig, ModelParams, build_net
 
@@ -100,7 +98,7 @@ def weights_from_bytes(data: bytes, cfg: DenseNetConfig) -> ModelParams:
 
 
 def save_weights(path, params: ModelParams) -> None:
-    atomic.write_bytes(Path(path), weights_to_bytes(params))
+    write_bytes(Path(path), weights_to_bytes(params))
 
 
 def load_weights(path, cfg: DenseNetConfig) -> ModelParams:
@@ -145,10 +143,7 @@ def sidecar_from_json(text: str) -> tuple[DenseNetConfig, LabelTransform]:
     """Inverse of sidecar_to_json. Anything else (bad JSON, a missing or
     unknown key, a value of the wrong type, a non-finite number, a section
     its dataclass rejects) raises MalformedFileError."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"sidecar is not JSON: {exc}") from exc
+    obj = json_value(text, "sidecar")
     if type(obj) is not dict or sorted(obj) != ["label_transform", "net"]:
         raise MalformedFileError("sidecar must hold exactly the keys 'net' and 'label_transform'")
     cfg = _dataclass_from_json(DenseNetConfig, obj["net"], "net")

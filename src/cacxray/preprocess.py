@@ -21,7 +21,7 @@ from .errors import (
     MalformedFileError,
     NonPositiveWidthError,
 )
-from .framing import csv_text
+from .framing import csv_rows, csv_text
 
 
 @dataclass(frozen=True)
@@ -175,13 +175,13 @@ def stats_from_csv(text: str) -> DatasetStats:
     """Inverse of stats_to_csv. Raises MalformedFileError unless the text is
     the header and one row of a finite mu and a finite positive sigma (the
     checks of DatasetStats)."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if len(lines) != 2 or lines[0].strip() != "mu,sigma":
+    rows = csv_rows(text)
+    if len(rows) != 2 or rows[0] != ["mu", "sigma"]:
         raise MalformedFileError("expected a 'mu,sigma' header and one data row")
     try:
-        mu, sigma = (float(cell) for cell in lines[1].split(","))
+        mu, sigma = map(float, rows[1])
     except ValueError as exc:
-        raise MalformedFileError(f"statistics row {lines[1]!r} is not two numbers") from exc
+        raise MalformedFileError(f"statistics row {rows[1]!r} is not two numbers") from exc
     try:
         return DatasetStats(mu=mu, sigma=sigma)
     except DegenerateDatasetError as exc:

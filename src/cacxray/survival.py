@@ -8,8 +8,6 @@ the Breslow approximation for tied events.
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -23,7 +21,7 @@ from .errors import (
     NegativeStatisticError,
     NoEventsError,
 )
-from .framing import csv_text, json_text
+from .framing import csv_rows, csv_text, json_text
 
 
 @dataclass(frozen=True)
@@ -36,6 +34,9 @@ class SubjectRecord:
     def __post_init__(self):
         if not 0 < self.time_years < math.inf:
             raise ValueError(f"subject {self.id}: follow-up time must be positive and finite")
+        for name, value in self.covariates.items():
+            if not math.isfinite(value):
+                raise ValueError(f"subject {self.id}: covariate {name!r} must be finite, got {value}")
 
 
 def chi2_sf(x: float, df: int = 1) -> float:
@@ -325,8 +326,7 @@ def cohort_to_csv(records) -> str:
 
 
 def cohort_from_csv(text: str) -> list[SubjectRecord]:
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    rows = csv_rows(text)
     if not rows:
         raise ValueError("empty cohort file")
     header = rows[0]

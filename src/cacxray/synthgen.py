@@ -22,10 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atomic
 from .dicom import DicomImage, parse_dicom, write_test_dicom
 from .errors import InvalidConfigError, MalformedFileError
-from .framing import csv_text, json_text, plain_file_name
+from .framing import csv_text, json_text, plain_file_name, read_text, write_bytes, write_text
 from .preprocess import resize_bilinear
 from .survival import SubjectRecord, cohort_from_csv, cohort_to_csv
 
@@ -316,16 +315,16 @@ def write_dataset(cfg: SynthConfig, samples: list[SynthSample], out_dir) -> None
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     for s in samples:
-        atomic.write_bytes(out / "images" / f"{s.id}.dcm", write_test_dicom(sample_to_dicom(s)))
-    atomic.write_text(out / "cohort.csv", cohort_to_csv([s.record for s in samples]))
-    atomic.write_text(out / "blobs.csv", blobs_to_csv(samples))
-    atomic.write_text(out / "manifest.json", json_text({"kind": "synthetic-cac-dataset", **asdict(cfg)}) + "\n")
+        write_bytes(out / "images" / f"{s.id}.dcm", write_test_dicom(sample_to_dicom(s)))
+    write_text(out / "cohort.csv", cohort_to_csv([s.record for s in samples]))
+    write_text(out / "blobs.csv", blobs_to_csv(samples))
+    write_text(out / "manifest.json", json_text({"kind": "synthetic-cac-dataset", **asdict(cfg)}) + "\n")
 
 
 def read_dataset(data_dir) -> tuple[list[str], list[DicomImage], list[SubjectRecord]]:
     """Load a dataset directory, images in cohort order; ids must be distinct plain file names."""
     root = Path(data_dir)
-    records = cohort_from_csv((root / "cohort.csv").read_text())
+    records = cohort_from_csv(read_text(root / "cohort.csv"))
     ids = [r.id for r in records]
     if len(set(ids)) < len(ids) or not all(map(plain_file_name, ids)):
         raise MalformedFileError("cohort ids must be distinct plain file names")

@@ -18,6 +18,7 @@ import pytest
 import cacxray
 from cacxray import cli
 from cacxray.cli import main
+from cacxray.framing import csv_text
 
 from conftest import replace_element_payload
 
@@ -527,6 +528,89 @@ def test_cohort_missing_group_covariate_exits_2(flow, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cohort_non_finite_covariate_exits_2_and_names_it(flow, tmp_path, capsys, value):
+    # a NaN group would put its subject in neither Kaplan-Meier group
+    (tmp_path / "cohort.csv").write_text(
+        f"id,time_years,event,ai_cac_category\na,1.0,1,0\nb,2.0,0,{value}\nc,3.0,1,1\n"
+    )
+    rc = main(["survival", "--config", str(flow["cfg"]), "--cohort", str(tmp_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "subject b: covariate 'ai_cac_category' must be finite" in capsys.readouterr().err
+
+
+def test_cohort_that_is_not_utf8_exits_4(flow, tmp_path, capsys):
+    (tmp_path / "cohort.csv").write_bytes(b"id,time_years,event,ai_cac_category\ns\xe900000,1.0,1,0\n")
+    rc = main(["survival", "--config", str(flow["cfg"]), "--cohort", str(tmp_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert capsys.readouterr().err == "i/o error: cohort.csv is not UTF-8 text\n"
+
+
+def test_cohort_is_read_as_utf8_in_an_ascii_locale(flow, tmp_path):
+    cohort = (flow["data"] / "cohort.csv").read_bytes().replace(b"\ns00000,", "\ns\u00e900000,".encode(), 1)
+    (tmp_path / "cohort.csv").write_bytes(cohort)
+    src = str(Path(cacxray.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = subprocess.run([sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert probe.stdout.strip() == "ANSI_X3.4-1968"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cacxray.cli", "survival", "--config", str(flow["cfg"]), "--cohort", str(tmp_path),
+         "--out", str(tmp_path / "o"), "--seed", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "o" / "survival.json").read_bytes() == (flow["surv"] / "survival.json").read_bytes()
+
+
+@pytest.mark.parametrize("command,flag", [("survival", "--cohort"), ("train", "--data")])
+def test_cohort_cell_past_the_csv_field_limit_exits_4(flow, tmp_path, capsys, command, flag):
+    (tmp_path / "cohort.csv").write_text(
+        "id,time_years,event,cac,ai_cac_category\n" + "a" * 131073 + ",1.0,1,0,0\n"
+    )
+    rc = main([command, "--config", str(flow["cfg"]), flag, str(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert capsys.readouterr().err == "i/o error: unreadable CSV: field larger than field limit (131072)\n"
+
+
+def test_cohort_row_without_cac_exits_2(flow, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(flow["data"], data)
+    header, *rows = list(csv.reader(io.StringIO((data / "cohort.csv").read_text())))
+    rows[0][header.index("cac")] = ""
+    (data / "cohort.csv").write_text(csv_text(header, rows))
+    rc = main(["train", "--config", str(flow["cfg"]), "--data", str(data), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "cohort row s00000 lacks a 'cac' column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split,code,message", [
+    (None, 2, "--split internal needs split.json in the model directory"),
+    ({"test_ids": ["s00001", "nobody"]}, 2, "test ids missing from the dataset: ['nobody']"),
+    ({"test_ids": []}, 5, "evaluation set is empty"),
+], ids=["no_split_json", "unknown_test_id", "no_test_ids"])
+def test_internal_split_that_names_no_usable_test_set_is_refused(flow, tmp_path, capsys, split, code, message):
+    model = tmp_path / "model"
+    shutil.copytree(flow["model"], model)
+    (model / "split.json").unlink()
+    if split is not None:
+        (model / "split.json").write_text(json.dumps(split))
+    rc = main(["evaluate", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
+               "--model", str(model), "--out", str(tmp_path / "o"), "--split", "internal"])
+    assert rc == code
+    assert message in capsys.readouterr().err
+
+
+def test_explain_unknown_id_exits_2(flow, tmp_path, capsys):
+    rc = main(["explain", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
+               "--model", str(flow["model"]), "--out", str(tmp_path / "o"), "--ids", "s00000,nobody"])
+    assert rc == 2
+    assert "ids not in the dataset: ['nobody']" in capsys.readouterr().err
+
+
 def test_tiny_training_split_exits_3(flow, tmp_path):
     cfg = tmp_path / "frac.ini"
     cfg.write_text(SMALL_INI + "train_fraction = 0.03\n")
@@ -674,7 +758,9 @@ _DAMAGED_MODEL_FILES = {
     "sidecar_sigma_log_negative": ("sidecar.json", _sidecar_field("label_transform", "sigma_log", -7.66)),
     "sidecar_epsilon_zero": ("sidecar.json", _sidecar_field("label_transform", "epsilon", 0)),
     "sidecar_clip_max_zero": ("sidecar.json", _sidecar_field("label_transform", "clip_max", 0)),
+    "sidecar_nests_too_deep": ("sidecar.json", lambda text: "[" * 100000),
     "split_is_empty_object": ("split.json", lambda text: "{}"),
+    "split_nests_too_deep": ("split.json", lambda text: "[" * 100000),
     "weights_name_not_utf8": ("weights.cacw", _flip_first_weight_name_byte),
     "weights_value_nan": ("weights.cacw", lambda data: data[:-4] + b"\xff\xff\xff\xff"),
     "stats_row_lacks_sigma": ("stats.csv", lambda text: "mu,sigma\n1.0\n"),

@@ -1,5 +1,6 @@
 """DICOM fixture writer / parser round trips and malformed-input handling."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,8 @@ TAG_TRANSFER_SYNTAX = (0x0002, 0x0010)
 TAG_PHOTOMETRIC = (0x0028, 0x0004)
 TAG_WINDOW_CENTER = (0x0028, 0x1050)
 TAG_ROWS = (0x0028, 0x0010)
+TAG_COLUMNS = (0x0028, 0x0011)
+TAG_PIXEL_DATA = (0x7FE0, 0x0010)
 
 
 def _assert_same_image(a: dicom.DicomImage, b: dicom.DicomImage) -> None:
@@ -189,6 +192,25 @@ def test_inconsistent_header_rejected(tag, payload, error):
     data = dicom.write_test_dicom(dicom.DicomImage(**_NON_DEFAULT))
     with pytest.raises(error):
         dicom.parse_dicom(replace_element_payload(data, tag, payload))
+
+
+@pytest.mark.parametrize("tag", [TAG_ROWS, TAG_COLUMNS], ids=["rows", "columns"])
+def test_zero_rows_or_columns_rejected(tag):
+    # no pixel payload matches a 0 x n image, so the header check is what rejects it
+    data = dicom.write_test_dicom(dicom.DicomImage(**_NON_DEFAULT))
+    data = replace_element_payload(replace_element_payload(data, tag, b"\x00\x00"), TAG_PIXEL_DATA, b"")
+    with pytest.raises(MalformedFileError, match="Rows and Columns must be positive"):
+        dicom.parse_dicom(data)
+
+
+@pytest.mark.parametrize("ts, header", [
+    (dicom.EXPLICIT_VR_LE, struct.pack("<HH2s2xI", 0x0009, 0x1000, b"OB", 0xFFFFFFFF)),
+    (dicom.IMPLICIT_VR_LE, struct.pack("<HHI", 0x0009, 0x1000, 0xFFFFFFFF)),
+], ids=["explicit", "implicit"])
+def test_undefined_length_element_rejected(ts, header):
+    data = dicom.write_test_dicom(dicom.DicomImage(**_NON_DEFAULT), transfer_syntax=ts) + header
+    with pytest.raises(MalformedFileError, match=r"element \(0009,1000\) has undefined length"):
+        dicom.parse_dicom(data)
 
 
 def test_writer_runs_the_same_validation():

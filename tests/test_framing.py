@@ -1,6 +1,7 @@
 """The framing every file shares: the bounds-checked reader of the binary
-formats, the one CSV dialect and the strict JSON dumper of the text outputs,
-and the rule for an id that names a file."""
+formats, the UTF-8 text reader, the one CSV dialect and the one JSON parser
+and strict dumper, the atomic writer, and the rule for an id that names a
+file."""
 
 import math
 from pathlib import Path
@@ -9,7 +10,16 @@ import pytest
 
 import cacxray
 from cacxray.errors import MalformedFileError, TruncatedFileError
-from cacxray.framing import Reader, csv_text, json_text, plain_file_name
+from cacxray.framing import (
+    Reader,
+    csv_rows,
+    csv_text,
+    json_text,
+    json_value,
+    plain_file_name,
+    read_text,
+    write_text,
+)
 
 
 def test_reader_reads_little_endian_and_stops_at_the_end():
@@ -49,6 +59,33 @@ def test_json_text_is_strict_sorted_and_indented():
             json_text({"mean": {"rauc": bad}})
 
 
+def test_text_round_trips_as_utf8_and_other_bytes_raise(tmp_path):
+    path = tmp_path / "cohort.csv"
+    write_text(path, "id\ns\u00e900000\n")
+    assert path.read_bytes() == b"id\ns\xc3\xa900000\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cohort.csv"]
+    path.write_bytes(b"id\r\na\rb\n")
+    assert read_text(path) == "id\na\nb\n"
+    path.write_bytes(b"id\ns\xe900000\n")
+    with pytest.raises(MalformedFileError, match="cohort.csv is not UTF-8 text"):
+        read_text(path)
+
+
+def test_csv_rows_reads_back_csv_text_and_raises_on_what_it_cannot_frame():
+    rows = [("a,b", "0.1"), ('say "hi"', ""), ("two\nlines", "-7")]
+    assert csv_rows(csv_text(("id", "x"), rows) + "\n\n") == [["id", "x"], *map(list, rows)]
+    assert csv_rows("") == []
+    with pytest.raises(MalformedFileError, match="unreadable CSV: field larger than field limit"):
+        csv_rows("id\n" + "a" * 131073 + "\n")
+
+
+def test_json_value_parses_json_and_names_what_is_not():
+    assert json_value('{"a": [1, 0.5, null]}', "split.json") == {"a": [1, 0.5, None]}
+    for bad in ("", "{", "[1,]", "1" * 5000, "[" * 100000):
+        with pytest.raises(MalformedFileError, match="split.json is not JSON"):
+            json_value(bad, "split.json")
+
+
 @pytest.mark.parametrize("name,plain", [
     ("s00000", True), ("a b", True), ("..x", True), ("x.", True),
     ("", False), (".", False), ("..", False), ("../../evil", False), ("a/b", False), ("/abs", False),
@@ -58,13 +95,20 @@ def test_plain_file_name(name, plain):
     assert plain_file_name(name) is plain
 
 
-def test_only_framing_writes_json_or_csv():
-    # one dialect for every text output: no module outside framing forks it
+def _modules_outside_framing_calling(*calls) -> list[str]:
     package = Path(cacxray.__file__).parent
-    framing = package / "framing.py"
-    offenders = [
+    return [
         str(path.relative_to(package))
         for path in sorted(package.rglob("*.py"))
-        if path != framing and ("json.dumps(" in path.read_text() or "csv.writer(" in path.read_text())
+        if path.name != "framing.py" and any(call in path.read_text(encoding="utf-8") for call in calls)
     ]
-    assert offenders == []
+
+
+def test_only_framing_writes_json_or_csv():
+    # one dialect for every text output: no module outside framing forks it
+    assert _modules_outside_framing_calling("json.dumps(", "csv.writer(") == []
+
+
+def test_only_framing_reads_text_json_or_csv():
+    # one decoding and one error mapping for every text input
+    assert _modules_outside_framing_calling("json.loads(", "csv.reader(", ".read_text(") == []

@@ -4,9 +4,11 @@ Every file the command line reads back from a model directory (weights,
 sidecar, statistics, split), a DICOM image and the cohort file is cut at
 every byte and has every byte replaced in turn by 0x00, 0xff, '"' and ','.
 Each mutation must load or raise an error that ``main`` maps to an exit
-code; a KeyError, TypeError or IndexError would surface as a traceback. The
-table at the end pins the exit code of every error class, and every float
-range check of the library configs must reject NaN.
+code; a KeyError, TypeError or IndexError would surface as a traceback.
+Properties then write any bytes as each text file: a text model file must
+load or exit 4, a cohort must load or exit 2 or 4. The table at the end
+pins the exit code of every error class, and every float range check of the
+library configs must reject NaN.
 """
 
 import json
@@ -15,6 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cacxray import cli, dicom, errors
 from cacxray.errors import CacXrayError
@@ -29,7 +32,7 @@ from cacxray.model import (
 )
 from cacxray.preprocess import DatasetStats, stats_to_csv
 from cacxray.survival import SubjectRecord, cohort_from_csv, cohort_to_csv
-from cacxray.synthgen import SynthConfig
+from cacxray.synthgen import SynthConfig, read_dataset
 
 _SUBSTITUTES = b'\x00\xff",'
 
@@ -46,17 +49,26 @@ def _mutations(data: bytes):
 _NET = DenseNetConfig(input_dim=8, init_channels=2, growth_rate=1, block_layers=(1,), head_hidden=2)
 
 
+_SPLIT = {"split_seed": 1, "train_fraction": 0.5, "train_ids": ["s00000", "s00002"],
+          "test_ids": ["s00001", "s00003"]}
+_MODEL_TEXT_FILES = {
+    "sidecar.json": (sidecar_to_json(_NET, LabelTransform(mu_log=1.25, sigma_log=0.75)) + "\n").encode(),
+    "stats.csv": stats_to_csv(DatasetStats(mu=12.5, sigma=3.75)).encode(),
+    "split.json": (json.dumps(_SPLIT, sort_keys=True, indent=2) + "\n").encode(),
+}
+
+
+def _write_model_dir(path):
+    """A small but complete train output."""
+    (path / "weights.cacw").write_bytes(weights_to_bytes(init_model(_NET, 0)))
+    for name, data in _MODEL_TEXT_FILES.items():
+        (path / name).write_bytes(data)
+    return path
+
+
 @pytest.fixture
 def model_dir(tmp_path):
-    """A small but complete train output."""
-    lt = LabelTransform(mu_log=1.25, sigma_log=0.75)
-    (tmp_path / "weights.cacw").write_bytes(weights_to_bytes(init_model(_NET, 0)))
-    (tmp_path / "sidecar.json").write_text(sidecar_to_json(_NET, lt) + "\n")
-    (tmp_path / "stats.csv").write_text(stats_to_csv(DatasetStats(mu=12.5, sigma=3.75)))
-    split = {"split_seed": 1, "train_fraction": 0.5, "train_ids": ["s00000", "s00002"],
-             "test_ids": ["s00001", "s00003"]}
-    (tmp_path / "split.json").write_text(json.dumps(split, sort_keys=True, indent=2) + "\n")
-    return tmp_path
+    return _write_model_dir(tmp_path)
 
 
 def _assert_loads_or_exits_4(original: bytes, load):
@@ -104,19 +116,85 @@ def test_every_dicom_mutation_loads_or_exits_4(ts):
     _assert_loads_or_exits_4(dicom.write_test_dicom(img, transfer_syntax=ts), dicom.parse_dicom)
 
 
+_COHORT = cohort_to_csv([
+    SubjectRecord(id=f"s{i:05d}", time_years=1.5 + i, event=bool(i % 2),
+                  covariates={"cac": 10.0 * i, "ai_cac_category": float(i % 3)})
+    for i in range(3)
+]).encode("utf-8")
+
+
 def test_every_cohort_mutation_loads_or_raises_a_mapped_error():
-    records = [
-        SubjectRecord(id=f"s{i:05d}", time_years=1.5 + i, event=bool(i % 2),
-                      covariates={"cac": 10.0 * i, "ai_cac_category": float(i % 3)})
-        for i in range(3)
-    ]
-    data = cohort_to_csv(records).encode("utf-8")
-    assert len(cohort_from_csv(data.decode("utf-8"))) == 3
-    for mutated in _mutations(data):
+    assert len(cohort_from_csv(_COHORT.decode("utf-8"))) == 3
+    for mutated in _mutations(_COHORT):
         try:
             cohort_from_csv(mutated.decode("utf-8"))
         except (CacXrayError, OSError, ValueError):
             pass
+
+
+# --- any bytes as a text file ----------------------------------------------------
+
+
+def _exit_code(call) -> int:
+    """The exit code ``main`` gives what ``call`` raises, 0 if it returns.
+    Anything ``main`` does not map escapes and fails the test."""
+    try:
+        call()
+    except CacXrayError as exc:
+        return exc.exit_code
+    except OSError:
+        return 4
+    except ValueError:
+        return 2
+    return 0
+
+
+def _bytes_near(original: bytes):
+    """Any bytes, any UTF-8 text, text over the characters of ``original`` and
+    the framing characters, and ``original`` with a span replaced."""
+    alphabet = sorted(set(original.decode("utf-8")) | set('"\\,[]{}\r\n'))
+    n = len(original)
+    return st.one_of(
+        st.binary(),
+        st.text().map(lambda t: t.encode("utf-8")),
+        st.text(st.sampled_from(alphabet)).map(lambda t: t.encode("utf-8")),
+        st.builds(lambda i, j, new: original[:min(i, j)] + new + original[max(i, j):],
+                  st.integers(0, n), st.integers(0, n), st.binary(max_size=8)),
+    )
+
+
+@pytest.fixture(scope="module")
+def shared_model_dir(tmp_path_factory):
+    return _write_model_dir(tmp_path_factory.mktemp("model"))
+
+
+_TEXT_MODEL_FILE_READERS = {"sidecar.json": cli._load_model_dir, "stats.csv": cli._load_model_dir,
+                            "split.json": cli._read_test_ids}
+
+
+@pytest.mark.parametrize("name", sorted(_TEXT_MODEL_FILE_READERS))
+@settings(max_examples=200)
+@given(data=st.data())
+def test_any_bytes_as_a_text_model_file_load_or_exit_4(shared_model_dir, name, data):
+    path = shared_model_dir / name
+    path.write_bytes(data.draw(_bytes_near(_MODEL_TEXT_FILES[name])))
+    try:
+        assert _exit_code(lambda: _TEXT_MODEL_FILE_READERS[name](shared_model_dir)) in (0, 4)
+    finally:
+        path.write_bytes(_MODEL_TEXT_FILES[name])
+
+
+@pytest.fixture(scope="module")
+def imageless_dataset(tmp_path_factory):
+    # a cohort that parses and names an image exits 4 when the image is missing
+    return tmp_path_factory.mktemp("dataset")
+
+
+@settings(max_examples=300)
+@given(_bytes_near(_COHORT))
+def test_any_bytes_as_a_cohort_load_or_exit_2_or_4(imageless_dataset, data):
+    (imageless_dataset / "cohort.csv").write_bytes(data)
+    assert _exit_code(lambda: read_dataset(imageless_dataset)) in (0, 2, 4)
 
 
 # --- exit codes -----------------------------------------------------------------

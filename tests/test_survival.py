@@ -330,11 +330,11 @@ def _bits(x: float) -> bytes:
 def _csv_records(draw):
     """Ids of any text with commas, quotes and line feeds mixed in (csv_text
     refuses a carriage return), any positive finite follow-up time, and
-    each covariate present or absent, holding any float but NaN (every NaN
-    is written as 'nan', so its payload has no text)."""
+    each covariate present or absent, holding any finite float (a record
+    refuses the others)."""
     ids = st.text(st.one_of(st.sampled_from(',"\n '), st.characters(exclude_characters="\r")))
     times = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    covariates = st.dictionaries(st.sampled_from(_COVARIATES), st.floats(allow_nan=False))
+    covariates = st.dictionaries(st.sampled_from(_COVARIATES), st.floats(allow_nan=False, allow_infinity=False))
     n = draw(st.integers(0, 8))
     return [R(draw(ids), draw(times), draw(st.booleans()), draw(covariates)) for _ in range(n)]
 
