@@ -5,9 +5,10 @@ come from an INI file (--config) merged over built-in desk-scale defaults.
 Each section is a dataclass (_PRESETS): its fields are the keys, its desk
 preset holds the defaults and each value is parsed by its field's type;
 unknown sections or keys are rejected by name, and an integer must lie
-strictly between -2**63 and 2**63. Each dataclass checks its values when it
-is built, so every command rejects a bad value, named as ``[section] key``,
-before --out is created. A single master seed (--seed or [run] seed) feeds
+strictly between -2**63 and 2**63. --seed and --folds are parsed the same
+way, as the values of [run] seed and [crossval] folds. Each dataclass checks
+its values when it is built, so every command rejects a bad value, named as
+``[section] key``, before --out is created. A single master seed feeds
 every random stream through fixed offsets: synth +0, train/test split +1,
 weight init +2, batch shuffling +3, bootstrap +4, cross-validation folds +5.
 Cross-validation initializes each fold's weights from the shuffling seed
@@ -18,15 +19,16 @@ main runs every command in one order: build and check the config, create
 manifest.json (command, seed, version, and the inputs and fields the
 function returns). synth returns None: a dataset's manifest.json is the
 dataset description that synthgen.write_dataset writes. Every file is read
-and written through framing: text as UTF-8, outputs atomically (temp file +
-rename). effective.cfg holds every setting, master seed included, so passing
-it back as --config repeats the run.
+and written through framing: text as UTF-8 (the --config file included),
+outputs atomically (temp file + rename). effective.cfg holds every setting,
+master seed included, so passing it back as --config repeats the run.
 
 Exit codes come from the category of the error raised (see errors.py):
 0 success, 2 configuration or schema error (a cohort whose content is wrong
 included), 3 training failure, 4 I/O or unreadable input file (including a
-damaged weights, sidecar, statistics or split file in a model directory, and
-any text file that is not UTF-8 or that CSV or JSON cannot frame), 5
+damaged weights, sidecar, statistics or split file in a model directory,
+weights whose tensors differ from the sidecar's net, and any text file that
+is not UTF-8 or that CSV or JSON cannot frame), 5
 degenerate data (single class, no events, zero variance, non-convergence).
 
 From a checkout, without installing: PYTHONPATH=src python -m cacxray.cli ...
@@ -57,7 +59,7 @@ from .errors import (
 )
 from .explain import export_saliency, gradcam
 from .framing import csv_text, json_text, json_value, read_text, write_text
-from .labels import fit_label_transform, transform, transform_threshold
+from .labels import transform_threshold
 from .metrics import (
     ScoredSample,
     auc_confidence_interval,
@@ -67,6 +69,7 @@ from .metrics import (
     crossval_to_csv,
     crossval_to_json,
     diagnostic_metrics,
+    fit_transforms,
     pr_curve,
     rauc,
     roc_auc,
@@ -84,7 +87,6 @@ from .model import (
 )
 from .preprocess import (
     PreprocessConfig,
-    compute_dataset_stats,
     preprocess_uncalibrated,
     standardize,
     stats_from_csv,
@@ -111,9 +113,6 @@ class _RunSection:
     def __post_init__(self):
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be nonnegative, got {self.seed}")
-        # --seed bypasses the INI integer bound, so the echo could not replay it
-        if self.seed >= 2**63:
-            raise InvalidConfigError("seed must lie strictly between -2**63 and 2**63")
 
 
 @dataclass(frozen=True)
@@ -215,8 +214,8 @@ def _parse_value(hint, text: str, where: str):
 
 def _load_config(args) -> dict:
     """Each section built from its preset with the --config values parsed
-    over it, [run] seed replaced by --seed and [crossval] folds by --folds
-    when given, and the derived seeds filled in. A value its section rejects,
+    over it, then --seed and --folds, when given, parsed as [run] seed and
+    [crossval] folds, and the derived seeds filled in. A value its section rejects,
     a [model] input_dim other than [preprocess] crop_dim for a command that
     builds a net, or an explain --limit below 1, raises InvalidConfigError."""
     if getattr(args, "limit", 1) < 1:
@@ -225,8 +224,7 @@ def _load_config(args) -> dict:
     if args.config is not None:
         cp = configparser.ConfigParser(interpolation=None)
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cp.read_file(fh)
+            cp.read_string(read_text(Path(args.config)), source=args.config)
         except configparser.Error as exc:
             raise InvalidConfigError(f"cannot parse config file: {exc}") from exc
         for sect in cp.sections():
@@ -238,9 +236,9 @@ def _load_config(args) -> dict:
                     raise InvalidConfigError(f"unknown key {key!r} in section [{sect}]")
                 values[sect][key] = _parse_value(hints[key], value, f"[{sect}] {key}")
     if args.seed is not None:
-        values["run"]["seed"] = args.seed
+        values["run"]["seed"] = _parse_value(int, args.seed, "[run] seed")
     if getattr(args, "folds", None) is not None:
-        values["crossval"]["folds"] = args.folds
+        values["crossval"]["folds"] = _parse_value(int, args.folds, "[crossval] folds")
     cfg = {}
     for sect, preset in _PRESETS.items():  # [run] first: the derived seeds read it
         if sect in _SEEDED:
@@ -337,10 +335,7 @@ def cmd_train(args, cfg, out: Path) -> dict:
         raise EmptyDatasetError("training split has fewer than two samples")
 
     crops = [preprocess_uncalibrated(dicoms[i], cfg["preprocess"]) for i in train_idx]
-    stats = compute_dataset_stats(crops)
-    lt = fit_label_transform(cacs[train_idx])
-    xtr = [standardize(crop, stats) for crop in crops]
-    ytr = transform(cacs[train_idx], lt)
+    stats, lt, xtr, ytr = fit_transforms(crops, cacs[train_idx])
     params = init_model(cfg["model"], _seed(cfg, "init"))
     fitted, history = train(list(zip(xtr, ytr)), tc, params)
 
@@ -515,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="INI settings file merged over the defaults")
-        p.add_argument("--seed", type=int, help="master seed overriding [run] seed")
+        p.add_argument("--seed", help="master seed overriding [run] seed")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("synth", help="generate a synthetic DICOM dataset with a cohort file")
@@ -537,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossval", help="k-fold cross-validation with per-fold refitting")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--folds", type=int)
+    p.add_argument("--folds")
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("survival", help="Kaplan-Meier, log-rank and Cox analysis of a cohort")

@@ -264,6 +264,15 @@ def crossval_to_json(report: CrossValReport) -> str:
     return json_text({"folds": [asdict(fr) for fr in report.folds], "mean": report.mean})
 
 
+def fit_transforms(images, cacs):
+    """Pixel statistics and the label transform fitted on a training portion
+    only, with that portion standardized and transformed: ``(stats, lt, xs,
+    ys)``. train and each fold fit here, so no held-out subject is seen."""
+    stats = compute_dataset_stats(images)
+    lt = fit_label_transform(cacs)
+    return stats, lt, [standardize(x, stats) for x in images], transform(cacs, lt)
+
+
 def _default_train_fn(train_images, train_targets, net_cfg, train_cfg):
     params = init_model(net_cfg, train_cfg.seed)
     fitted, _ = train(list(zip(train_images, train_targets)), train_cfg, params)
@@ -283,9 +292,9 @@ def cross_validate(
 ) -> CrossValReport:
     """k-fold cross-validation with per-fold refitting.
 
-    ``images`` are pre-standardization crops; every fold recomputes pixel
-    statistics and the label transform on its own training portion only, so
-    nothing fitted ever sees a test subject. ``train_fn(images, targets,
+    ``images`` are pre-standardization crops; every fold fits its transforms
+    on its own training portion only (fit_transforms), so nothing fitted ever
+    sees a test subject. ``train_fn(images, targets,
     net_cfg, train_cfg) -> predictor`` defaults to training the network from a
     fresh seeded init.
     """
@@ -299,10 +308,7 @@ def cross_validate(
     reports = []
     for f, test_idx in enumerate(folds):
         train_idx = np.concatenate([folds[j] for j in range(k) if j != f])
-        stats = compute_dataset_stats([images[i] for i in train_idx])
-        lt = fit_label_transform(cacs[train_idx])
-        xtr = [standardize(images[i], stats) for i in train_idx]
-        ytr = transform(cacs[train_idx], lt)
+        stats, lt, xtr, ytr = fit_transforms([images[i] for i in train_idx], cacs[train_idx])
         predictor = train_fn(xtr, ytr, net_cfg, train_cfg)
         xte = [standardize(images[i], stats) for i in test_idx]
         preds = np.asarray(predictor(xte), dtype=np.float64)

@@ -20,6 +20,7 @@ cache as soon as it has passed that layer.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,15 @@ class DenseNetConfig:
         if feature_map_dim(self) < 1:
             raise InvalidConfigError(
                 f"input_dim {self.input_dim} collapses below 1x1 before global pooling"
+            )
+        # each bound above leaves the product of depth and widths unbounded.
+        # DenseNet-264 lists 31.2M parameters; 2**27 float64 values are 1 GiB,
+        # and a layout past that, from a damaged sidecar say, would exhaust
+        # memory when its weights are drawn. Counting them allocates nothing.
+        n_params = sum(math.prod(shape) for _, shape in build_net(self).param_shapes())
+        if n_params > 2**27:
+            raise InvalidConfigError(
+                f"block_layers and the widths list {n_params} parameters, more than 2**27"
             )
 
 

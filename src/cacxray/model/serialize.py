@@ -48,13 +48,15 @@ def weights_to_bytes(params: ModelParams) -> bytes:
 
 
 def weights_from_bytes(data: bytes, cfg: DenseNetConfig) -> ModelParams:
-    """Decode and validate against the shapes ``cfg`` implies.
+    """Decode, checking each tensor against the shapes ``cfg`` implies as it
+    is read, before its values are taken.
 
     Raises BadMagicError, TruncatedFileError (short file or trailing bytes),
     MalformedFileError (a tensor name that is not UTF-8, or a value that is
-    not finite), or
-    ShapeMismatchError when the tensor set disagrees with the config.
-    Returns float64 parameters whose values are float32-representable.
+    not finite), or ShapeMismatchError (a tensor the config does not list or
+    one listed twice, dims other than the config's, or a tensor missing).
+    Returns float64 parameters in the config's order, whose values are
+    float32-representable.
     """
     if data[:4] != WEIGHTS_MAGIC:
         raise BadMagicError("not a weights file")
@@ -62,6 +64,7 @@ def weights_from_bytes(data: bytes, cfg: DenseNetConfig) -> ModelParams:
     version, count = r.unpack("HI", "the header")
     if version != WEIGHTS_VERSION:
         raise BadMagicError(f"unsupported weights version {version}")
+    expected = dict(build_net(cfg).param_shapes())
     loaded: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("H", "a tensor name length")
@@ -69,32 +72,23 @@ def weights_from_bytes(data: bytes, cfg: DenseNetConfig) -> ModelParams:
             name = str(r.take(name_len, "a tensor name"), "utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedFileError(f"tensor name is not UTF-8: {exc}") from exc
+        if name not in expected or name in loaded:
+            raise ShapeMismatchError(f"tensor {name!r} is not in the config or comes twice")
         (rank,) = r.unpack("B", f"rank of {name}")
-        if rank > 8:
-            raise TruncatedFileError(f"implausible rank {rank} for {name}")
         dims = r.unpack(f"{rank}I", f"dims of {name}")
-        size = math.prod(dims)
-        values = np.frombuffer(r.take(4 * size, f"data of {name}"), dtype="<f4")
+        if dims != expected[name]:
+            raise ShapeMismatchError(f"{name}: file has {dims}, config wants {expected[name]}")
+        values = np.frombuffer(r.take(4 * math.prod(dims), f"data of {name}"), dtype="<f4")
         if not np.isfinite(values).all():
             raise MalformedFileError(f"{name} holds values that are not finite")
         loaded[name] = values.astype(np.float64).reshape(dims)
     if r.remaining():
         raise TruncatedFileError(f"{r.remaining()} trailing bytes after the last tensor")
-
-    expected = build_net(cfg).param_shapes()
-    expected_map = dict(expected)
-    missing = [n for n, _ in expected if n not in loaded]
-    extra = [n for n in loaded if n not in expected_map]
-    if missing or extra:
-        raise ShapeMismatchError(
-            f"tensor set does not match the config (missing {missing[:3]}, unexpected {extra[:3]})"
-        )
-    for name, shape in expected:
-        if loaded[name].shape != shape:
-            raise ShapeMismatchError(f"{name}: file has {loaded[name].shape}, config wants {shape}")
+    missing = [name for name in expected if name not in loaded]
+    if missing:
+        raise ShapeMismatchError(f"tensors missing from the file: {missing[:3]}")
     # canonical order regardless of file order
-    tensors = {name: loaded[name] for name, _ in expected}
-    return ModelParams(cfg=cfg, tensors=tensors)
+    return ModelParams(cfg=cfg, tensors={name: loaded[name] for name in expected})
 
 
 def save_weights(path, params: ModelParams) -> None:
@@ -102,8 +96,7 @@ def save_weights(path, params: ModelParams) -> None:
 
 
 def load_weights(path, cfg: DenseNetConfig) -> ModelParams:
-    with open(path, "rb") as fh:
-        return weights_from_bytes(fh.read(), cfg)
+    return weights_from_bytes(Path(path).read_bytes(), cfg)
 
 
 def sidecar_to_json(cfg: DenseNetConfig, lt: LabelTransform) -> str:

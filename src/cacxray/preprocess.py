@@ -33,6 +33,11 @@ class PreprocessConfig:
     def __post_init__(self):
         if self.resize_dim < 1 or self.crop_dim < 1:
             raise InvalidConfigError("resize_dim and crop_dim must be positive")
+        # 65535 is the largest side a DICOM image has, the bound of [synth]
+        # image_dim and [model] input_dim too; far larger sides cannot be allocated
+        for key in ("resize_dim", "crop_dim"):
+            if getattr(self, key) > 65535:
+                raise InvalidConfigError(f"{key} must be at most 65535, got {getattr(self, key)}")
         if self.crop_dim > self.resize_dim:
             raise InvalidConfigError(f"crop_dim {self.crop_dim} exceeds resize_dim {self.resize_dim}")
         if self.eq_levels < 2:

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import typing
@@ -202,6 +203,94 @@ def test_survival_output_bits_are_pinned(flow, name, digest):
     assert hashlib.sha256((flow["surv"] / name).read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of every file the seed-3 chain above writes, each run manifest
+# without its inputs, which name temporary paths
+_FLOW_DIGESTS = {
+    "cfg.ini": "4ed4ca92eb132cf0cb9f12ef876f4141796bf79299b468b84e6173743afa6977",
+    "cv/crossval.csv": "50ce0561b2768b5e65e8e3a3e4b40bbc303abbe302c5c8ec58b520609e659821",
+    "cv/crossval.json": "415c3f4ee1f15b4b81e1aae57a8d83a7e038f4db63a1e5d075937cfa59b8cbe4",
+    "cv/effective.cfg": "af9a01a04a0779a199108350892bf28c7134ce1c2b8213c64a2fb2e5474aa1a0",
+    "cv/manifest.json": "2f79f2207ac3a06522bfe26ec768c9fb0b4bd5922ce4378737d9b14b1f41d6cd",
+    "data/blobs.csv": "05a2de3d7c603a540bc7163863cfbdaf85d82dbcb00f98cee00e2ec4f5ab085e",
+    "data/cohort.csv": "799f079875f1558015f5548dd98cbedc834f87f7833706dee084e54ac0cec44a",
+    "data/effective.cfg": "481a8dc8c90ed15deb1a5b5543a33e3717bf2883326dc7608f652c0e1f912677",
+    "data/images/s00000.dcm": "f61409420635b964c87406c52a22afd20973a9f4314c4827f63629d61c05dc0a",
+    "data/images/s00001.dcm": "c8e561f8afaf86bbd2eb5a665288ac4c928bee015cfbcd9ec023d9f57fbc7f85",
+    "data/images/s00002.dcm": "f126adb7240c3250bb90eec1fb883e46df140c621d55b3c7b77db812dd770033",
+    "data/images/s00003.dcm": "21a7eab13fd11c356555fa143958513b6ab9a8f30e6e97ca5f403934d018088d",
+    "data/images/s00004.dcm": "d04f8ff3e892d8377000bccd177132556cd5e51129555e74088f97c67722b115",
+    "data/images/s00005.dcm": "8e45915ab18c0fbc5c12d19be18cd0ab37fb83d76ea475d58251f4d265af80ca",
+    "data/images/s00006.dcm": "e67c4e5faf0a5e25ba2d98b56cb1354899bc1523e3386bf4be1e420786c03c77",
+    "data/images/s00007.dcm": "74298eb6593eb4dcd25ca7cf24c388be09927a461dc8bcaaa629f3e2f4f6e4d3",
+    "data/images/s00008.dcm": "160984257be6094c93e839f5ac6de977bc1e8588142dc86f9e8119e6a9be1fad",
+    "data/images/s00009.dcm": "17aee93713ab8e6c9c275e89ff48151a9f8e421cf05340a3619c221d63859c8e",
+    "data/images/s00010.dcm": "fa6c0470da52e744cfbe300e762928f4f7c7211a277c3d9fd098fb46b13ed73e",
+    "data/images/s00011.dcm": "a8e0b2974905de586ce84d679cf57b97288f2884cb0327ca083221c68ff098d1",
+    "data/images/s00012.dcm": "e0aa9a74445e2115482a5b6cc59ed90b62ff660c4e5dc3dc199c4243eab199b6",
+    "data/images/s00013.dcm": "7267502b3ddd9d975d2a51e4c224d1009614249038980fdc714c850c9b0875a0",
+    "data/images/s00014.dcm": "cc2c9ad526bca1972ac2ba9e38102ea2513523172e4b47fa247845b6c3b8ac4c",
+    "data/images/s00015.dcm": "7c2b3bc15ea59f6bdc51567d09ca4be748f2251b1e99b819db7c98f27831f20b",
+    "data/images/s00016.dcm": "563d566dc4115f14d32a7fd876e8900fedef435218b5d35ae24e2fb70e76d6e3",
+    "data/images/s00017.dcm": "cc462cee2cc0ef4dc191347e247eac10654c5d07d9458462b5caf9babe2c5466",
+    "data/images/s00018.dcm": "3155e83af37d0edc2f94a95c43a106606935236fadecf21e2a3dd99fd46e7924",
+    "data/images/s00019.dcm": "4137052fe8f80d5887c2c52317ca0ae24e2accc564a478efb73f91cdf5ae4154",
+    "data/images/s00020.dcm": "0b1a31077bdbe99e0799eed7881243c1c3f6fb2e53b85e4cdac3900424ca9904",
+    "data/images/s00021.dcm": "e5e76b364eba36df088b4a0c52544e040ea30d02dec3c8c89dad0d47cd83d46b",
+    "data/images/s00022.dcm": "5e480140f58c70404192ae2854142e6865a81458cf5492614eb60b86695e0c01",
+    "data/images/s00023.dcm": "f9422f582c87b01f6471695352c1f1181aa7792ca6617f156212070750576405",
+    "data/images/s00024.dcm": "8dcdc5c4145fe76145e8433990b4537a9d02e7b02829016da8a796ee60cd5185",
+    "data/images/s00025.dcm": "773a43c3a23daa11fe20a01b90e75a88830f16a7b85ff59973c92c79c4e67b39",
+    "data/images/s00026.dcm": "c97acaa13ad661426c4cded045f74b44854e081330dba4f8fea752a31b3cab9a",
+    "data/images/s00027.dcm": "0dc587d877986542f3c024f0527c3d9f4e9ceaeb61f28024f5877977c12f4da1",
+    "data/images/s00028.dcm": "cbd1c69a01e5c87b8daa48bc88f7604cbbd58139be0147d15f252245bf6c6490",
+    "data/images/s00029.dcm": "133ebdcdbf819fefbabe16f347261e61f30647fe6c38f63a62fc328b48eca9a2",
+    "data/images/s00030.dcm": "94136542a92f7e8f148ce1c4496e0809e4f87d8fc6bc64b752c8dffd677d56b2",
+    "data/images/s00031.dcm": "ea4afbc956f28a4580a4dae9c9c915a8eeb1b6ba1df22f68806d741e4233def5",
+    "data/manifest.json": "d387dbb0a09c061c6df2ed0eb8eabee55e7c149126eeaec4eec27057e768bafc",
+    "eval/calibration.csv": "94cbba5f8c3c25c452934a707f67a5154e6306049701838f8d3387c0540dec34",
+    "eval/effective.cfg": "481a8dc8c90ed15deb1a5b5543a33e3717bf2883326dc7608f652c0e1f912677",
+    "eval/manifest.json": "6d9e85944758d11e9ffa303a51058fc7d08a345905ccffede98524517458c497",
+    "eval/pr_curve.csv": "59c54ef4688f66809c97778a7a0e21b026cc56653a50ad1744249d7747c2ed99",
+    "eval/report.json": "9437d8fe2edd85fc2504ace224f3ad495997808e4f50259aef7f11312b5d45c0",
+    "model/effective.cfg": "481a8dc8c90ed15deb1a5b5543a33e3717bf2883326dc7608f652c0e1f912677",
+    "model/history.csv": "6d92cd7524a9d2c9c20cded820c4e1a9701cda67deeb68aaf7b17a8231beabca",
+    "model/manifest.json": "5d8fe7df34432a8c3854b175c6399172e7b2eeb1f7f78cc229d83b7c385fae57",
+    "model/sidecar.json": "ddd440d0258953b33dbfc713699e58fd4b6a467c4c5cfcda41259d8970f52deb",
+    "model/split.json": "bc46f2f6d050d9a01bd49cfd01d311d09d115d04f8c3cb61b81af04ea2b57190",
+    "model/stats.csv": "e0950be1cff707a589e130af90da3444fd293808602852790fd0c6951920b23b",
+    "model/weights.cacw": "a0b2eb7bbdb6609b76158165536b2eed60fe8f8b115b9fcebf5180ad3f4549db",
+    "surv/cox_bivariate.json": "ca40c03fd8d42da8364cf162a46b20ddedea67b530f933871353a657b25c1c5f",
+    "surv/cox_univariate.json": "294c84636b2d33d422fbbf41d4bb94facd615db05d8694d4fa3a3a39c13703a5",
+    "surv/effective.cfg": "481a8dc8c90ed15deb1a5b5543a33e3717bf2883326dc7608f652c0e1f912677",
+    "surv/km_group0.csv": "731098f758922a549c5b9e226a192328d3f122f4d15781092cfe066cd37de2cc",
+    "surv/km_group1.csv": "a26e30aaf8e6eb0527f4adbbb42a630dd94208938a67a07785c478c42c0dad54",
+    "surv/manifest.json": "00d67793f106e932fdc2d32d47f0b3f4c315de9c4c74caaf0bbf9dafdbe9aef7",
+    "surv/survival.json": "0e1b9fa8b255dfe5d2dca59a108d1e5addf25ec76f0e506f990d2b7ef7fed363",
+    "xp/effective.cfg": "481a8dc8c90ed15deb1a5b5543a33e3717bf2883326dc7608f652c0e1f912677",
+    "xp/manifest.json": "599f70112f49f10847e1ac297c5cd93853a978d4d6116034860da1ee7f53badb",
+    "xp/s00000.map.pgm": "8252a6abb7837db525483580d1cac401c5a564a6772762ea620d0efe1ed51b22",
+    "xp/s00000.overlay.pgm": "b3d76ca6971e1ff0b5e8dba17e580beefd098ea7c26de18c5405910c3c58b077",
+    "xp/s00003.map.pgm": "cedae89c1b1fec2b486e0d45e9049d360edd05b6526bb6221e4a7bc475fb5d5c",
+    "xp/s00003.overlay.pgm": "c36a05f17c0503ce5812cd411e81868f12aa0ff976ff0a75092aa77167b82a71",
+}
+
+
+def _digests(root: Path) -> dict:
+    out = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            doc = json.loads(data)
+            if doc.pop("inputs", None) is not None:
+                data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        out[path.relative_to(root).as_posix()] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+def test_every_output_of_the_seed_3_chain_is_pinned(flow):
+    assert _digests(flow["root"]) == _FLOW_DIGESTS
+
+
 def test_explain_outputs(flow):
     x = flow["xp"]
     for name in ["s00000.map.pgm", "s00000.overlay.pgm", "s00003.map.pgm",
@@ -380,6 +469,37 @@ def test_seed_flag_at_2_pow_63_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_seed_flag_that_is_no_integer_exits_2(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "o"), "--seed", "abc"]) == 2
+    assert "[run] seed must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_crossval_folds_flag_takes_the_ini_bound(flow, tmp_path, capsys):
+    # as [crossval] folds in the INI would, before --out exists
+    rc = main(["crossval", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
+               "--out", str(tmp_path / "o"), "--seed", "3", "--folds", "99999999999999999999"])
+    assert rc == 2
+    assert "[crossval] folds must lie strictly between -2**63 and 2**63" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_crossval_fold_with_one_truth_class_exits_5(flow, tmp_path, capsys):
+    # 32 folds of one subject each: the first fold holds a single class
+    rc = main(["crossval", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
+               "--out", str(tmp_path / "o"), "--seed", "3", "--folds", "32"])
+    assert rc == 5
+    assert "fold 1 holds a single truth class" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"[synth]\nn = 2\n# \xff\n")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == "i/o error: bad.cfg is not UTF-8 text\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_flag_below_2_pow_63_replays_through_its_echo(tmp_path):
     cfg = tmp_path / "tiny.ini"
     cfg.write_text("[synth]\nn = 2\n")
@@ -470,6 +590,12 @@ def test_huge_integer_exits_2_and_names_the_key(flow, tmp_path, capsys, section,
     ("model", "init_channels", "1025", "[model] init_channels"),
     ("model", "head_hidden", "4097", "[model] head_hidden"),
     ("model", "input_dim", "65536", "[model] input_dim"),
+    ("model", "block_layers", "1000", "[model] block_layers and the widths list 147377937 parameters"),
+    ("model", "growth_rate", "1024", "[model] block_layers and the widths list 267511313 parameters"),
+    ("preprocess", "resize_dim", "65536", "[preprocess] resize_dim must be at most 65535"),
+    ("preprocess", "resize_dim", "10000000000", "[preprocess] resize_dim must be at most 65535"),
+    ("preprocess", "resize_dim", "4611686018427387904", "[preprocess] resize_dim must be at most 65535"),
+    ("preprocess", "crop_dim", "65536", "[preprocess] crop_dim must be at most 65535"),
     ("evaluate", "calibration_edges", "", "[evaluate] calibration_edges"),
     ("evaluate", "calibration_edges", "400,100", "[evaluate] calibration_edges"),
     ("evaluate", "calibration_edges", "100,400", "[evaluate] calibration_edges"),
@@ -736,14 +862,21 @@ def _flip_first_weight_name_byte(data: bytes) -> bytes:
     return data[:12] + b"\xff" + data[13:]
 
 
+def _first_weight_dims_past_memory(data: bytes) -> bytes:
+    # the first tensor's four dims follow its name length, name and rank; their
+    # product is 0, so no values are read for them, yet numpy cannot make that shape
+    dims = 12 + len(b"stem.conv.w") + 1
+    return data[:dims] + struct.pack("<4I", 0, *[2**32 - 1] * 3) + data[dims + 16:]
+
+
 def _sidecar_without(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
-def _sidecar_field(section, key, value):
+def _sidecar_field(section, **values):
     def damage(text):
         doc = json.loads(text)
-        doc[section][key] = value
+        doc[section].update(values)
         return json.dumps(doc)
     return damage
 
@@ -751,17 +884,20 @@ def _sidecar_field(section, key, value):
 _DAMAGED_MODEL_FILES = {
     "sidecar_lacks_label_transform": ("sidecar.json", _sidecar_without("label_transform")),
     "sidecar_is_a_list": ("sidecar.json", lambda text: "[1,2]"),
-    "sidecar_block_layers_not_a_list": ("sidecar.json", _sidecar_field("net", "block_layers", 5)),
-    "sidecar_block_layers_too_deep": ("sidecar.json", _sidecar_field("net", "block_layers", [1000000])),
-    "sidecar_growth_rate_too_wide": ("sidecar.json", _sidecar_field("net", "growth_rate", 1000000000)),
-    "sidecar_sigma_log_zero": ("sidecar.json", _sidecar_field("label_transform", "sigma_log", 0)),
-    "sidecar_sigma_log_negative": ("sidecar.json", _sidecar_field("label_transform", "sigma_log", -7.66)),
-    "sidecar_epsilon_zero": ("sidecar.json", _sidecar_field("label_transform", "epsilon", 0)),
-    "sidecar_clip_max_zero": ("sidecar.json", _sidecar_field("label_transform", "clip_max", 0)),
+    "sidecar_block_layers_not_a_list": ("sidecar.json", _sidecar_field("net", block_layers=5)),
+    "sidecar_block_layers_too_deep": ("sidecar.json", _sidecar_field("net", block_layers=[1000000])),
+    "sidecar_growth_rate_too_wide": ("sidecar.json", _sidecar_field("net", growth_rate=1000000000)),
+    "sidecar_sigma_log_zero": ("sidecar.json", _sidecar_field("label_transform", sigma_log=0)),
+    "sidecar_sigma_log_negative": ("sidecar.json", _sidecar_field("label_transform", sigma_log=-7.66)),
+    "sidecar_epsilon_zero": ("sidecar.json", _sidecar_field("label_transform", epsilon=0)),
+    "sidecar_clip_max_zero": ("sidecar.json", _sidecar_field("label_transform", clip_max=0)),
+    "sidecar_layout_too_large": ("sidecar.json", _sidecar_field("net", block_layers=[1000], growth_rate=1024)),
+    "sidecar_mu_log_too_large_for_a_float": ("sidecar.json", _sidecar_field("label_transform", mu_log=10**400)),
     "sidecar_nests_too_deep": ("sidecar.json", lambda text: "[" * 100000),
     "split_is_empty_object": ("split.json", lambda text: "{}"),
     "split_nests_too_deep": ("split.json", lambda text: "[" * 100000),
     "weights_name_not_utf8": ("weights.cacw", _flip_first_weight_name_byte),
+    "weights_dims_past_memory": ("weights.cacw", _first_weight_dims_past_memory),
     "weights_value_nan": ("weights.cacw", lambda data: data[:-4] + b"\xff\xff\xff\xff"),
     "stats_row_lacks_sigma": ("stats.csv", lambda text: "mu,sigma\n1.0\n"),
     "stats_sigma_zero": ("stats.csv", lambda text: "mu,sigma\n1.0,0.0\n"),

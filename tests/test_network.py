@@ -58,6 +58,9 @@ def test_invalid_config_rejected():
             input_dim=64, init_channels=16, growth_rate=8, block_layers=(2, 2),
             compression=1.5, head_hidden=64, use_batchnorm=True,
         )
+    # 16 px halves to 8, 4, 2, 1 and then 0 through the stem and three transitions
+    with pytest.raises(InvalidConfigError, match="input_dim 16 collapses below 1x1"):
+        nw.DenseNetConfig(input_dim=16)
 
 
 def test_dense_layers_are_bounded_in_total():
@@ -68,11 +71,21 @@ def test_dense_layers_are_bounded_in_total():
             nw.DenseNetConfig(block_layers=layout)
 
 
+def test_parameter_count_is_bounded():
+    # 1000 dense layers and each width pass their own bounds; their product does not
+    with pytest.raises(InvalidConfigError, match="list 2157767361 parameters, more than 2\\*\\*27"):
+        nw.DenseNetConfig(block_layers=(1000,))
+
+
 def test_widths_are_bounded():
     # DenseNet-264 and DenseNet-161 widths at the paper's input size build
     for widths in (dict(growth_rate=32, block_layers=(6, 12, 64, 48)), dict(init_channels=96, growth_rate=48)):
         assert nw.DenseNetConfig(input_dim=1024, **widths)
-    assert nw.DenseNetConfig(input_dim=65535, init_channels=1024, growth_rate=1024, head_hidden=4096)
+    # every width at its bound builds in a one-layer layout; deeper, the parameter bound stops it
+    widest = dict(input_dim=65535, init_channels=1024, growth_rate=1024, head_hidden=4096)
+    assert nw.DenseNetConfig(block_layers=(1,), **widest)
+    with pytest.raises(InvalidConfigError, match="more than 2\\*\\*27"):
+        nw.DenseNetConfig(**widest)
     for key, value in (("input_dim", 65536), ("init_channels", 1025), ("growth_rate", 1025),
                        ("growth_rate", 1000000000), ("head_hidden", 4097)):
         with pytest.raises(InvalidConfigError, match=f"{key} must be at most"):

@@ -5,10 +5,11 @@ sidecar, statistics, split), a DICOM image and the cohort file is cut at
 every byte and has every byte replaced in turn by 0x00, 0xff, '"' and ','.
 Each mutation must load or raise an error that ``main`` maps to an exit
 code; a KeyError, TypeError or IndexError would surface as a traceback.
-Properties then write any bytes as each text file: a text model file must
-load or exit 4, a cohort must load or exit 2 or 4. The table at the end
-pins the exit code of every error class, and every float range check of the
-library configs must reject NaN.
+Properties then feed any bytes to the weights and DICOM parsers, which must
+parse or raise a CacXrayError, and write any bytes as each text file: a
+text model file must load or exit 4, a cohort must load or exit 2 or 4. The
+table at the end pins the exit code of every error class, and every float
+range check of the library configs must reject NaN.
 """
 
 import json
@@ -47,6 +48,7 @@ def _mutations(data: bytes):
 
 
 _NET = DenseNetConfig(input_dim=8, init_channels=2, growth_rate=1, block_layers=(1,), head_hidden=2)
+_WEIGHTS = weights_to_bytes(init_model(_NET, 0))
 
 
 _SPLIT = {"split_seed": 1, "train_fraction": 0.5, "train_ids": ["s00000", "s00002"],
@@ -60,7 +62,7 @@ _MODEL_TEXT_FILES = {
 
 def _write_model_dir(path):
     """A small but complete train output."""
-    (path / "weights.cacw").write_bytes(weights_to_bytes(init_model(_NET, 0)))
+    (path / "weights.cacw").write_bytes(_WEIGHTS)
     for name, data in _MODEL_TEXT_FILES.items():
         (path / name).write_bytes(data)
     return path
@@ -106,14 +108,17 @@ def test_every_split_mutation_loads_or_exits_4(model_dir):
     _assert_loads_or_exits_4(path.read_bytes(), _through_file(path, lambda: cli._read_test_ids(model_dir)))
 
 
-@pytest.mark.parametrize("ts", [dicom.EXPLICIT_VR_LE, dicom.IMPLICIT_VR_LE])
+_IMAGE = dicom.DicomImage(
+    rows=2, cols=2, bits_allocated=16, bits_stored=12, pixel_representation=1,
+    photometric="MONOCHROME1", window_center=40.0, window_width=80.0,
+    pixels=np.array([[-2048, 0], [7, 2047]]), rescale_slope=2.0, rescale_intercept=-1024.0,
+)
+_DICOMS = {ts: dicom.write_test_dicom(_IMAGE, transfer_syntax=ts) for ts in (dicom.EXPLICIT_VR_LE, dicom.IMPLICIT_VR_LE)}
+
+
+@pytest.mark.parametrize("ts", list(_DICOMS))
 def test_every_dicom_mutation_loads_or_exits_4(ts):
-    img = dicom.DicomImage(
-        rows=2, cols=2, bits_allocated=16, bits_stored=12, pixel_representation=1,
-        photometric="MONOCHROME1", window_center=40.0, window_width=80.0,
-        pixels=np.array([[-2048, 0], [7, 2047]]), rescale_slope=2.0, rescale_intercept=-1024.0,
-    )
-    _assert_loads_or_exits_4(dicom.write_test_dicom(img, transfer_syntax=ts), dicom.parse_dicom)
+    _assert_loads_or_exits_4(_DICOMS[ts], dicom.parse_dicom)
 
 
 _COHORT = cohort_to_csv([
@@ -153,14 +158,19 @@ def _bytes_near(original: bytes):
     """Any bytes, any UTF-8 text, text over the characters of ``original`` and
     the framing characters, and ``original`` with a span replaced."""
     alphabet = sorted(set(original.decode("utf-8")) | set('"\\,[]{}\r\n'))
-    n = len(original)
     return st.one_of(
         st.binary(),
         st.text().map(lambda t: t.encode("utf-8")),
         st.text(st.sampled_from(alphabet)).map(lambda t: t.encode("utf-8")),
-        st.builds(lambda i, j, new: original[:min(i, j)] + new + original[max(i, j):],
-                  st.integers(0, n), st.integers(0, n), st.binary(max_size=8)),
+        _span_replaced(original),
     )
+
+
+def _span_replaced(original: bytes):
+    """``original`` with a span, maybe empty, replaced by up to 8 bytes."""
+    n = len(original)
+    return st.builds(lambda i, j, new: original[:min(i, j)] + new + original[max(i, j):],
+                     st.integers(0, n), st.integers(0, n), st.binary(max_size=8))
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +192,28 @@ def test_any_bytes_as_a_text_model_file_load_or_exit_4(shared_model_dir, name, d
         assert _exit_code(lambda: _TEXT_MODEL_FILE_READERS[name](shared_model_dir)) in (0, 4)
     finally:
         path.write_bytes(_MODEL_TEXT_FILES[name])
+
+
+# --- any bytes as a binary file --------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(), _span_replaced(_WEIGHTS)))
+def test_any_bytes_as_weights_parse_or_raise_a_cacxray_error(data):
+    try:
+        weights_from_bytes(data, _NET)
+    except CacXrayError:
+        pass
+
+
+@pytest.mark.parametrize("ts", list(_DICOMS))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_any_bytes_as_a_dicom_parse_or_raise_a_cacxray_error(ts, data):
+    try:
+        dicom.parse_dicom(data.draw(st.one_of(st.binary(), _span_replaced(_DICOMS[ts]))))
+    except CacXrayError:
+        pass
 
 
 @pytest.fixture(scope="module")

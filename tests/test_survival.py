@@ -266,6 +266,10 @@ def test_cox_error_taxonomy():
     ]
     with pytest.raises(DivergedError):
         sv.cox_fit(separated, ["x"])
+    # y = 2x adds nothing to x, so the information matrix is exactly singular
+    collinear = [R(f"s{i}", 1.0 + i, i % 2 == 0, {"x": float(i % 3), "y": 2.0 * (i % 3)}) for i in range(6)]
+    with pytest.raises(DivergedError, match="singular information matrix"):
+        sv.cox_fit(collinear, ["x", "y"])
 
 
 def test_cox_json_shape():

@@ -104,6 +104,17 @@ def test_blob_count_respects_configured_range():
             assert lo <= len(s.blob_boxes) <= hi
 
 
+def test_forced_minimum_splits_the_budget_into_equal_deposits():
+    # a score below 10 plants less mass than one deposit holds, so a minimum
+    # of three splits it into three deposits of one size
+    cfg = _cfg(blob_count_range=(3, 3))
+    small = [s for s in sg.generate_samples(cfg) if 0.0 < s.cac < 10.0]
+    assert len(small) >= 5
+    for s in small:
+        assert len(s.blob_boxes) == 3 and len({box[2:] for box in s.blob_boxes}) == 1
+        assert s.planted_mass == cfg.mass_scale * float(np.log1p(s.cac))
+
+
 def test_boxes_inside_image_and_ellipse():
     for s in sg.generate_samples(_cfg(n=60, seed=7)):
         ecx, ecy, ax, ay = s.ellipse
