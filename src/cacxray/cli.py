@@ -335,7 +335,9 @@ def cmd_train(args, cfg, out: Path) -> dict:
         raise EmptyDatasetError("training split has fewer than two samples")
 
     crops = [preprocess_uncalibrated(dicoms[i], cfg["preprocess"]) for i in train_idx]
+    del dicoms  # every file's bytes, test images included
     stats, lt, xtr, ytr = fit_transforms(crops, cacs[train_idx])
+    del crops  # training reads only the standardized copies
     params = init_model(cfg["model"], _seed(cfg, "init"))
     fitted, history = train(list(zip(xtr, ytr)), tc, params)
 

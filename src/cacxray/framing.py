@@ -40,9 +40,10 @@ class Reader:
 
 
 def read_text(path: Path) -> str:
-    """``path`` as UTF-8 text whatever the locale; other bytes raise MalformedFileError."""
+    """``path`` as UTF-8 text whatever the locale, less a leading byte-order
+    mark (spreadsheet exports write one); other bytes raise MalformedFileError."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedFileError(f"{path.name} is not UTF-8 text") from exc
 

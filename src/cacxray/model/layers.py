@@ -366,4 +366,6 @@ class Linear(Layer):
         if grads is not None:
             grads[self.wname] = grads.get(self.wname, 0.0) + dy.T @ x
             grads[self.bname] = grads.get(self.bname, 0.0) + dy.sum(axis=0)
-        return dy @ ctx.tensors[self.wname]
+        # one product per item, as in forward, so an item's input gradient
+        # does not depend on the batch it came in
+        return (dy[:, None, :] @ ctx.tensors[self.wname])[:, 0]

@@ -80,7 +80,15 @@ class DenseNetConfig:
         # DenseNet-264 lists 31.2M parameters; 2**27 float64 values are 1 GiB,
         # and a layout past that, from a damaged sidecar say, would exhaust
         # memory when its weights are drawn. Counting them allocates nothing.
-        n_params = sum(math.prod(shape) for _, shape in build_net(self).param_shapes())
+        # A compression that floors a transition to 0 channels leaves a zero
+        # dim, whose weights have no fan-in to scale their draw by.
+        shapes = build_net(self).param_shapes()
+        for name, shape in shapes:
+            if 0 in shape:
+                raise InvalidConfigError(
+                    f"compression {self.compression} gives {name} the shape {shape}, which holds a zero dim"
+                )
+        n_params = sum(math.prod(shape) for _, shape in shapes)
         if n_params > 2**27:
             raise InvalidConfigError(
                 f"block_layers and the widths list {n_params} parameters, more than 2**27"

@@ -12,7 +12,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import (
     ConstantCovariateError,
@@ -39,13 +38,12 @@ class SubjectRecord:
                 raise ValueError(f"subject {self.id}: covariate {name!r} must be finite, got {value}")
 
 
-def chi2_sf(x: float, df: int = 1) -> float:
-    """Chi-squared upper tail via the regularized incomplete gamma."""
+def chi2_sf(x: float) -> float:
+    """Upper tail of the chi-squared law with one degree of freedom:
+    P(chi2 > x) = P(|Z| > sqrt(x)) = erfc(sqrt(x / 2))."""
     if x < 0:
         raise NegativeStatisticError(f"chi-squared statistic must be nonnegative, got {x}")
-    if df < 1:
-        raise ValueError("df must be a positive integer")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    return math.erfc(math.sqrt(x / 2.0))
 
 
 def normal_sf(z: float) -> float:
@@ -157,7 +155,7 @@ def log_rank(group_a, group_b) -> LogRankResult:
     if var == 0.0:
         return LogRankResult(chi2=0.0, p_value=1.0, observed_a=obs_a, expected_a=exp_a)
     chi2 = u ** 2 / var
-    return LogRankResult(chi2=chi2, p_value=chi2_sf(chi2, 1), observed_a=obs_a, expected_a=exp_a)
+    return LogRankResult(chi2=chi2, p_value=chi2_sf(chi2), observed_a=obs_a, expected_a=exp_a)
 
 
 # --- Cox proportional hazards ----------------------------------------------------

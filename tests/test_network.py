@@ -324,8 +324,8 @@ def test_freeze_policy_checked_in_eval_mode(tiny_net_cfg):
 @pytest.fixture(scope="module")
 def eval_pool():
     """Desk init weights with random running moments, a fixed pool of 12
-    images, and each image's prediction and features bytes from a batch-1
-    eval forward."""
+    images, and each image's prediction, features and feature-gradient bytes
+    from a batch-1 eval forward."""
     cfg = nw.desk_config()
     p = nw.init_model(cfg, seed=13)
     rng = np.random.default_rng(13)
@@ -338,7 +338,8 @@ def eval_pool():
     alone = []
     for x in pool:
         trace = nw.forward(p, [x], mode="eval")
-        alone.append((trace.predictions.tobytes(), trace.features.tobytes()))
+        grad = nw.prediction_feature_gradient(p, trace)
+        alone.append((trace.predictions.tobytes(), trace.features.tobytes(), grad.tobytes()))
     return p, pool, alone
 
 
@@ -348,8 +349,10 @@ def test_eval_prediction_does_not_depend_on_its_batch(eval_pool, picks):
     # any batch of pool images, repeats allowed, in any order
     p, pool, alone = eval_pool
     trace = nw.forward(p, [pool[i] for i in picks], mode="eval")
+    grad = nw.prediction_feature_gradient(p, trace)
     for j, i in enumerate(picks):
-        assert (trace.predictions[j : j + 1].tobytes(), trace.features[j : j + 1].tobytes()) == alone[i], (j, i)
+        item = (trace.predictions[j : j + 1], trace.features[j : j + 1], grad[j : j + 1])
+        assert tuple(a.tobytes() for a in item) == alone[i], (j, i)
 
 
 # --- gradient checks --------------------------------------------------------------

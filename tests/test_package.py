@@ -1,8 +1,14 @@
 """The package holds only what it runs: code that only tests call lives in
-tests/oracles.py, not under cacxray."""
+tests/oracles.py, not under cacxray, and numpy is its one dependency outside
+the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import cacxray
 
@@ -26,3 +32,19 @@ def test_every_public_function_is_used_by_the_package():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in loaded
     ]
     assert not unused, f"public functions that no module of the package uses: {unused}"
+
+
+def test_numpy_is_the_only_dependency():
+    # the modules that importing the command line loads, beyond those the
+    # interpreter loaded at start-up
+    code = "import sys; before = set(sys.modules); import cacxray.cli; print(*set(sys.modules) - before)"
+    src = str(Path(cacxray.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "cacxray" in loaded and "numpy" in loaded
+    assert loaded - sys.stdlib_module_names <= {"cacxray", "numpy"}
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]

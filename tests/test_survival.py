@@ -294,10 +294,14 @@ def test_cox_json_writes_null_for_undefined_p_value(monkeypatch):
 # --- tail probabilities ------------------------------------------------------------
 
 def test_chi2_sf_values():
-    assert sv.chi2_sf(0.0, 1) == 1.0
-    assert sv.chi2_sf(3.841459, 1) == pytest.approx(0.05, abs=1e-6)
+    assert sv.chi2_sf(0.0) == 1.0
+    assert sv.chi2_sf(3.841459) == pytest.approx(0.05, abs=1e-6)
+    # the one-degree-of-freedom critical values
+    assert sv.chi2_sf(3.8414588206941285) == pytest.approx(0.05, rel=1e-14)
+    assert sv.chi2_sf(6.634896601021217) == pytest.approx(0.01, rel=1e-14)
+    assert sv.chi2_sf(10.827566170662733) == pytest.approx(0.001, rel=1e-14)
     with pytest.raises(NegativeStatisticError):
-        sv.chi2_sf(-0.1, 1)
+        sv.chi2_sf(-0.1)
 
 
 def test_normal_sf_values():
@@ -403,7 +407,7 @@ def _sha(*parts):
     }),
     (_tied_cohort, {
         "km": "35baf14b7ec0bf07aa3d426b27e7e6cc8bc88f85eb4c40fea59d95bedd6e8366",
-        "log_rank": "8b945c550b5f224598fcae22f0b02fcf040f7fadfec9d9ebb4562f2550c499dd",
+        "log_rank": "fcb469c7e01aec930c239f29d15871e1287168b1af840289f53152489002032d",
         "cox": "c3aca50c0805a23e54a10dea3d04ab3e619a4908d1b840e957618bea7626dc7f",
     }),
 ])
@@ -469,7 +473,7 @@ def _log_rank_oracle(a, b):
     if var == 0.0:
         return sv.LogRankResult(0.0, 1.0, obs, exp)
     chi2 = u ** 2 / var
-    return sv.LogRankResult(chi2, sv.chi2_sf(chi2, 1), obs, exp)
+    return sv.LogRankResult(chi2, sv.chi2_sf(chi2), obs, exp)
 
 
 def _breslow_scan(beta, x, times, events):
