@@ -7,11 +7,14 @@ dense block's feature buffer. For the backward pass, a stride-1 convolution
 caches its input as a zero-padded channels-last copy, and a strided
 convolution caches its im2col matrix. The only strided convolution is the
 stem, whose input is the image, so its backward computes the weight gradient
-only. Batch normalization caches its input itself with the moments it used,
-which costs nothing when that input is a view into a dense block's buffer,
-and recomputes the normalized input in backward. A layer only reads its
-cache in backward, so a backward can run twice on one cache; the network
-drops each cache once its backward walk has passed the layer.
+only. In train mode batch normalization caches its normalized input, which
+for a dense layer's first normalization is a view into its block's shared
+normalized buffer (see BlockNorm); in eval mode it caches its input, as that
+costs nothing when the input is a view into a dense block's buffer, and
+recomputes the normalized input in backward where it needs it. ReLU caches
+its mask. A layer only reads its cache in backward, so a backward can run
+twice on one cache; the network drops each cache once its backward walk has
+passed the layer.
 
 Parameter naming: each layer owns entries in a flat ``tensors`` dict under its
 dotted name, e.g. ``block0.layer1.conv2.w`` or ``head.fc1.b``. Weight decay
@@ -31,12 +34,37 @@ BN_MOMENTUM = 0.1
 
 
 @dataclass
+class BlockNorm:
+    """A dense block's train-mode normalization, shared by its layers' bn1.
+
+    Channel j of the block's feature buffer holds the same data for every
+    layer that reads it, so its batch mean ``m``, variance ``v``, inverse
+    standard deviation ``inv`` and normalized values ``xhat`` are the same in
+    each of those layers' bn1. The first bn1 that reads a channel computes
+    them into these block-wide arrays; ``seen`` channels are done.
+    """
+
+    xhat: np.ndarray  # (n, channels, h, w)
+    m: np.ndarray  # (1, channels, 1, 1), and so are v and inv
+    v: np.ndarray
+    inv: np.ndarray
+    seen: int = 0
+
+    @classmethod
+    def empty(cls, shape) -> "BlockNorm":
+        m, v, inv = np.empty((3, 1, shape[1], 1, 1))
+        return cls(np.empty(shape), m, v, inv)
+
+
+@dataclass
 class RunCtx:
-    """State threaded through one forward/backward pass."""
+    """State threaded through one forward/backward pass. ``block_norm`` is set
+    only in the context a dense block hands its layers' bn1 in train mode."""
 
     tensors: dict[str, np.ndarray]
     mode: str  # "train" | "eval"
     caches: dict = field(default_factory=dict)
+    block_norm: BlockNorm | None = None
 
 
 def _quantized_normal(rng: np.random.Generator, std: float, shape) -> np.ndarray:
@@ -201,10 +229,18 @@ class BatchNorm2d(Layer):
     Train mode normalizes by biased batch statistics and updates the running
     moments in place; eval mode normalizes by the stored running moments and
     leaves them untouched. ``ctx.mode`` alone picks the branch, in forward
-    and in backward. The cache is the input with the mean and inverse
-    standard deviation it was normalized by; backward recomputes the
-    normalized input from them only where it reads it, in train mode or for
-    parameter gradients.
+    and in backward.
+
+    In train mode the cache is the normalized input with the inverse
+    standard deviation. Given ``ctx.block_norm``, the layer normalizes only
+    the channels that no earlier bn1 of its block has seen and reads the
+    rest from the block's shared arrays. numpy reduces a one-channel view in
+    another order than the same channel of a wider view, so a lone new
+    channel reduces together with its left neighbour, and an input of one
+    channel reduces on its own: each channel's moments are bit for bit those
+    of its whole input. In eval mode the cache is the input with the moments
+    it was normalized by, and backward recomputes the normalized input only
+    for parameter gradients.
     """
 
     AXES = (0, 2, 3)
@@ -231,33 +267,58 @@ class BatchNorm2d(Layer):
     def _channels(self, ctx, name):
         return ctx.tensors[name][None, :, None, None]
 
+    @classmethod
+    def _normalize(cls, x):
+        """Batch mean, variance, inverse standard deviation and normalized
+        input of x."""
+        # one pass for the mean, one for the variance of the centred input:
+        # the same sums np.mean and np.var take, without np.var's second mean
+        nel = x.shape[0] * x.shape[2] * x.shape[3]
+        m = np.add.reduce(x, axis=cls.AXES, keepdims=True) / nel
+        d = x - m
+        v = np.add.reduce(d * d, axis=cls.AXES, keepdims=True) / nel
+        inv = 1.0 / np.sqrt(v + BN_EPS)
+        d *= inv  # normalized in place: d is not read again
+        return m, v, inv, d
+
+    @classmethod
+    def _normalize_shared(cls, x, norm):
+        """Normalize the channels of x past ``norm.seen`` into ``norm`` and
+        return the moments and normalized input of all of x's channels."""
+        s, c = norm.seen, x.shape[1]
+        lo = s - 1 if c - s == 1 else s  # a lone channel reduces with its left neighbour
+        for dst, src in zip((norm.m, norm.v, norm.inv, norm.xhat), cls._normalize(x[:, lo:c])):
+            dst[:, s:c] = src[:, s - lo :]
+        norm.seen = c
+        return norm.m[:, :c], norm.v[:, :c], norm.inv[:, :c], norm.xhat[:, :c]
+
     def forward(self, x, ctx):
         if ctx.mode == "train":
-            # one pass for the mean, one for the variance of the centred input:
-            # the same sums np.mean and np.var take, without np.var's second mean
-            nel = x.shape[0] * x.shape[2] * x.shape[3]
-            m = np.add.reduce(x, axis=self.AXES, keepdims=True) / nel
-            d = x - m
-            v = np.add.reduce(d * d, axis=self.AXES, keepdims=True) / nel
+            if ctx.block_norm is not None and x.shape[1] > 1:
+                m, v, inv, xhat = self._normalize_shared(x, ctx.block_norm)
+            else:
+                m, v, inv, xhat = self._normalize(x)
             for name, moment in ((self.rmname, m), (self.rvname, v)):
                 running = ctx.tensors[name]
                 running *= 1.0 - BN_MOMENTUM
                 running += BN_MOMENTUM * moment.ravel()
+            ctx.caches[self.name] = (xhat, inv)
         else:
             # a copy, so the cache keeps the moments this pass read
             m = self._channels(ctx, self.rmname).copy()
-            v = self._channels(ctx, self.rvname)
-            d = x - m
-        inv = 1.0 / np.sqrt(v + BN_EPS)
-        xhat = d  # normalized in place: d is not read again
-        xhat *= inv
-        ctx.caches[self.name] = (x, m, inv)
+            inv = 1.0 / np.sqrt(self._channels(ctx, self.rvname) + BN_EPS)
+            xhat = x - m
+            xhat *= inv
+            ctx.caches[self.name] = (x, m, inv)
         return self._channels(ctx, self.gname) * xhat + self._channels(ctx, self.bname)
 
     def backward(self, dy, ctx, grads):
-        x, m, inv = ctx.caches[self.name]
         train = ctx.mode == "train"
-        xhat = (x - m) * inv if train or grads is not None else None
+        if train:
+            xhat, inv = ctx.caches[self.name]
+        else:
+            x, m, inv = ctx.caches[self.name]
+            xhat = (x - m) * inv if grads is not None else None
         if grads is not None:
             grads[self.gname] = grads.get(self.gname, 0.0) + np.sum(dy * xhat, axis=self.AXES)
             grads[self.bname] = grads.get(self.bname, 0.0) + np.sum(dy, axis=self.AXES)
@@ -266,18 +327,35 @@ class BatchNorm2d(Layer):
             return dxhat * inv
         nel = dy.shape[0] * dy.shape[2] * dy.shape[3]
         s1 = np.sum(dxhat, axis=self.AXES, keepdims=True)
-        s2 = np.sum(dxhat * xhat, axis=self.AXES, keepdims=True)
-        return (inv / nel) * (nel * dxhat - s1 - xhat * s2)
+        t = dxhat * xhat
+        s2 = np.sum(t, axis=self.AXES, keepdims=True)
+        # (inv / nel) * (nel * dxhat - s1 - xhat * s2), in place on dxhat
+        dxhat *= nel
+        dxhat -= s1
+        dxhat -= np.multiply(xhat, s2, out=t)
+        dxhat *= inv / nel
+        return dxhat
 
 
 class ReLU(Layer):
+    """max(x, 0) as np.where(x > 0, x, 0.0) gives it, bit for bit: NaN and
+    -0.0 map to +0.0. The cache is the mask ``x > 0``."""
+
+    @staticmethod
+    def _masked(a, mask):
+        # a's bits ANDed with the mask widened to all-ones or all-zeros words:
+        # np.where(mask, a, 0.0) by construction, in one bitwise pass
+        t = np.multiply(mask, np.int64(-1), dtype=np.int64)
+        np.bitwise_and(t, a.view(np.int64), out=t)
+        return t.view(np.float64)
+
     def forward(self, x, ctx):
         mask = x > 0
         ctx.caches[self.name] = mask
-        return np.where(mask, x, 0.0)
+        return self._masked(x, mask)
 
     def backward(self, dy, ctx, grads):
-        return np.where(ctx.caches[self.name], dy, 0.0)
+        return self._masked(dy, ctx.caches[self.name])
 
 
 class MaxPool2x2(Layer):

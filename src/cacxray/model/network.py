@@ -29,6 +29,7 @@ from ..errors import InvalidConfigError, ShapeMismatchError, StaleTraceError
 from .layers import (
     AvgPool2x2,
     BatchNorm2d,
+    BlockNorm,
     Conv2d,
     GlobalAvgPool,
     Linear,
@@ -162,12 +163,15 @@ def _release(ctx: RunCtx, layers) -> None:
 class _DenseBlock:
     """Dense layers, each a plain list [bn1] relu1 conv1 [bn2] relu2 conv2,
     sharing one feature buffer: a layer reads the channels before its own
-    and writes its growth channels after them."""
+    and writes its growth channels after them. In train mode the layers'
+    bn1 also share one normalized buffer beside it (see BlockNorm), so each
+    channel is normalized once per forward."""
 
     def __init__(self, name: str, c_in: int, n_layers: int, growth: int, use_bn: bool):
         self.name = name
         self.c_in = c_in
         self.growth = growth
+        self.use_bn = use_bn
         self.c_out = c_in + n_layers * growth
         inner = 4 * growth
         # (input width, layer list) of each dense layer
@@ -186,10 +190,15 @@ class _DenseBlock:
         n, _, h, w = x.shape
         buf = np.empty((n, self.c_out, h, w))
         buf[:, : self.c_in] = x
+        # in train mode each dense layer's first layer, bn1, runs in a context
+        # that carries the block's shared normalization
+        first_ctx = ctx
+        if self.use_bn and ctx.mode == "train":
+            first_ctx = RunCtx(ctx.tensors, ctx.mode, ctx.caches, BlockNorm.empty(buf.shape))
         for c, seq in self.dense_layers:
             new = buf[:, :c]
-            for layer in seq:
-                new = layer.forward(new, ctx)
+            for i, layer in enumerate(seq):
+                new = layer.forward(new, first_ctx if i == 0 else ctx)
             buf[:, c : c + self.growth] = new
         return buf
 

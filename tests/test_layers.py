@@ -25,6 +25,26 @@ def test_relu_clips_negative():
     assert np.array_equal(out, [[[[0.0, 2.0], [0.0, 0.0]]]])
 
 
+def test_relu_matches_where_bit_for_bit_on_edge_values():
+    # signed zeros, a NaN with a non-default payload, infinities and
+    # subnormals, in a non-contiguous view like relu1's input without batchnorm
+    nan = np.array([0x7FF800000000BEEF, 0xFFF0000000000001], dtype=np.uint64).view(np.float64)
+    tiny = np.nextafter(0.0, 1.0)
+    edges = np.concatenate([[0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 2.5e-310, -2.5e-310, 1.0, -1.0], nan])
+    rng = np.random.default_rng(12)
+    buf = rng.choice(edges, size=(2, 5, 3, 4))
+    x = buf[:, :3]
+    before = buf.tobytes()
+    dy = rng.choice(edges, size=(2, 3, 3, 4))[:, :, ::-1]
+    relu = ReLU("r")
+    ctx = _ctx()
+    y = relu.forward(x, ctx)
+    mask = x > 0
+    assert y.tobytes() == np.where(mask, x, 0.0).tobytes()
+    assert relu.backward(dy, ctx, {}).tobytes() == np.where(mask, dy, 0.0).tobytes()
+    assert buf.tobytes() == before  # the input is left as it was
+
+
 def test_maxpool_2x2_stride_2():
     x = np.arange(16.0).reshape(1, 1, 4, 4)
     out = MaxPool2x2("mp").forward(x, _ctx())

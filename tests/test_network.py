@@ -397,6 +397,24 @@ DEEP_BLOCK_DIGESTS = {
 }
 
 
+def _train_step_digest(cfg, seed):
+    """Digest of one train-mode forward and backward on a batch of 3, then an
+    eval forward and its feature gradient: gradients, predictions, running
+    moments, features."""
+    p = nw.init_model(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    batch = _batch(rng, 3, cfg.input_dim)
+    trace = nw.forward(p, batch, mode="train")
+    grads = nw.backward(p, trace, rng.standard_normal(3))
+    moments = [t for name, t in p.tensors.items() if name.endswith((".running_mean", ".running_var"))]
+    assert len(moments) == (4 * sum(cfg.block_layers) if cfg.use_batchnorm else 0)
+    evaluated = nw.forward(p, batch, mode="eval")
+    feature_grad = nw.prediction_feature_gradient(p, evaluated)
+    parts = [grads[name] for name in sorted(grads)] + [trace.predictions] + moments
+    parts += [evaluated.predictions, evaluated.features, feature_grad]
+    return _digest(parts)
+
+
 @pytest.mark.parametrize("use_bn", [True, False])
 def test_deep_block_train_step_bits_are_pinned(use_bn):
     # several dense layers per block, so every layer reads a stack that
@@ -405,15 +423,29 @@ def test_deep_block_train_step_bits_are_pinned(use_bn):
         input_dim=16, init_channels=4, growth_rate=3, block_layers=(3, 4),
         compression=0.5, head_hidden=5, use_batchnorm=use_bn,
     )
-    p = nw.init_model(cfg, seed=31)
-    rng = np.random.default_rng(31)
-    batch = _batch(rng, 3, cfg.input_dim)
-    trace = nw.forward(p, batch, mode="train")
-    grads = nw.backward(p, trace, rng.standard_normal(3))
-    moments = [t for name, t in p.tensors.items() if name.endswith((".running_mean", ".running_var"))]
-    assert len(moments) == (4 * sum(cfg.block_layers) if use_bn else 0)
-    evaluated = nw.forward(p, batch, mode="eval")
-    feature_grad = nw.prediction_feature_gradient(p, evaluated)
-    parts = [grads[name] for name in sorted(grads)] + [trace.predictions] + moments
-    parts += [evaluated.predictions, evaluated.features, feature_grad]
-    assert _digest(parts) == DEEP_BLOCK_DIGESTS[use_bn]
+    assert _train_step_digest(cfg, 31) == DEEP_BLOCK_DIGESTS[use_bn]
+
+
+# numpy reduces a one-channel view in another order than the same channel of
+# a wider view, so these layouts pin the moments of one-channel stacks and
+# one-channel growth slices; taken before the dense blocks shared their
+# train-mode normalization
+ONE_CHANNEL_DIGESTS = {
+    "growth 1": "4115ec8bce4476a64fc7d9f27c8dc2828f05235b8235c204ecf73e33d54f588c",
+    "one input channel": "6bff1d8b1bbc996a4ca874897dfa475b96e858df01f8bf3e5f31a8c049681f16",
+    "transition to one channel": "d4d19b31af5eac2faa27a6ec0dfa03327ed72c550be5bb273c4809ddf08706fe",
+}
+
+
+@pytest.mark.parametrize(
+    "label,overrides",
+    [
+        ("growth 1", dict(init_channels=4, growth_rate=1, block_layers=(3, 4), compression=0.5)),
+        ("one input channel", dict(init_channels=1, growth_rate=2, block_layers=(3, 2), compression=0.5)),
+        # block 0 ends at 6 channels, and floor(0.2 * 6) = 1
+        ("transition to one channel", dict(init_channels=3, growth_rate=1, block_layers=(3, 3), compression=0.2)),
+    ],
+)
+def test_one_channel_train_step_bits_are_pinned(label, overrides):
+    cfg = nw.DenseNetConfig(input_dim=16, head_hidden=5, **overrides)
+    assert _train_step_digest(cfg, 33) == ONE_CHANNEL_DIGESTS[label]

@@ -48,3 +48,27 @@ def test_numpy_is_the_only_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == ["numpy>=1.24"]
+
+
+def test_every_class_the_benchmark_traces_does_its_own_work():
+    # perfbench times a layer or entry class by wrapping the forward and
+    # backward in its own __dict__, so each name it lists must stay a class
+    # of the model that defines both; its lists are read without importing it
+    from cacxray.model import layers, network
+
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    lists = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("LAYER_CLASSES", "ENTRY_CLASSES")
+    }
+    assert set(lists) == {"LAYER_CLASSES", "ENTRY_CLASSES"}
+    for key, module in (("LAYER_CLASSES", layers), ("ENTRY_CLASSES", network)):
+        assert lists[key]
+        for name in lists[key]:
+            cls = getattr(module, name, None)
+            assert isinstance(cls, type), f"{key} names {name}, which is no class of {module.__name__}"
+            missing = [method for method in ("forward", "backward") if method not in vars(cls)]
+            assert not missing, f"{module.__name__}.{name} does not define {missing} itself"
