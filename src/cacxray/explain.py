@@ -32,7 +32,6 @@ def gradcam(params: ModelParams, image: np.ndarray) -> np.ndarray:
     weights = grad[0].mean(axis=(1, 2))  # (C,)
     raw = np.maximum((weights[:, None, None] * trace.features[0]).sum(axis=0), 0.0)
     up = resize_bilinear(raw, d)
-    up = np.maximum(up, 0.0)  # interpolation cannot overshoot, but stay safe
     peak = float(up.max())
     return up / peak if peak > 0 else up
 

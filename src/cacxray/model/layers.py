@@ -3,18 +3,21 @@
 Everything runs in float64 on (N, C, H, W) arrays so analytic gradients can be
 verified against central finite differences. Layers never mutate their input
 activations, and an input may be a view, such as the leading channels of a
-dense block's feature buffer. For the backward pass, a stride-1 convolution
-caches its input as a zero-padded channels-last copy, and a strided
-convolution caches its im2col matrix. The only strided convolution is the
-stem, whose input is the image, so its backward computes the weight gradient
-only. In train mode batch normalization caches its normalized input, which
-for a dense layer's first normalization is a view into its block's shared
-normalized buffer (see BlockNorm); in eval mode it caches its input, as that
-costs nothing when the input is a view into a dense block's buffer, and
-recomputes the normalized input in backward where it needs it. ReLU caches
-its mask. A layer only reads its cache in backward, so a backward can run
-twice on one cache; the network drops each cache once its backward walk has
-passed the layer.
+dense block's feature buffer.
+
+A layer's forward caches under its name only what its backward reads in
+that mode, and its backward takes that state out of ``ctx.caches``, so one
+forward serves one backward. Train mode serves a walk that takes parameter
+gradients: a stride-1 convolution caches its input as a zero-padded
+channels-last copy, the strided stem convolution its im2col matrix, a
+linear layer its input, and batch normalization its normalized input (for a
+dense layer's first normalization, a view into its block's shared
+normalized buffer, see BlockNorm) with the inverse standard deviation. Eval
+mode serves only an input-gradient walk: a stride-1 convolution keeps its
+input's shape, the stem and a linear layer nothing, and batch normalization
+its inverse standard deviation. In either mode ReLU caches its mask, max
+pooling its argmax and the other pools their input's shape. The stem's
+input is the image, so its backward computes the weight gradient only.
 
 Parameter naming: each layer owns entries in a flat ``tensors`` dict under its
 dotted name, e.g. ``block0.layer1.conv2.w`` or ``head.fc1.b``. Weight decay
@@ -94,8 +97,10 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, dy: np.ndarray, ctx: RunCtx, grads: dict | None) -> np.ndarray:
-        """Return d(loss)/d(input). Parameter gradients are added into
-        ``grads`` under their tensor names; ``grads=None`` skips them."""
+        """Return d(loss)/d(input), taking this layer's cache out of
+        ``ctx.caches``. Parameter gradients are added into ``grads`` under
+        their tensor names, after a train-mode forward only; ``grads=None``
+        skips them."""
         raise NotImplementedError
 
 
@@ -140,10 +145,11 @@ class Conv2d(Layer):
         if self.stride == 1:
             return self._backward_shifted(dy, ctx, grads)
         # the stem: its input is the image, so only the weight gradient
+        cols = ctx.caches.pop(self.name)
         n, _, ho, wo = dy.shape
         if grads is not None:
             dym = np.ascontiguousarray(dy.reshape(n, self.c_out, ho * wo).transpose(0, 2, 1))
-            dw = np.tensordot(dym, ctx.caches[self.name], axes=([0, 1], [0, 1]))  # (c_out, c*k*k)
+            dw = np.tensordot(dym, cols, axes=([0, 1], [0, 1]))  # (c_out, c*k*k)
             grads[self.wname] = grads.get(self.wname, 0.0) + dw.reshape(self.param_shapes()[0][1])
         return None
 
@@ -176,12 +182,12 @@ class Conv2d(Layer):
         y = xf[:, : ho * wp] @ shifts[0][1].T
         for off, wi in shifts[1:]:
             y[:, :m] += xf[:, off : off + m] @ wi.T
-        ctx.caches[self.name] = (xf, x.shape)
+        ctx.caches[self.name] = (xf if ctx.mode == "train" else None, x.shape)
         y = y.reshape(n, ho, wp, self.c_out)[:, :, :wo]
         return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
     def _backward_shifted(self, dy, ctx, grads):
-        xf, (n, c, h, wid) = ctx.caches[self.name]
+        xf, (n, c, h, wid) = ctx.caches.pop(self.name)
         p, k = self.pad, self.kernel
         hp, wp, ho, wo, m = self._geometry(h, wid)
         shifts = self._shifted_weights(ctx, wp)
@@ -219,7 +225,7 @@ class Conv2d(Layer):
         # (n, c, ho, wo, k, k) -> (n, ho, wo, c, k, k)
         cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, ho * wo, c * k * k)
         y = cols @ w.reshape(self.c_out, -1).T  # (n, ho*wo, c_out)
-        ctx.caches[self.name] = cols
+        ctx.caches[self.name] = cols if ctx.mode == "train" else None
         return np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(n, self.c_out, ho, wo)
 
 
@@ -238,9 +244,9 @@ class BatchNorm2d(Layer):
     another order than the same channel of a wider view, so a lone new
     channel reduces together with its left neighbour, and an input of one
     channel reduces on its own: each channel's moments are bit for bit those
-    of its whole input. In eval mode the cache is the input with the moments
-    it was normalized by, and backward recomputes the normalized input only
-    for parameter gradients.
+    of its whole input. In eval mode the cache is the inverse standard
+    deviation alone: the input gradient ``(dy * gamma) * inv`` reads nothing
+    else, and an eval pass takes no parameter gradients.
     """
 
     AXES = (0, 2, 3)
@@ -304,27 +310,20 @@ class BatchNorm2d(Layer):
                 running += BN_MOMENTUM * moment.ravel()
             ctx.caches[self.name] = (xhat, inv)
         else:
-            # a copy, so the cache keeps the moments this pass read
-            m = self._channels(ctx, self.rmname).copy()
             inv = 1.0 / np.sqrt(self._channels(ctx, self.rvname) + BN_EPS)
-            xhat = x - m
+            xhat = x - self._channels(ctx, self.rmname)
             xhat *= inv
-            ctx.caches[self.name] = (x, m, inv)
+            ctx.caches[self.name] = inv
         return self._channels(ctx, self.gname) * xhat + self._channels(ctx, self.bname)
 
     def backward(self, dy, ctx, grads):
-        train = ctx.mode == "train"
-        if train:
-            xhat, inv = ctx.caches[self.name]
-        else:
-            x, m, inv = ctx.caches[self.name]
-            xhat = (x - m) * inv if grads is not None else None
+        dxhat = dy * self._channels(ctx, self.gname)
+        if ctx.mode != "train":
+            return dxhat * ctx.caches.pop(self.name)
+        xhat, inv = ctx.caches.pop(self.name)
         if grads is not None:
             grads[self.gname] = grads.get(self.gname, 0.0) + np.sum(dy * xhat, axis=self.AXES)
             grads[self.bname] = grads.get(self.bname, 0.0) + np.sum(dy, axis=self.AXES)
-        dxhat = dy * self._channels(ctx, self.gname)
-        if not train:
-            return dxhat * inv
         nel = dy.shape[0] * dy.shape[2] * dy.shape[3]
         s1 = np.sum(dxhat, axis=self.AXES, keepdims=True)
         t = dxhat * xhat
@@ -355,35 +354,32 @@ class ReLU(Layer):
         return self._masked(x, mask)
 
     def backward(self, dy, ctx, grads):
-        return self._masked(dy, ctx.caches[self.name])
+        return self._masked(dy, ctx.caches.pop(self.name))
 
 
 class MaxPool2x2(Layer):
     """2x2 max pooling, stride 2; a trailing odd row/column is dropped.
     Gradient ties route to the first maximal element of each window."""
 
+    # window offsets in the row-major order that decides which maximum counts
+    # as first
+    OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
     def forward(self, x, ctx):
         n, c, h, w = x.shape
         h2, w2 = h // 2, w // 2
-        # window offsets (0,0), (0,1), (1,0), (1,1): the row-major order that
-        # decides which maximum counts as first
-        win = np.stack(
-            [x[:, :, i : h2 * 2 : 2, j : w2 * 2 : 2] for i in (0, 1) for j in (0, 1)], axis=-1
-        )
+        win = np.stack([x[:, :, i : h2 * 2 : 2, j : w2 * 2 : 2] for i, j in self.OFFSETS], axis=-1)
         idx = np.argmax(win, axis=-1)
         y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
         ctx.caches[self.name] = (idx, x.shape)
         return y
 
     def backward(self, dy, ctx, grads):
-        idx, (n, c, h, w) = ctx.caches[self.name]
-        h2, w2 = h // 2, w // 2
-        dwin = np.zeros((n, c, h2, w2, 4))
-        np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-        dx = np.zeros((n, c, h, w))
-        dx[:, :, : h2 * 2, : w2 * 2] = (
-            dwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2 * 2, w2 * 2)
-        )
+        idx, shape = ctx.caches.pop(self.name)
+        h2, w2 = shape[2] // 2, shape[3] // 2
+        dx = np.zeros(shape)
+        for k, (i, j) in enumerate(self.OFFSETS):
+            dx[:, :, i : h2 * 2 : 2, j : w2 * 2 : 2] = np.where(idx == k, dy, 0.0)
         return dx
 
 
@@ -398,7 +394,7 @@ class AvgPool2x2(Layer):
         return y
 
     def backward(self, dy, ctx, grads):
-        n, c, h, w = ctx.caches[self.name]
+        n, c, h, w = ctx.caches.pop(self.name)
         h2, w2 = h // 2, w // 2
         dx = np.zeros((n, c, h, w))
         dx[:, :, : h2 * 2, : w2 * 2] = np.repeat(np.repeat(dy, 2, axis=2), 2, axis=3) / 4.0
@@ -413,7 +409,7 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=(2, 3))
 
     def backward(self, dy, ctx, grads):
-        n, c, h, w = ctx.caches[self.name]
+        n, c, h, w = ctx.caches.pop(self.name)
         return np.broadcast_to(dy[:, :, None, None], (n, c, h, w)) / (h * w)
 
 
@@ -433,14 +429,14 @@ class Linear(Layer):
         tensors[self.bname] = np.zeros(self.d_out)
 
     def forward(self, x, ctx):
-        ctx.caches[self.name] = x
+        ctx.caches[self.name] = x if ctx.mode == "train" else None
         # one (1, d_in) product per item: a single (n, d_in) GEMM would round
         # differently from a batch-1 product, so an item's output would depend
         # on the batch it came in
         return (x[:, None, :] @ ctx.tensors[self.wname].T)[:, 0] + ctx.tensors[self.bname]
 
     def backward(self, dy, ctx, grads):
-        x = ctx.caches[self.name]
+        x = ctx.caches.pop(self.name)
         if grads is not None:
             grads[self.wname] = grads.get(self.wname, 0.0) + dy.T @ x
             grads[self.bname] = grads.get(self.bname, 0.0) + dy.sum(axis=0)

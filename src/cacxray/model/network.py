@@ -13,8 +13,8 @@ after them, so the concatenation copies nothing (Pleiss et al. 2017,
 entries' ``layers``, in order, give the parameter listing order.
 
 A forward keeps backward state only for the entries that its trace's one
-backward walk reaches (see ForwardTrace), and the walk drops each layer's
-cache as soon as it has passed that layer.
+backward walk reaches (see ForwardTrace), and each layer's backward takes its
+own state out of the trace as the walk passes it.
 """
 
 from __future__ import annotations
@@ -140,8 +140,11 @@ class ForwardTrace:
     A trace serves one backward walk, which ends at entry ``walk_to``: the
     first trained entry in train mode, the one after the first dense block
     in eval mode. ``caches`` holds the backward state of the entries from
-    ``walk_to`` on, which the walk drops as it passes them; a second walk, or
-    one on other ``params`` than the trace holds, raises StaleTraceError.
+    ``walk_to`` on, each layer's only what its backward reads in the trace's
+    mode: a train walk takes parameter gradients, an eval walk the input
+    gradient alone. Each layer's backward takes its state out, so a finished
+    walk leaves ``caches`` empty; a second walk, or one on other ``params``
+    than the trace holds, raises StaleTraceError.
     """
 
     predictions: np.ndarray  # (N,)
@@ -152,12 +155,6 @@ class ForwardTrace:
     params: ModelParams
     params_version: int
     spent: bool = False
-
-
-def _release(ctx: RunCtx, layers) -> None:
-    """Drop the backward state of ``layers``: the walk has passed them."""
-    for layer in layers:
-        ctx.caches.pop(layer.name, None)
 
 
 class _DenseBlock:
@@ -210,7 +207,6 @@ class _DenseBlock:
             for layer in reversed(seq):
                 d = layer.backward(d, ctx, grads)
             dy[:, :c] += d
-            _release(ctx, seq)
         return dy[:, : self.c_in]
 
 
@@ -357,7 +353,6 @@ def _walk(params: ModelParams, trace: ForwardTrace, mode: str, seed, grads) -> n
     ctx = RunCtx(tensors=params.tensors, mode=mode, caches=trace.caches)
     for entry in reversed(build_net(params.cfg).entries[trace.walk_to :]):
         dy = entry.backward(dy, ctx, grads)
-        _release(ctx, entry.layers)
     return dy
 
 

@@ -1,6 +1,8 @@
 """Shared fixtures and low-level helpers for the test suite."""
 
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +96,19 @@ def remove_element(data: bytes, tag: tuple) -> bytes:
             start = payload - (12 if vr in _LONG_VRS else 8)
             return data[:start] + data[payload + length :]
     raise AssertionError(f"element {tag} not found")
+
+
+def benchmark_traced_classes() -> dict[str, list[str]]:
+    """perfbench's LAYER_CLASSES and ENTRY_CLASSES, the model classes whose
+    forward and backward it times, read without importing it."""
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    return {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("LAYER_CLASSES", "ENTRY_CLASSES")
+    }
 
 
 @pytest.fixture(scope="session")

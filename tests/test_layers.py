@@ -14,14 +14,17 @@ from cacxray.model.layers import (
     RunCtx,
 )
 
+from conftest import benchmark_traced_classes
 
-def _ctx(tensors=None, mode="eval"):
+
+def _ctx(tensors=None, *, mode):
+    """A fresh context for one forward and the backward that follows it."""
     return RunCtx(tensors=tensors or {}, mode=mode, caches={})
 
 
 def test_relu_clips_negative():
     x = np.array([[[[-1.0, 2.0], [0.0, -3.5]]]])
-    out = ReLU("r").forward(x, _ctx())
+    out = ReLU("r").forward(x, _ctx(mode="eval"))
     assert np.array_equal(out, [[[[0.0, 2.0], [0.0, 0.0]]]])
 
 
@@ -37,7 +40,7 @@ def test_relu_matches_where_bit_for_bit_on_edge_values():
     before = buf.tobytes()
     dy = rng.choice(edges, size=(2, 3, 3, 4))[:, :, ::-1]
     relu = ReLU("r")
-    ctx = _ctx()
+    ctx = _ctx(mode="eval")
     y = relu.forward(x, ctx)
     mask = x > 0
     assert y.tobytes() == np.where(mask, x, 0.0).tobytes()
@@ -47,19 +50,19 @@ def test_relu_matches_where_bit_for_bit_on_edge_values():
 
 def test_maxpool_2x2_stride_2():
     x = np.arange(16.0).reshape(1, 1, 4, 4)
-    out = MaxPool2x2("mp").forward(x, _ctx())
+    out = MaxPool2x2("mp").forward(x, _ctx(mode="eval"))
     assert np.array_equal(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
 
 
 def test_avgpool_2x2_stride_2():
     x = np.arange(16.0).reshape(1, 1, 4, 4)
-    out = AvgPool2x2("ap").forward(x, _ctx())
+    out = AvgPool2x2("ap").forward(x, _ctx(mode="eval"))
     assert np.array_equal(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
 
 def test_global_avg_pool():
     x = np.stack([np.full((3, 3), 2.0), np.arange(9.0).reshape(3, 3)])[None]
-    out = GlobalAvgPool("gap").forward(x, _ctx())
+    out = GlobalAvgPool("gap").forward(x, _ctx(mode="eval"))
     assert np.allclose(out, [[2.0, 4.0]])
 
 
@@ -67,7 +70,7 @@ def test_conv_1x1_is_channel_mix():
     conv = Conv2d("c", c_in=2, c_out=1, kernel=1)
     w = np.array([[[[2.0]], [[-1.0]]]])  # out = 2*ch0 - ch1
     x = np.stack([np.ones((2, 2)), np.full((2, 2), 3.0)])[None]
-    out = conv.forward(x, _ctx({"c.w": w}))
+    out = conv.forward(x, _ctx({"c.w": w}, mode="eval"))
     assert np.array_equal(out[0, 0], np.full((2, 2), -1.0))
 
 
@@ -76,11 +79,11 @@ def test_conv_3x3_same_padding_hand_example():
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0  # identity kernel
     x = np.arange(9.0).reshape(1, 1, 3, 3)
-    out = conv.forward(x, _ctx({"c.w": w}))
+    out = conv.forward(x, _ctx({"c.w": w}, mode="eval"))
     assert np.array_equal(out, x)
     w2 = np.zeros((1, 1, 3, 3))
     w2[0, 0, 0, 1] = 1.0  # shift down: out[r] = in[r-1], zero row at the top
-    out2 = conv.forward(x, _ctx({"c.w": w2}))
+    out2 = conv.forward(x, _ctx({"c.w": w2}, mode="eval"))
     assert np.array_equal(out2[0, 0, 0], [0.0, 0.0, 0.0])
     assert np.array_equal(out2[0, 0, 1:], x[0, 0, :2])
 
@@ -89,7 +92,7 @@ def test_conv_stride_2_output_geometry():
     conv = Conv2d("c", c_in=1, c_out=3, kernel=7, stride=2, pad=3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 1, 16, 16))
-    out = conv.forward(x, _ctx({"c.w": rng.standard_normal((3, 1, 7, 7))}))
+    out = conv.forward(x, _ctx({"c.w": rng.standard_normal((3, 1, 7, 7))}, mode="eval"))
     assert out.shape == (2, 3, 8, 8)
 
 
@@ -124,7 +127,7 @@ def test_batchnorm_eval_uses_running_moments():
 def test_linear_affine():
     lin = Linear("l", d_in=2, d_out=1)
     tensors = {"l.w": np.array([[3.0, -1.0]]), "l.b": np.array([0.5])}
-    out = lin.forward(np.array([[2.0, 4.0]]), _ctx(tensors))
+    out = lin.forward(np.array([[2.0, 4.0]]), _ctx(tensors, mode="eval"))
     assert np.array_equal(out, [[2.5]])
 
 
@@ -133,7 +136,7 @@ def test_maxpool_ties_route_to_first_maximum_in_row_major_order():
     x = np.array([[[[1.0, 1.0, 0.0, 5.0, 0.0, 0.0],
                     [1.0, 1.0, 5.0, 0.0, 0.0, 9.0]]]])
     pool = MaxPool2x2("mp")
-    ctx = _ctx()
+    ctx = _ctx(mode="eval")
     assert np.array_equal(pool.forward(x, ctx), [[[[1.0, 5.0, 9.0]]]])
     dx = pool.backward(np.array([[[[1.0, 2.0, 3.0]]]]), ctx, {})
     assert np.array_equal(dx[0, 0], [[1.0, 0.0, 0.0, 2.0, 0.0, 0.0],
@@ -174,7 +177,7 @@ def test_pointwise_conv_matches_im2col_reference_bitwise():
     w = rng.standard_normal((4, 5, 1, 1))
     dy = rng.standard_normal((3, 4, 6, 7))
     conv = Conv2d("c", c_in=5, c_out=4, kernel=1)
-    ctx = _ctx({"c.w": w})
+    ctx = _ctx({"c.w": w}, mode="train")
     grads = {}
     y = conv.forward(x, ctx)
     dx = conv.backward(dy, ctx, grads)
@@ -187,22 +190,23 @@ def test_pointwise_conv_matches_im2col_reference_bitwise():
 def test_backward_without_grads_gives_same_input_gradient():
     rng = np.random.default_rng(6)
     x4 = rng.standard_normal((2, 3, 5, 5))
+    # parameter gradients follow a train-mode forward only
     cases = [
-        (Conv2d("l", 3, 4, 1), x4, "eval"),
-        (Conv2d("l", 3, 4, 3, pad=1), x4, "eval"),
-        (BatchNorm2d("l", 3), x4, "train"),
-        (BatchNorm2d("l", 3), x4, "eval"),
-        (Linear("l", 3, 4), rng.standard_normal((2, 3)), "eval"),
+        (Conv2d("l", 3, 4, 1), x4),
+        (Conv2d("l", 3, 4, 3, pad=1), x4),
+        (BatchNorm2d("l", 3), x4),
+        (Linear("l", 3, 4), rng.standard_normal((2, 3))),
     ]
-    for layer, x, mode in cases:
+    for layer, x in cases:
         tensors = {}
         layer.init_params(np.random.default_rng(0), tensors)
-        ctx = _ctx(tensors, mode=mode)
+        ctx = _ctx(tensors, mode="train")
         y = layer.forward(x, ctx)
         dy = rng.standard_normal(y.shape)
         grads = {}
         with_grads = layer.backward(dy, ctx, grads)
         assert grads, type(layer).__name__
+        layer.forward(x, ctx)  # a backward takes its forward's cache
         without = layer.backward(dy, ctx, None)
         assert without.tobytes() == with_grads.tobytes(), type(layer).__name__
 
@@ -214,7 +218,7 @@ def test_shifted_gemm_conv_matches_im2col_reference(kernel, pad, batch):
     x = rng.standard_normal((batch, 5, 9, 6))  # non-square: rows and columns differ
     w = rng.standard_normal((4, 5, kernel, kernel))
     conv = Conv2d("c", c_in=5, c_out=4, kernel=kernel, pad=pad)
-    ctx = _ctx({"c.w": w})
+    ctx = _ctx({"c.w": w}, mode="train")
     grads = {}
     y = conv.forward(x, ctx)
     dy = rng.standard_normal(y.shape)
@@ -231,7 +235,7 @@ def test_stem_conv_gives_weight_gradient_only():
     w = rng.standard_normal((4, 1, 7, 7))
     dy = rng.standard_normal((3, 4, 6, 5))
     conv = Conv2d("c", 1, 4, 7, stride=2, pad=3)
-    ctx = _ctx({"c.w": w})
+    ctx = _ctx({"c.w": w}, mode="train")
     y = conv.forward(x, ctx)
     y_ref, _, dw_ref = _conv_im2col_reference(x, w, dy, pad=3, stride=2)
     assert y.shape == y_ref.shape and np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
@@ -239,6 +243,63 @@ def test_stem_conv_gives_weight_gradient_only():
     assert conv.backward(dy, ctx, grads) is None
     assert np.max(np.abs(grads["c.w"] - dw_ref)) <= 1e-12 * np.max(np.abs(dw_ref))
     first = grads["c.w"].copy()
+    conv.forward(x, ctx)  # a backward takes its forward's cache
     assert conv.backward(dy, ctx, None) is None
+    conv.forward(x, ctx)
     assert conv.backward(dy, ctx, grads) is None  # a second call adds onto the first
     assert np.array_equal(grads["c.w"], 2.0 * first)
+
+
+def _maxpool_scatter_reference(x, dy):
+    """Max pooling's input gradient as a scatter of dy into the argmax slot
+    of each flattened window, then back onto the input grid."""
+    n, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    win = np.stack([x[:, :, i : h2 * 2 : 2, j : w2 * 2 : 2] for i in (0, 1) for j in (0, 1)], axis=-1)
+    dwin = np.zeros((n, c, h2, w2, 4))
+    np.put_along_axis(dwin, np.argmax(win, axis=-1)[..., None], dy[..., None], axis=-1)
+    dx = np.zeros((n, c, h, w))
+    dx[:, :, : h2 * 2, : w2 * 2] = (
+        dwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2 * 2, w2 * 2)
+    )
+    return dx
+
+
+def test_maxpool_backward_matches_scatter_reference_on_edge_values():
+    # windows tied between signed zeros, holding NaN or only -inf, on odd
+    # sides that drop a row or column; dy carries the same values
+    edges = np.array([0.0, -0.0, np.nan, -np.inf, 1.0, -1.0])
+    rng = np.random.default_rng(13)
+    pool = MaxPool2x2("mp")
+    for _ in range(200):
+        shape = tuple(int(rng.integers(lo, hi)) for lo, hi in ((1, 3), (1, 4), (2, 8), (2, 8)))
+        x = rng.choice(edges, size=shape)
+        ctx = _ctx(mode="train")
+        y = pool.forward(x, ctx)
+        dy = rng.choice(edges, size=y.shape)
+        dx = pool.backward(dy, ctx, None)
+        assert dx.tobytes() == _maxpool_scatter_reference(x, dy).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_backward_takes_the_state_its_forward_cached(mode):
+    rng = np.random.default_rng(14)
+    x4 = rng.standard_normal((2, 3, 6, 6))
+    cases = {
+        "Conv2d": [(Conv2d("l", 3, 4, 3, pad=1), x4), (Conv2d("l", 1, 4, 7, stride=2, pad=3), x4[:, :1])],
+        "BatchNorm2d": [(BatchNorm2d("l", 3), x4)],
+        "ReLU": [(ReLU("l"), x4)],
+        "MaxPool2x2": [(MaxPool2x2("l"), x4)],
+        "AvgPool2x2": [(AvgPool2x2("l"), x4)],
+        "GlobalAvgPool": [(GlobalAvgPool("l"), x4)],
+        "Linear": [(Linear("l", 3, 4), x4[:, :, 0, 0])],
+    }
+    for name in benchmark_traced_classes()["LAYER_CLASSES"]:
+        assert name in cases, f"no case for layer class {name}"
+        for layer, x in cases[name]:
+            tensors = {}
+            layer.init_params(np.random.default_rng(0), tensors)
+            ctx = _ctx(tensors, mode=mode)
+            y = layer.forward(x, ctx)
+            layer.backward(rng.standard_normal(y.shape), ctx, {} if mode == "train" else None)
+            assert not ctx.caches, name

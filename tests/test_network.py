@@ -244,6 +244,18 @@ def test_eval_trace_keeps_state_only_where_its_walk_reaches(tiny_net_cfg):
     assert not trace.caches
 
 
+def test_eval_trace_keeps_no_activation(tiny_net_cfg):
+    # the feature-gradient walk reads no layer input and no normalized input:
+    # a float array it keeps holds at most one value per channel
+    p = nw.init_model(tiny_net_cfg, seed=7)
+    trace = nw.forward(p, _batch(np.random.default_rng(4), 2, 8), mode="eval")
+    assert trace.caches
+    for name, state in trace.caches.items():
+        for a in state if isinstance(state, tuple) else (state,):
+            if isinstance(a, np.ndarray) and a.dtype.kind == "f":
+                assert a.size <= a.shape[1], (name, a.shape)
+
+
 def test_trace_holds_its_params(tiny_net_cfg):
     # by reference: a freed ModelParams' address can be taken by a new one,
     # which must not pass for it

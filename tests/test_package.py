@@ -12,6 +12,8 @@ import pytest
 
 import cacxray
 
+from conftest import benchmark_traced_classes
+
 
 def test_every_public_function_is_used_by_the_package():
     # a function counts as used when some module of the package loads its
@@ -53,17 +55,10 @@ def test_numpy_is_the_only_dependency():
 def test_every_class_the_benchmark_traces_does_its_own_work():
     # perfbench times a layer or entry class by wrapping the forward and
     # backward in its own __dict__, so each name it lists must stay a class
-    # of the model that defines both; its lists are read without importing it
+    # of the model that defines both
     from cacxray.model import layers, network
 
-    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    lists = {
-        target.id: ast.literal_eval(node.value)
-        for node in ast.parse(tracing.read_text()).body
-        if isinstance(node, ast.Assign)
-        for target in node.targets
-        if isinstance(target, ast.Name) and target.id in ("LAYER_CLASSES", "ENTRY_CLASSES")
-    }
+    lists = benchmark_traced_classes()
     assert set(lists) == {"LAYER_CLASSES", "ENTRY_CLASSES"}
     for key, module in (("LAYER_CLASSES", layers), ("ENTRY_CLASSES", network)):
         assert lists[key]
