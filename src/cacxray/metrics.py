@@ -3,7 +3,8 @@
 Scores live in transformed (network output) space, truth in raw calcium-score
 space; ranking metrics only care that the score is monotone in the prediction.
 AUC is the exact Mann-Whitney statistic with tie correction (ties count half),
-counted by sorted searches of the positives among the negatives.
+counted from each class's subjects per tie group of the scores. The bootstrap
+counts every resample of a block of draws that way in one pass.
 """
 
 from __future__ import annotations
@@ -60,16 +61,34 @@ def _scores_labels(samples, truth_threshold: float) -> tuple[np.ndarray, np.ndar
     return scores, truth > truth_threshold
 
 
+def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each score's tie group, numbered in sort order, and the group count.
+    Ties are those of np.sort: -0.0 ties 0.0, and every NaN is one group,
+    the last."""
+    values, group = np.unique(scores, return_inverse=True)
+    return group, values.size
+
+
+def _twice_u(group: np.ndarray, labels: np.ndarray, n_groups: int) -> np.ndarray:
+    """Twice the Mann-Whitney U of each row of a (rows, n) table of tie
+    groups and truth labels. One np.bincount counts every row's subjects per
+    class and tie group; a positive outranks the negatives of lower groups
+    and ties those of its own, so 2U = pos . (2 cumsum(neg) - neg), an exact
+    integer."""
+    rows = group.shape[0]
+    key = (np.arange(rows)[:, None] * 2 + labels) * n_groups + group
+    counts = np.bincount(key.ravel(), minlength=rows * 2 * n_groups).reshape(rows, 2, n_groups)
+    neg, pos = counts[:, 0], counts[:, 1]
+    return np.einsum("ij,ij->i", 2 * np.cumsum(neg, axis=1) - neg, pos)
+
+
 def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     npos = int(labels.sum())
     nneg = labels.size - npos
     if npos == 0 or nneg == 0:
         raise OneClassOnlyError(f"need both classes, got {npos} positives of {labels.size}")
-    neg = np.sort(scores[~labels])
-    pos = scores[labels]
-    # negatives below each positive, counted once with ties and once without:
-    # twice the Mann-Whitney U, an exact integer, so one rounding as before
-    u2 = int(np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum())
+    group, n_groups = _tie_groups(scores)
+    u2 = int(_twice_u(group[None], labels[None], n_groups)[0])
     return (u2 / 2) / (npos * nneg)
 
 
@@ -78,6 +97,11 @@ def roc_auc(samples, truth_threshold: float = 0.0) -> float:
     Positives are samples with truth_cac strictly above truth_threshold."""
     scores, labels = _scores_labels(samples, truth_threshold)
     return _auc(scores, labels)
+
+
+# resamples are drawn and counted in blocks of at most this many subject draws
+# (one draw at least), so memory does not grow with n_resamples
+_BLOCK_DRAWS = 2**18
 
 
 def auc_confidence_interval(
@@ -90,7 +114,9 @@ def auc_confidence_interval(
     """Seeded percentile-bootstrap interval for roc_auc.
 
     Resamples subjects with replacement; draws that lose one truth class are
-    rejected and redrawn.
+    rejected and redrawn. Each resample is a row of n draws, and a block of
+    rows is one draw of the same stream, so the rows, the rejections and the
+    AUCs are those of drawing one row at a time.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
@@ -98,21 +124,26 @@ def auc_confidence_interval(
         raise ValueError(f"n_resamples must be at least 1, got {n_resamples}")
     scores, labels = _scores_labels(samples, truth_threshold)
     _auc(scores, labels)  # validates both classes present
+    group, n_groups = _tie_groups(scores)
     rng = np.random.default_rng(seed)
     n = scores.size
     aucs = np.empty(n_resamples)
     got = 0
     rejected = 0
     while got < n_resamples:
-        idx = rng.integers(0, n, n)
+        # no more rows than still needed: every kept row is used, and every
+        # rejected one comes before the last resample, as when drawn singly
+        idx = rng.integers(0, n, (min(n_resamples - got, max(1, _BLOCK_DRAWS // n)), n))
         lab = labels[idx]
-        if lab.all() or not lab.any():
-            rejected += 1
-            if rejected > 1000 * n_resamples:
-                raise OneClassOnlyError("bootstrap resamples keep losing a class")
-            continue
-        aucs[got] = _auc(scores[idx], lab)
-        got += 1
+        npos = lab.sum(axis=1)
+        kept = (npos > 0) & (npos < n)
+        rejected += kept.size - int(kept.sum())
+        if rejected > 1000 * n_resamples:
+            raise OneClassOnlyError("bootstrap resamples keep losing a class")
+        npos = npos[kept]
+        u2 = _twice_u(group[idx[kept]], lab[kept], n_groups)
+        aucs[got : got + npos.size] = (u2 / 2) / (npos * (n - npos))
+        got += npos.size
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(aucs, [alpha, 1.0 - alpha])
     return float(lo), float(hi)

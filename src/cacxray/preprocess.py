@@ -4,8 +4,10 @@ Order is fixed: window clamp -> histogram equalization -> bilinear resize ->
 centre crop -> standardization with pooled dataset statistics. All stages run
 on float64 arrays; nothing is quantized. preprocess_uncalibrated runs the
 stages before the resize once per distinct stored pixel value and resizes
-only the crop window. The staged chain, one stage per call over every pixel,
-is the test oracle in tests/oracles.py, and the two agree bit for bit.
+only the crop window. It counts and reads the stored pixels where they lie,
+copying the image only to shift a negative minimum to zero. The staged
+chain, one stage per call over every pixel, is the test oracle in
+tests/oracles.py, and the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -158,17 +160,23 @@ def preprocess_uncalibrated(img: DicomImage, cfg: PreprocessConfig) -> np.ndarra
     Stored pixels are integers, so inversion, rescale, window and equalize
     run once per distinct stored value present, the equalize histogram
     summing each value's pixel count by bin. The resize reads that table
-    only at the source rows and columns of the crop window."""
-    lo = int(img.pixels.min())
-    shifted = np.subtract(img.pixels, lo, dtype=np.intp)
-    counts = np.bincount(shifted.ravel())
+    only at the source rows and columns of the crop window.
+
+    The table is indexed by the stored value itself when no stored value is
+    negative, so the image is counted and read as it is; a negative minimum
+    ``lo`` costs one copy of the image shifted by -lo."""
+    lo = min(int(img.pixels.min()), 0)
+    stored = img.pixels
+    if lo < 0 or not np.can_cast(stored.dtype, np.intp):
+        stored = np.subtract(stored, lo, dtype=np.intp)
+    counts = np.bincount(stored.ravel())
     present = np.flatnonzero(counts)
     real = real_values(img, present + lo)
     w = window(real, img.window_center, img.window_width)
     table = np.empty(counts.size)
     table[present] = _equalize_counted(w, counts[present], cfg.eq_levels)
     return _resize_window(
-        lambda rows, cols: table.take(shifted[rows].take(cols, axis=1)), shifted.shape, cfg.resize_dim, cfg.crop_dim
+        lambda rows, cols: table.take(stored[rows].take(cols, axis=1)), stored.shape, cfg.resize_dim, cfg.crop_dim
     )
 
 

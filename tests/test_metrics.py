@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from cacxray.errors import (
 )
 from cacxray.model.network import DenseNetConfig
 from cacxray.model.training import TrainConfig
+
+from oracles import bootstrap_auc_interval
 
 S = mx.ScoredSample
 
@@ -577,6 +580,46 @@ def _kfold_size_loop(n, k, seed):
 def test_auc_equals_the_pair_count_bit_for_bit(scored):
     samples = _as_samples(*scored)
     assert _outcome(mx.roc_auc, samples) == _outcome(_pair_count_auc, *scored)
+
+
+@st.composite
+def _bootstrap_cohorts(draw):
+    # ties, signed zeros, infinities and NaNs from a small pool; every other
+    # cohort has one positive, so that resamples often lose it and are redrawn
+    pool = draw(st.lists(st.one_of(_SCORES, st.just(math.nan)), min_size=1, max_size=8))
+    n = draw(st.integers(2, 40))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        one = draw(st.integers(0, n - 1))
+        positive = [i == one for i in range(n)]
+    else:
+        positive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(scores, dtype=np.float64), np.array(positive, dtype=bool)
+
+
+@settings(max_examples=200)
+@given(_bootstrap_cohorts(), st.floats(0.01, 0.99), st.integers(1, 300), st.integers(0, 2**32))
+def test_ci_equals_the_one_resample_loop_bit_for_bit(cohort, level, n_resamples, seed):
+    samples = _as_samples(*cohort)
+    got = _outcome(mx.auc_confidence_interval, samples, 0.0, level, n_resamples, seed)
+    assert got == _outcome(bootstrap_auc_interval, *cohort, level, n_resamples, seed)
+
+
+def test_ci_memory_does_not_grow_with_the_resample_count():
+    # a block of draws bounds the bootstrap's live memory: 5000 resamples of
+    # 1000 subjects stay far below the 40 MB of one int64 draw per subject
+    rng = np.random.default_rng(8)
+    samples = _as_samples(rng.normal(size=1000), rng.random(1000) < 0.3)
+    peaks = []
+    for n_resamples in (500, 5000):
+        tracemalloc.start()
+        try:
+            mx.auc_confidence_interval(samples, 0.0, n_resamples=n_resamples, seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 5000 * 1000 * 8 / 2
+    assert peaks[1] - peaks[0] < 2**20
 
 
 @settings(max_examples=300)

@@ -302,20 +302,53 @@ def _preprocess_configs(draw):
     return pp.PreprocessConfig(resize_dim, draw(st.integers(1, resize_dim)), draw(st.integers(2, 300)))
 
 
-@settings(max_examples=300)
-@given(_dicom_images(), _preprocess_configs())
-def test_value_table_path_equals_the_staged_chain(img, cfg):
-    img.validate()
-    staged = center_crop(
+def _staged_chain(img, cfg):
+    return center_crop(
         pp.resize_bilinear(
             equalize(pp.window(to_real_image(img), img.window_center, img.window_width), cfg.eq_levels),
             cfg.resize_dim,
         ),
         cfg.crop_dim,
     )
+
+
+@settings(max_examples=300)
+@given(_dicom_images(), _preprocess_configs())
+def test_value_table_path_equals_the_staged_chain(img, cfg):
+    img.validate()
     out = pp.preprocess_uncalibrated(img, cfg)
     assert out.shape == (cfg.crop_dim, cfg.crop_dim)
-    assert out.tobytes() == staged.tobytes()
+    assert out.tobytes() == _staged_chain(img, cfg).tobytes()
+
+
+@pytest.mark.parametrize("photometric", ["MONOCHROME1", "MONOCHROME2"])
+@pytest.mark.parametrize("dtype,low,high", [
+    ("<u1", 3, 250),
+    ("<u2", 100, 4000),
+    ("<i1", -120, 90),
+    ("<i1", 5, 127),
+    ("<i2", -3000, 2500),
+    ("<i2", 0, 4095),
+])
+def test_stored_dtypes_and_minima_match_the_staged_chain(dtype, low, high, photometric):
+    # a non-negative minimum indexes the value table by the stored pixels as
+    # they are, read-only as parse_dicom leaves them; a negative one shifts a copy
+    dtype = np.dtype(dtype)
+    pixels = np.random.default_rng(high - low).integers(low, high + 1, size=(53, 47)).astype(dtype)
+    pixels.flags.writeable = False
+    bits = 8 * dtype.itemsize
+    img = dicom.DicomImage(
+        rows=53, cols=47, bits_allocated=bits, bits_stored=bits, pixel_representation=int(dtype.kind == "i"),
+        photometric=photometric, window_center=0.0, window_width=1.0,
+        pixels=pixels, rescale_slope=1.0, rescale_intercept=0.0,
+    )
+    real = to_real_image(img)  # a window over the middle half of the real values
+    img = dataclasses.replace(img, window_center=float(np.median(real)), window_width=float(np.ptp(real)) / 2)
+    img.validate()
+    cfg = pp.PreprocessConfig(resize_dim=40, crop_dim=31, eq_levels=64)
+    out = pp.preprocess_uncalibrated(img, cfg)
+    assert np.ptp(out) > 0  # the window leaves an image to equalize
+    assert out.tobytes() == _staged_chain(img, cfg).tobytes()
 
 
 def _resize_two_row_reference(v, dim):
