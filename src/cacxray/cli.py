@@ -23,13 +23,13 @@ and written through framing: text as UTF-8 (the --config file included),
 outputs atomically (temp file + rename). effective.cfg holds every setting,
 master seed included, so passing it back as --config repeats the run.
 
-Exit codes come from the category of the error raised (see errors.py):
-0 success, 2 configuration or schema error (a cohort whose content is wrong
-included), 3 training failure, 4 I/O or unreadable input file (including a
-damaged weights, sidecar, statistics or split file in a model directory,
-weights whose tensors differ from the sidecar's net, and any text file that
-is not UTF-8 or that CSV or JSON cannot frame), 5
-degenerate data (single class, no events, zero variance, non-convergence).
+Exit codes come only from the category of the CacXrayError raised (see
+errors.py; an OSError counts as unreadable input, any other exception is a
+defect and ends in a traceback): 0 success, 2 configuration or schema error
+(a bad cohort row or cell included), 3 training failure (fewer than two
+training samples included), 4 unreadable input (a missing or damaged file, a
+text file that is not UTF-8 or that CSV or JSON cannot frame), 5 degenerate
+data (a negative cac, single class, no events, zero variance, non-convergence).
 
 From a checkout, without installing: PYTHONPATH=src python -m cacxray.cli ...
 """
@@ -50,16 +50,14 @@ import numpy as np
 from . import __version__
 from .errors import (
     CacXrayError,
-    ConfigError,
     EmptyCohortError,
-    EmptyDatasetError,
     InvalidConfigError,
     MalformedFileError,
     UnreadableInputError,
 )
 from .explain import export_saliency, gradcam
 from .framing import csv_text, json_text, json_value, read_text, write_text
-from .labels import transform_threshold
+from .labels import check_nonnegative, transform_threshold
 from .metrics import (
     ScoredSample,
     auc_confidence_interval,
@@ -277,15 +275,17 @@ def _write_json(path: Path, doc) -> None:
 
 def _load_dataset(data_dir):
     """Ids, parsed images and CAC scores of a dataset directory. Every id and
-    every row's 'cac' column is checked here; each command then preprocesses
-    only the images it uses."""
+    every row's 'cac' column is checked here (a negative score raises
+    NegativeScoreError); each command then preprocesses only the images it uses."""
     ids, dicoms, records = read_dataset(data_dir)
     cacs = []
     for r in records:
         if "cac" not in r.covariates:
             raise InvalidConfigError(f"cohort row {r.id} lacks a 'cac' column")
         cacs.append(float(r.covariates["cac"]))
-    return ids, dicoms, np.asarray(cacs)
+    cacs = np.asarray(cacs)
+    check_nonnegative(cacs)
+    return ids, dicoms, cacs
 
 
 def _load_model_dir(model_dir):
@@ -331,8 +331,6 @@ def cmd_train(args, cfg, out: Path) -> dict:
     perm = np.random.default_rng(split_seed).permutation(n)
     n_train = int(round(frac * n))
     train_idx, test_idx = perm[:n_train], perm[n_train:]
-    if n_train < 2:
-        raise EmptyDatasetError("training split has fewer than two samples")
 
     crops = [preprocess_uncalibrated(dicoms[i], cfg["preprocess"]) for i in train_idx]
     del dicoms  # every file's bytes, test images included
@@ -436,12 +434,12 @@ def cmd_survival(args, cfg, out: Path) -> dict:
     if cohort_path.is_dir():
         cohort_path = cohort_path / "cohort.csv"
     records = cohort_from_csv(read_text(cohort_path))
-    group_cov = cfg["survival"].group
-    adjust_cov = cfg["survival"].adjust
-    horizon = cfg["survival"].horizon_years
+    sv = cfg["survival"]
+    group_cov, adjust_cov, horizon = sv.group, sv.adjust, sv.horizon_years
     for r in records:
-        if group_cov not in r.covariates:
-            raise InvalidConfigError(f"subject {r.id} lacks covariate {group_cov!r}")
+        for key, col in (("group", group_cov), ("adjust", adjust_cov)):
+            if col not in r.covariates:
+                raise InvalidConfigError(f"subject {r.id} lacks the [survival] {key} column {col!r}")
     zero = [r for r in records if r.covariates[group_cov] <= 0]
     positive = [r for r in records if r.covariates[group_cov] > 0]
     km_zero = kaplan_meier(zero)
@@ -570,9 +568,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"{UnreadableInputError.label}: {exc}", file=sys.stderr)
         return UnreadableInputError.exit_code
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

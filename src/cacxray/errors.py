@@ -97,7 +97,7 @@ class DegenerateLabelsError(DegenerateDataError):
 
 class InvalidConfigError(ConfigError):
     """A configuration or fitted-parameter value that its type rejects when
-    it is built."""
+    it is built, or a cohort row or cell that is not a valid subject."""
 
 
 class ShapeMismatchError(UnreadableInputError):
@@ -132,7 +132,7 @@ class NoPositivesError(DegenerateDataError):
     """Precision-recall needs at least one positive sample."""
 
 
-class NonFiniteScoreError(DegenerateDataError, ValueError):
+class NonFiniteScoreError(DegenerateDataError):
     """A NaN or infinite model score, which no decision cutoff can rank."""
 
 

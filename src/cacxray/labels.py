@@ -35,7 +35,7 @@ class TransformedThreshold:
     transformed: float
 
 
-def _check_nonnegative(scores: np.ndarray) -> None:
+def check_nonnegative(scores: np.ndarray) -> None:
     if np.any(scores < 0):
         raise NegativeScoreError(f"negative calcium score: {float(scores.min())}")
 
@@ -55,7 +55,7 @@ def fit_label_transform(
     s = np.asarray(scores, dtype=np.float64)
     if s.size < 2:
         raise ValueError("need at least two scores to fit a transform")
-    _check_nonnegative(s)
+    check_nonnegative(s)
     logs = _log_domain(s, clip_max, epsilon)
     # identical inputs give std ~1e-15 (mean-subtraction noise), not 0.0, so
     # test the actual spread rather than the computed std
@@ -69,7 +69,7 @@ def fit_label_transform(
 def transform(scores, lt: LabelTransform):
     """clip -> log(. + eps) -> normalize. Accepts a scalar or an array."""
     s = np.asarray(scores, dtype=np.float64)
-    _check_nonnegative(s)
+    check_nonnegative(s)
     out = (_log_domain(s, lt.clip_max, lt.epsilon) - lt.mu_log) / lt.sigma_log
     return float(out) if np.isscalar(scores) or out.ndim == 0 else out
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     AllGridDegenerateError,
+    EmptyDatasetError,
     NonFiniteScoreError,
     NoPositivesError,
     OneClassOnlyError,
@@ -299,6 +300,8 @@ def fit_transforms(images, cacs):
     """Pixel statistics and the label transform fitted on a training portion
     only, with that portion standardized and transformed: ``(stats, lt, xs,
     ys)``. train and each fold fit here, so no held-out subject is seen."""
+    if len(images) < 2:
+        raise EmptyDatasetError(f"training needs at least two samples, got {len(images)}")
     stats = compute_dataset_stats(images)
     lt = fit_label_transform(cacs)
     return stats, lt, [standardize(x, stats) for x in images], transform(cacs, lt)

@@ -17,6 +17,7 @@ from .errors import (
     ConstantCovariateError,
     DivergedError,
     EmptyCohortError,
+    InvalidConfigError,
     NegativeStatisticError,
     NoEventsError,
 )
@@ -32,10 +33,10 @@ class SubjectRecord:
 
     def __post_init__(self):
         if not 0 < self.time_years < math.inf:
-            raise ValueError(f"subject {self.id}: follow-up time must be positive and finite")
+            raise InvalidConfigError(f"subject {self.id}: follow-up time must be positive and finite")
         for name, value in self.covariates.items():
             if not math.isfinite(value):
-                raise ValueError(f"subject {self.id}: covariate {name!r} must be finite, got {value}")
+                raise InvalidConfigError(f"subject {self.id}: covariate {name!r} must be finite, got {value}")
 
 
 def chi2_sf(x: float) -> float:
@@ -324,33 +325,39 @@ def cohort_to_csv(records) -> str:
 
 
 def cohort_from_csv(text: str) -> list[SubjectRecord]:
+    """The subjects of a cohort file; a missing column, row or cell raises InvalidConfigError."""
     rows = csv_rows(text)
     if not rows:
-        raise ValueError("empty cohort file")
+        raise InvalidConfigError("empty cohort file")
     header = rows[0]
     for col in _FIXED_COLUMNS:
         if col not in header:
-            raise ValueError(f"cohort file lacks required column {col!r}")
+            raise InvalidConfigError(f"cohort file lacks required column {col!r}")
     idx = {c: header.index(c) for c in header}
     cov_cols = [c for c in header if c not in _FIXED_COLUMNS]
     records = []
     for row in rows[1:]:
         if len(row) != len(header):
-            raise ValueError(f"row has {len(row)} cells, header has {len(header)}")
-        event = int(row[idx["event"]])
+            raise InvalidConfigError(f"row has {len(row)} cells, header has {len(header)}")
+        sid = row[idx["id"]]
+        try:
+            event = int(row[idx["event"]])
+        except ValueError:
+            event = -1  # refused below, with the cell as written
         if event not in (0, 1):
-            raise ValueError(f"subject {row[idx['id']]}: event must be 0 or 1, got {row[idx['event']]!r}")
+            raise InvalidConfigError(f"subject {sid}: event must be 0 or 1, got {row[idx['event']]!r}")
+        cell = row[idx["time_years"]]
+        try:
+            time = float(cell)
+        except ValueError as exc:
+            raise InvalidConfigError(f"subject {sid}: time_years is not a number: {cell!r}") from exc
         covs = {}
         for c in cov_cols:
             cell = row[idx[c]].strip()
             if cell:
-                covs[c] = float(cell)
-        records.append(
-            SubjectRecord(
-                id=row[idx["id"]],
-                time_years=float(row[idx["time_years"]]),
-                event=bool(event),
-                covariates=covs,
-            )
-        )
+                try:
+                    covs[c] = float(cell)
+                except ValueError as exc:
+                    raise InvalidConfigError(f"subject {sid}: covariate {c!r} is not a number: {cell!r}") from exc
+        records.append(SubjectRecord(id=sid, time_years=time, event=bool(event), covariates=covs))
     return records

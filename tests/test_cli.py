@@ -647,13 +647,16 @@ def test_cohort_missing_event_column_exits_2(flow, tmp_path):
     assert rc == 2
 
 
-def test_cohort_missing_group_covariate_exits_2(flow, tmp_path):
-    (tmp_path / "cohort.csv").write_text(
-        "id,time_years,event,cac\na,1.0,1,0\nb,2.0,0,5\n"
-    )
+@pytest.mark.parametrize("key,column", [("group", "ai_cac_category"), ("adjust", "esc_class")],
+                         ids=["group", "adjust"])
+def test_cohort_missing_group_covariate_exits_2(flow, tmp_path, capsys, key, column):
+    # the cohort holds every [survival] column but the one under test
+    header = ",".join(c for c in ("ai_cac_category", "esc_class") if c != column)
+    (tmp_path / "cohort.csv").write_text(f"id,time_years,event,{header}\na,1.0,1,0\nb,2.0,0,1\n")
     rc = main(["survival", "--config", str(flow["cfg"]), "--cohort", str(tmp_path),
                "--out", str(tmp_path / "o")])
     assert rc == 2
+    assert f"subject a lacks the [survival] {key} column {column!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -752,6 +755,30 @@ def test_explain_unknown_id_exits_2(flow, tmp_path, capsys):
                "--model", str(flow["model"]), "--out", str(tmp_path / "o"), "--ids", "s00000,nobody"])
     assert rc == 2
     assert "ids not in the dataset: ['nobody']" in capsys.readouterr().err
+
+
+def test_crossval_fold_with_one_training_sample_exits_3(flow, tmp_path, capsys):
+    # 3 subjects in 2 folds: the first fold trains on one subject
+    cfg = tmp_path / "three.ini"
+    cfg.write_text(SMALL_INI.replace("n = 32", "n = 3"))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d"), "--seed", "3"]) == 0
+    rc = main(["crossval", "--config", str(cfg), "--data", str(tmp_path / "d"),
+               "--out", str(tmp_path / "o"), "--seed", "3", "--folds", "2"])
+    assert rc == 3
+    assert capsys.readouterr().err == "training failed: training needs at least two samples, got 1\n"
+
+
+def test_negative_cac_in_a_dataset_exits_5_before_any_output(flow, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(flow["data"], data)
+    header, *rows = list(csv.reader(io.StringIO((data / "cohort.csv").read_text())))
+    rows[0][header.index("cac")] = "-5"
+    (data / "cohort.csv").write_text(csv_text(header, rows))
+    rc = main(["evaluate", "--config", str(flow["cfg"]), "--data", str(data), "--model", str(flow["model"]),
+               "--out", str(tmp_path / "o"), "--split", "all"])
+    assert rc == 5
+    assert capsys.readouterr().err == "degenerate data: negative calcium score: -5.0\n"
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["effective.cfg"]
 
 
 def test_tiny_training_split_exits_3(flow, tmp_path):

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from cacxray import cli, dicom, errors
 from cacxray.errors import CacXrayError
+from cacxray.framing import read_text
 from cacxray.labels import LabelTransform
 from cacxray.model import (
     DenseNetConfig,
@@ -128,12 +129,16 @@ _COHORT = cohort_to_csv([
 ]).encode("utf-8")
 
 
-def test_every_cohort_mutation_loads_or_raises_a_mapped_error():
-    assert len(cohort_from_csv(_COHORT.decode("utf-8"))) == 3
+def test_every_cohort_mutation_loads_or_raises_a_mapped_error(tmp_path):
+    # the command line reads a cohort through framing.read_text, as here
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(_COHORT)
+    assert len(cohort_from_csv(read_text(path))) == 3
+    load = _through_file(path, lambda: cohort_from_csv(read_text(path)))
     for mutated in _mutations(_COHORT):
         try:
-            cohort_from_csv(mutated.decode("utf-8"))
-        except (CacXrayError, OSError, ValueError):
+            load(mutated)
+        except (CacXrayError, OSError):
             pass
 
 
@@ -149,8 +154,6 @@ def _exit_code(call) -> int:
         return exc.exit_code
     except OSError:
         return 4
-    except ValueError:
-        return 2
     return 0
 
 
@@ -272,7 +275,7 @@ def test_exit_code_table_covers_every_error_class():
 
 @pytest.mark.parametrize(
     "exc_type,code",
-    [*EXIT_CODES.items(), (FileNotFoundError, 4), (ValueError, 2)],
+    [*EXIT_CODES.items(), (FileNotFoundError, 4)],
     ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
 )
 def test_main_maps_each_error_to_its_exit_code(monkeypatch, tmp_path, capsys, exc_type, code):
@@ -282,6 +285,16 @@ def test_main_maps_each_error_to_its_exit_code(monkeypatch, tmp_path, capsys, ex
     monkeypatch.setattr(cli, "cmd_synth", fail)
     assert cli.main(["synth", "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err.endswith(": boom\n")
+
+
+def test_main_lets_a_bare_value_error_propagate(monkeypatch, tmp_path):
+    # a ValueError outside the taxonomy is a defect, not an exit code
+    def fail(args, cfg, out):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    with pytest.raises(ValueError, match="boom"):
+        cli.main(["synth", "--out", str(tmp_path)])
 
 
 _RANGED_FLOATS = [

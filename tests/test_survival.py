@@ -14,6 +14,7 @@ from cacxray.errors import (
     ConstantCovariateError,
     DivergedError,
     EmptyCohortError,
+    InvalidConfigError,
     NegativeStatisticError,
     NoEventsError,
 )
@@ -360,20 +361,30 @@ def test_cohort_csv_round_trips_ids_and_floats_bit_for_bit(records):
 
 
 def test_cohort_csv_rejects_bad_schema():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         sv.cohort_from_csv("id,time_years\np1,1.0\n")
 
 
 def test_cohort_csv_rejects_zero_follow_up_time():
     for time in ("0", "inf"):
-        with pytest.raises(ValueError, match="p2: follow-up time must be positive and finite"):
+        with pytest.raises(InvalidConfigError, match="p2: follow-up time must be positive and finite"):
             sv.cohort_from_csv(f"id,time_years,event\np1,1.0,1\np2,{time},0\n")
 
 
 def test_cohort_csv_rejects_event_other_than_0_or_1():
     for event in ("2", "-1"):
-        with pytest.raises(ValueError, match=f"p2: event must be 0 or 1, got '{event}'"):
+        with pytest.raises(InvalidConfigError, match=f"p2: event must be 0 or 1, got '{event}'"):
             sv.cohort_from_csv(f"id,time_years,event\np1,1.0,1\np2,2.0,{event}\n")
+
+
+@pytest.mark.parametrize("row,message", [
+    ("p2,2.0,1.0,3", "p2: event must be 0 or 1, got '1.0'"),
+    ("p2,two,0,3", "p2: time_years is not a number: 'two'"),
+    ("p2,2.0,0,x3", "p2: covariate 'cac' is not a number: 'x3'"),
+], ids=["event", "time_years", "covariate"])
+def test_cohort_csv_names_the_subject_and_column_of_a_cell_that_is_no_number(row, message):
+    with pytest.raises(InvalidConfigError, match=message):
+        sv.cohort_from_csv(f"id,time_years,event,cac\np1,1.0,1,0\n{row}\n")
 
 
 # --- pinned bits ------------------------------------------------------------------
