@@ -167,6 +167,10 @@ class _SurvivalSection:
     def __post_init__(self):
         if self.horizon_years <= 0:
             raise InvalidConfigError(f"horizon_years must be positive, got {self.horizon_years}")
+        # a column adjusted for itself makes the bivariate Cox information
+        # matrix singular, which would read as degenerate data
+        if self.adjust == self.group:
+            raise InvalidConfigError(f"adjust must name another column than group, got {self.adjust!r} for both")
 
 
 # The INI schema: each section's keys are the fields of its desk preset.

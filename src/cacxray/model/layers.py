@@ -18,6 +18,11 @@ input's shape, the stem and a linear layer nothing, and batch normalization
 its inverse standard deviation. In either mode ReLU caches its mask, max
 pooling its argmax and the other pools their input's shape. The stem's
 input is the image, so its backward computes the weight gradient only.
+A dense block with batch normalization keeps less in train mode: it drops
+each relu mask and padded convolution input of its dense layers, leaving
+the convolution its input's shape, and caches both again from the batch
+normalization's cache just before the walk reaches that convolution (see
+network._DenseBlock). Each layer's backward still takes its own state out.
 
 Parameter naming: each layer owns entries in a flat ``tensors`` dict under its
 dotted name, e.g. ``block0.layer1.conv2.w`` or ``head.fc1.b``. Weight decay
@@ -169,13 +174,28 @@ class Conv2d(Layer):
         offsets = [ki * wp + kj for ki in range(k) for kj in range(k)]
         return list(zip(offsets, wk.reshape(k * k, self.c_out, self.c_in)))
 
-    def _forward_shifted(self, x, ctx):
+    def _padded(self, x):
+        """x as the zero-padded channels-last rows xf, (n, hp*wp, c)."""
         n, c, h, wid = x.shape
         p = self.pad
-        hp, wp, ho, wo, m = self._geometry(h, wid)
+        hp, wp = self._geometry(h, wid)[:2]
         xf = np.zeros((n, hp, wp, c)) if p else np.empty((n, hp, wp, c))
         xf[:, p : p + h, p : p + wid] = x.transpose(0, 2, 3, 1)
-        xf = xf.reshape(n, hp * wp, c)
+        return xf.reshape(n, hp * wp, c)
+
+    def drop_input(self, ctx):
+        """Drop the padded input from this layer's train-mode cache, keeping
+        its input's shape; restore_input caches it again."""
+        ctx.caches[self.name] = (None, ctx.caches[self.name][1])
+
+    def restore_input(self, x, ctx):
+        """Cache the padded input as a train-mode forward of x does."""
+        ctx.caches[self.name] = (self._padded(x), x.shape)
+
+    def _forward_shifted(self, x, ctx):
+        n, c, h, wid = x.shape
+        hp, wp, ho, wo, m = self._geometry(h, wid)
+        xf = self._padded(x)
         shifts = self._shifted_weights(ctx, wp)
         # the first shift covers all ho*wp rows; rows m.. take no other shift
         # and fall in the dropped columns
@@ -191,8 +211,9 @@ class Conv2d(Layer):
         p, k = self.pad, self.kernel
         hp, wp, ho, wo, m = self._geometry(h, wid)
         shifts = self._shifted_weights(ctx, wp)
-        # dy on xf's row grid, zero in the dropped columns and the rows past ho
-        dyf = np.zeros((n, hp, wp, self.c_out))
+        # dy on xf's row grid, zero in the dropped columns and the rows past
+        # ho, of which a 1x1 kernel has none
+        dyf = np.empty((n, hp, wp, self.c_out)) if k == 1 else np.zeros((n, hp, wp, self.c_out))
         dyf[:, :ho, :wo] = dy.transpose(0, 2, 3, 1)
         dyf = dyf.reshape(n, hp * wp, self.c_out)
         if grads is not None:
@@ -205,8 +226,12 @@ class Conv2d(Layer):
             dwk = np.stack([np.dot(dyf_flat[: rows - off].T, xf_flat[off:]) for off, _ in shifts])
             dw = np.ascontiguousarray(dwk.reshape(k, k, self.c_out, c).transpose(2, 3, 0, 1))
             grads[self.wname] = grads.get(self.wname, 0.0) + dw
-        dxf = np.zeros((n, hp * wp, c))
-        for off, wi in shifts:
+        # the first shift writes rows ..m and the rest start at zero; the
+        # other shifts add into both
+        dxf = np.empty((n, hp * wp, c))
+        np.matmul(dyf[:, :m], shifts[0][1], out=dxf[:, :m])
+        dxf[:, m:] = 0.0
+        for off, wi in shifts[1:]:
             dxf[:, off : off + m] += dyf[:, :m] @ wi
         dx = dxf.reshape(n, hp, wp, c)[:, p : p + h, p : p + wid]
         return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
@@ -314,7 +339,17 @@ class BatchNorm2d(Layer):
             xhat = x - self._channels(ctx, self.rmname)
             xhat *= inv
             ctx.caches[self.name] = inv
-        return self._channels(ctx, self.gname) * xhat + self._channels(ctx, self.bname)
+        return self._scale_shift(xhat, ctx)
+
+    def cached_output(self, ctx):
+        """The output of the train-mode forward whose cache is still here."""
+        return self._scale_shift(ctx.caches[self.name][0], ctx)
+
+    def _scale_shift(self, xhat, ctx):
+        """The output for the normalized input xhat: gamma * xhat + beta."""
+        y = self._channels(ctx, self.gname) * xhat
+        y += self._channels(ctx, self.bname)
+        return y
 
     def backward(self, dy, ctx, grads):
         dxhat = dy * self._channels(ctx, self.gname)

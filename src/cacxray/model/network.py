@@ -14,7 +14,10 @@ entries' ``layers``, in order, give the parameter listing order.
 
 A forward keeps backward state only for the entries that its trace's one
 backward walk reaches (see ForwardTrace), and each layer's backward takes its
-own state out of the trace as the walk passes it.
+own state out of the trace as the walk passes it. In train mode a dense
+block with batchnorm keeps O(L) state, not O(L^2): it rebuilds its dense
+layers' relu masks and convolution inputs in backward instead of keeping
+them (see _DenseBlock).
 """
 
 from __future__ import annotations
@@ -162,7 +165,14 @@ class _DenseBlock:
     sharing one feature buffer: a layer reads the channels before its own
     and writes its growth channels after them. In train mode the layers'
     bn1 also share one normalized buffer beside it (see BlockNorm), so each
-    channel is normalized once per forward."""
+    channel is normalized once per forward.
+
+    With batchnorm, a train-mode forward keeps no dense-layer relu mask and
+    no conv input, so a block keeps O(L) backward state, not O(L^2): each
+    conv caches only its input's shape and its relu nothing. Just before the
+    walk reaches a conv, the block rebuilds both as forward made them from
+    the cached normalized input of the bn before them, which the walk has
+    not yet taken. Each layer's backward still takes its own state out."""
 
     def __init__(self, name: str, c_in: int, n_layers: int, growth: int, use_bn: bool):
         self.name = name
@@ -173,20 +183,25 @@ class _DenseBlock:
         inner = 4 * growth
         # (input width, layer list) of each dense layer
         self.dense_layers = []
+        # conv -> (bn, relu) before it, when the walk rebuilds its input
+        self.rebuilt = {}
         for l in range(n_layers):
             prefix, c = f"{name}.layer{l}", c_in + l * growth
-            seq = [BatchNorm2d(prefix + ".bn1", c)] if use_bn else []
-            seq += [ReLU(prefix + ".relu1"), Conv2d(prefix + ".conv1", c, inner, 1)]
-            if use_bn:
-                seq.append(BatchNorm2d(prefix + ".bn2", inner))
-            seq += [ReLU(prefix + ".relu2"), Conv2d(prefix + ".conv2", inner, growth, 3, pad=1)]
+            bn1 = BatchNorm2d(prefix + ".bn1", c) if use_bn else None
+            relu1, conv1 = ReLU(prefix + ".relu1"), Conv2d(prefix + ".conv1", c, inner, 1)
+            bn2 = BatchNorm2d(prefix + ".bn2", inner) if use_bn else None
+            relu2, conv2 = ReLU(prefix + ".relu2"), Conv2d(prefix + ".conv2", inner, growth, 3, pad=1)
+            seq = [layer for layer in (bn1, relu1, conv1, bn2, relu2, conv2) if layer is not None]
             self.dense_layers.append((c, seq))
+            if use_bn:
+                self.rebuilt.update({conv1: (bn1, relu1), conv2: (bn2, relu2)})
         self.layers = [layer for _, seq in self.dense_layers for layer in seq]
 
     def forward(self, x, ctx):
         n, _, h, w = x.shape
         buf = np.empty((n, self.c_out, h, w))
         buf[:, : self.c_in] = x
+        rebuilt = self.rebuilt if ctx.mode == "train" else {}
         # in train mode each dense layer's first layer, bn1, runs in a context
         # that carries the block's shared normalization
         first_ctx = ctx
@@ -196,15 +211,22 @@ class _DenseBlock:
             new = buf[:, :c]
             for i, layer in enumerate(seq):
                 new = layer.forward(new, first_ctx if i == 0 else ctx)
+                if layer in rebuilt:
+                    del ctx.caches[rebuilt[layer][1].name]
+                    layer.drop_input(ctx)
             buf[:, c : c + self.growth] = new
         return buf
 
     def backward(self, dy, ctx, grads):
         # dy is the walk's own gradient of the buffer: each layer's input
         # gradient adds into it in place
+        rebuilt = self.rebuilt if ctx.mode == "train" else {}
         for c, seq in reversed(self.dense_layers):
             d = dy[:, c : c + self.growth]
             for layer in reversed(seq):
+                if layer in rebuilt:
+                    bn, relu = rebuilt[layer]
+                    layer.restore_input(relu.forward(bn.cached_output(ctx), ctx), ctx)
                 d = layer.backward(d, ctx, grads)
             dy[:, :c] += d
         return dy[:, : self.c_in]

@@ -4,8 +4,8 @@ Order is fixed: window clamp -> histogram equalization -> bilinear resize ->
 centre crop -> standardization with pooled dataset statistics. All stages run
 on float64 arrays; nothing is quantized. preprocess_uncalibrated runs the
 stages before the resize once per distinct stored pixel value and resizes
-only the crop window. It counts and reads the stored pixels where they lie,
-copying the image only to shift a negative minimum to zero. The staged
+only the crop window. It counts the stored pixels in row chunks and reads
+them where they lie, so it makes no whole-image copy. The staged
 chain, one stage per call over every pixel, is the test oracle in
 tests/oracles.py, and the two agree bit for bit.
 """
@@ -58,6 +58,11 @@ class DatasetStats:
             raise DegenerateDatasetError(
                 f"pixel statistics need a finite mu and a finite positive sigma, got {self.mu}, {self.sigma}"
             )
+
+
+# pixels per bincount call of preprocess_uncalibrated: bounds the intp copy
+# that bincount makes of its input to 512 KiB
+COUNT_CHUNK = 2**16
 
 
 def window(values: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -162,21 +167,30 @@ def preprocess_uncalibrated(img: DicomImage, cfg: PreprocessConfig) -> np.ndarra
     summing each value's pixel count by bin. The resize reads that table
     only at the source rows and columns of the crop window.
 
-    The table is indexed by the stored value itself when no stored value is
-    negative, so the image is counted and read as it is; a negative minimum
-    ``lo`` costs one copy of the image shifted by -lo."""
-    lo = min(int(img.pixels.min()), 0)
-    stored = img.pixels
-    if lo < 0 or not np.can_cast(stored.dtype, np.intp):
-        stored = np.subtract(stored, lo, dtype=np.intp)
-    counts = np.bincount(stored.ravel())
+    The table is indexed by the stored value less ``lo``, the minimum or 0
+    if that is larger. The pixels are counted in row chunks of at most
+    COUNT_CHUNK pixels, as bincount casts what it counts to intp, and a
+    negative ``lo`` is subtracted per chunk and on the crop window's reads,
+    so no whole-image copy is made."""
+    pixels = img.pixels
+    lo = min(int(pixels.min()), 0)
+    shift = lo < 0 or not np.can_cast(pixels.dtype, np.intp)
+
+    def indices(a):
+        return np.subtract(a, lo, dtype=np.intp) if shift else a
+
+    counts = np.zeros(int(pixels.max()) - lo + 1, dtype=np.intp)
+    step = max(1, COUNT_CHUNK // pixels.shape[1])
+    for r in range(0, pixels.shape[0], step):
+        counts += np.bincount(indices(pixels[r : r + step]).ravel(), minlength=counts.size)
     present = np.flatnonzero(counts)
     real = real_values(img, present + lo)
     w = window(real, img.window_center, img.window_width)
     table = np.empty(counts.size)
     table[present] = _equalize_counted(w, counts[present], cfg.eq_levels)
     return _resize_window(
-        lambda rows, cols: table.take(stored[rows].take(cols, axis=1)), stored.shape, cfg.resize_dim, cfg.crop_dim
+        lambda rows, cols: table.take(indices(pixels[rows].take(cols, axis=1))), pixels.shape,
+        cfg.resize_dim, cfg.crop_dim,
     )
 
 

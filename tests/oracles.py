@@ -16,6 +16,11 @@ None of these is on a path the package runs.
   negatives (``sorted_search_auc``). It gives, bit for bit, what
   ``metrics.auc_confidence_interval`` computes from tie-group counts of a
   block of resamples at once.
+- ``conv_backward_shifted`` is a stride-1 ``Conv2d`` backward that fills
+  ``dxf`` with zeros and adds every kernel shift's product into it, and
+  stacks the weight gradient per shift before transposing it. It gives, bit
+  for bit, what ``Conv2d.backward`` computes writing the first shift's
+  product in place and zeroing only the rows past it.
 """
 
 import numpy as np
@@ -23,6 +28,7 @@ import numpy as np
 from cacxray.dicom import DicomImage
 from cacxray.errors import OneClassOnlyError
 from cacxray.model import ModelParams, backward, forward, loss_mae
+from cacxray.model.layers import Conv2d, RunCtx
 
 
 def to_real_image(img: DicomImage) -> np.ndarray:
@@ -142,3 +148,26 @@ def bootstrap_auc_interval(
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(aucs, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
+
+
+def conv_backward_shifted(conv: Conv2d, dy: np.ndarray, cache, tensors: dict, grads: dict) -> np.ndarray:
+    """d(loss)/d(input) of a stride-1 ``conv`` from its train-mode forward's
+    cache ``(xf, input shape)``, adding its weight gradient into ``grads``."""
+    xf, (n, c, h, wid) = cache
+    p, k = conv.pad, conv.kernel
+    hp, wp, ho, wo, m = conv._geometry(h, wid)
+    shifts = conv._shifted_weights(RunCtx(tensors=tensors, mode="train"), wp)
+    dyf = np.zeros((n, hp, wp, conv.c_out))
+    dyf[:, :ho, :wo] = dy.transpose(0, 2, 3, 1)
+    dyf = dyf.reshape(n, hp * wp, conv.c_out)
+    rows = n * hp * wp
+    dyf_flat = dyf.reshape(rows, conv.c_out)
+    xf_flat = xf.reshape(rows, c)
+    dwk = np.stack([np.dot(dyf_flat[: rows - off].T, xf_flat[off:]) for off, _ in shifts])
+    dw = np.ascontiguousarray(dwk.reshape(k, k, conv.c_out, c).transpose(2, 3, 0, 1))
+    grads[conv.wname] = grads.get(conv.wname, 0.0) + dw
+    dxf = np.zeros((n, hp * wp, c))
+    for off, wi in shifts:
+        dxf[:, off : off + m] += dyf[:, :m] @ wi
+    dx = dxf.reshape(n, hp, wp, c)[:, p : p + h, p : p + wid]
+    return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))

@@ -622,6 +622,18 @@ def test_out_of_range_value_exits_2_and_names_the_key(flow, tmp_path, capsys, se
     assert not (tmp_path / "o").exists()
 
 
+def test_survival_adjust_naming_the_group_column_exits_2(flow, tmp_path, capsys):
+    # a covariate adjusted for itself leaves the bivariate Cox fit singular,
+    # which would exit 5 as degenerate data
+    cfg = tmp_path / "same.ini"
+    cfg.write_text("[survival]\nadjust = ai_cac_category\n")
+    rc = main(["survival", "--config", str(cfg), "--cohort", str(flow["data"]), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "[survival] adjust" in err and "group" in err and "'ai_cac_category'" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "crossval"])
 def test_input_dim_other_than_crop_dim_exits_2(flow, tmp_path, capsys, command):
     cfg = tmp_path / "dims.ini"

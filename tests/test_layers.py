@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cacxray.model.layers import (
     AvgPool2x2,
@@ -15,6 +16,7 @@ from cacxray.model.layers import (
 )
 
 from conftest import benchmark_traced_classes
+from oracles import conv_backward_shifted
 
 
 def _ctx(tensors=None, *, mode):
@@ -303,3 +305,26 @@ def test_backward_takes_the_state_its_forward_cached(mode):
             y = layer.forward(x, ctx)
             layer.backward(rng.standard_normal(y.shape), ctx, {} if mode == "train" else None)
             assert not ctx.caches, name
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(1, 3), c=st.integers(1, 9), c_out=st.integers(1, 9), k=st.sampled_from([1, 3]),
+    h=st.integers(1, 9), w=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+)
+def test_shifted_conv_backward_equals_the_zero_filled_oracle(n, c, c_out, k, h, w, seed):
+    # GEMM bits depend on the layout and shape of their operands, so writing
+    # the first shift in place, past unfilled rows, is checked against the
+    # zero-filled form at many shapes
+    rng = np.random.default_rng(seed)
+    conv = Conv2d("c", c, c_out, k, pad=k // 2)
+    tensors = {}
+    conv.init_params(rng, tensors)
+    x = rng.standard_normal((n, c, h, w))
+    ctx = _ctx(tensors, mode="train")
+    y = conv.forward(x, ctx)
+    dy = rng.standard_normal(y.shape)
+    oracle_grads, grads = {}, {}
+    expected = conv_backward_shifted(conv, dy, ctx.caches[conv.name], tensors, oracle_grads)
+    assert conv.backward(dy, ctx, grads).tobytes() == expected.tobytes()
+    assert grads[conv.wname].tobytes() == oracle_grads[conv.wname].tobytes()

@@ -256,6 +256,42 @@ def test_eval_trace_keeps_no_activation(tiny_net_cfg):
                 assert a.size <= a.shape[1], (name, a.shape)
 
 
+def _cached_bytes(caches, prefix):
+    """Bytes of the arrays cached under names that start with prefix, each
+    base array counted once."""
+    bases = {}
+    for name, state in caches.items():
+        if name.startswith(prefix):
+            for a in state if isinstance(state, tuple) else (state,):
+                while isinstance(a, np.ndarray) and a.base is not None:
+                    a = a.base
+                if isinstance(a, np.ndarray):
+                    bases[id(a)] = a.nbytes
+    return sum(bases.values())
+
+
+def test_train_trace_keeps_linear_state_per_bn_dense_block():
+    # the walk rebuilds each relu mask and conv input from the bn before
+    # them, so a block's state grows by the same bytes with each layer, not
+    # by the layer's width
+    grown = {}
+    for n_layers in (6, 9, 12):
+        cfg = nw.DenseNetConfig(input_dim=16, init_channels=4, growth_rate=3, block_layers=(n_layers,),
+                                head_hidden=5)
+        p = nw.init_model(cfg, seed=3)
+        trace = nw.forward(p, _batch(np.random.default_rng(3), 2, 16), mode="train")
+        assert not any(".relu" in name for name in trace.caches if name.startswith("block0."))
+        for l in range(n_layers):
+            for conv in (".conv1", ".conv2"):
+                assert trace.caches[f"block0.layer{l}{conv}"][0] is None, (l, conv)
+        grown[n_layers] = _cached_bytes(trace.caches, "block0")
+        nw.backward(p, trace, np.array([0.3, -0.1]))
+        assert not trace.caches
+        with pytest.raises(StaleTraceError):
+            nw.backward(p, trace, np.array([0.3, -0.1]))
+    assert grown[12] - grown[9] == grown[9] - grown[6] > 0
+
+
 def test_trace_holds_its_params(tiny_net_cfg):
     # by reference: a freed ModelParams' address can be taken by a new one,
     # which must not pass for it

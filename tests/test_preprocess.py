@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,27 @@ def test_stored_dtypes_and_minima_match_the_staged_chain(dtype, low, high, photo
     out = pp.preprocess_uncalibrated(img, cfg)
     assert np.ptp(out) > 0  # the window leaves an image to equalize
     assert out.tobytes() == _staged_chain(img, cfg).tobytes()
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_a_512_px_call_makes_no_whole_image_copy(signed):
+    # bincount casts what it counts to intp, 2 MiB for these 512 x 512
+    # pixels; counted in row chunks, one call peaks below half of that, and
+    # a negative minimum is shifted per chunk, not on a copy of the image
+    img = dicom.DicomImage(
+        rows=512, cols=512, bits_allocated=16, bits_stored=12, pixel_representation=int(signed),
+        photometric="MONOCHROME2", window_center=0.0 if signed else 2048.0, window_width=4096.0,
+        pixels=np.random.default_rng(4).integers(-2048 if signed else 0, 2048 if signed else 4096, (512, 512)),
+    )
+    img = dicom.parse_dicom(dicom.write_test_dicom(img))
+    tracemalloc.start()
+    try:
+        out = pp.preprocess_uncalibrated(img, _DESK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    assert out.tobytes() == _staged_chain(img, _DESK).tobytes()
 
 
 def _resize_two_row_reference(v, dim):
