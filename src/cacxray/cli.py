@@ -249,11 +249,16 @@ def _load_config(args) -> dict:
             cfg[sect] = replace(preset, **values[sect])
         except InvalidConfigError as exc:
             raise InvalidConfigError(f"[{sect}] {exc}") from exc
-    # train and crossval build a net from [model], and its input is the crop
-    input_dim, crop_dim = cfg["model"].input_dim, cfg["preprocess"].crop_dim
-    if args.command in ("train", "crossval") and input_dim != crop_dim:
-        raise InvalidConfigError(f"[model] input_dim {input_dim} must equal [preprocess] crop_dim {crop_dim}")
+    if args.command in ("train", "crossval"):  # they build a net from [model]
+        _check_input_dim("[model]", cfg["model"].input_dim, cfg)
     return cfg
+
+
+def _check_input_dim(source: str, input_dim: int, cfg) -> None:
+    """A net's input is the crop: an input_dim other than [preprocess] crop_dim raises InvalidConfigError."""
+    crop_dim = cfg["preprocess"].crop_dim
+    if input_dim != crop_dim:
+        raise InvalidConfigError(f"{source} input_dim {input_dim} must equal [preprocess] crop_dim {crop_dim}")
 
 
 def _seed(cfg, stream: str) -> int:
@@ -358,6 +363,7 @@ def cmd_train(args, cfg, out: Path) -> dict:
 def cmd_evaluate(args, cfg, out: Path) -> dict:
     ev = cfg["evaluate"]
     params, lt, stats = _load_model_dir(args.model)
+    _check_input_dim("--model", params.cfg.input_dim, cfg)
     ids, dicoms, cacs = _load_dataset(args.data)
 
     if args.split == "internal":
@@ -480,6 +486,7 @@ def cmd_survival(args, cfg, out: Path) -> dict:
 
 def cmd_explain(args, cfg, out: Path) -> dict:
     params, _, stats = _load_model_dir(args.model)
+    _check_input_dim("--model", params.cfg.input_dim, cfg)
     ids, dicoms, _ = _load_dataset(args.data)
     if args.ids:
         wanted = [s.strip() for s in args.ids.split(",") if s.strip()]

@@ -18,11 +18,12 @@ input's shape, the stem and a linear layer nothing, and batch normalization
 its inverse standard deviation. In either mode ReLU caches its mask, max
 pooling its argmax and the other pools their input's shape. The stem's
 input is the image, so its backward computes the weight gradient only.
-A dense block with batch normalization keeps less in train mode: it drops
-each relu mask and padded convolution input of its dense layers, leaving
-the convolution its input's shape, and caches both again from the batch
-normalization's cache just before the walk reaches that convolution (see
-network._DenseBlock). Each layer's backward still takes its own state out.
+A dense block with batch normalization keeps less in train mode: it runs
+the relu and convolution after each of its batch normalizations in a
+throwaway eval-mode context, and caches their train-mode state from the
+batch normalization's cache just before the walk reaches that convolution
+(BatchNorm2d.cached_output, Conv2d.restore_input; see network._DenseBlock).
+Only the layers here read or write a cache entry.
 
 Parameter naming: each layer owns entries in a flat ``tensors`` dict under its
 dotted name, e.g. ``block0.layer1.conv2.w`` or ``head.fc1.b``. Weight decay
@@ -182,11 +183,6 @@ class Conv2d(Layer):
         xf = np.zeros((n, hp, wp, c)) if p else np.empty((n, hp, wp, c))
         xf[:, p : p + h, p : p + wid] = x.transpose(0, 2, 3, 1)
         return xf.reshape(n, hp * wp, c)
-
-    def drop_input(self, ctx):
-        """Drop the padded input from this layer's train-mode cache, keeping
-        its input's shape; restore_input caches it again."""
-        ctx.caches[self.name] = (None, ctx.caches[self.name][1])
 
     def restore_input(self, x, ctx):
         """Cache the padded input as a train-mode forward of x does."""

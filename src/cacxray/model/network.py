@@ -4,20 +4,20 @@ Architecture, in order: 7x7/2 convolution (pad 3, no bias), 2x2/2 max pool,
 alternating dense blocks and transitions (1x1 convolution to
 floor(compression * channels) followed by 2x2 average pooling), global average
 pooling, a hidden fully connected layer with ReLU, and a single linear output.
-Each dense layer is a plain list [BN] -> ReLU -> 1x1 conv (4 * growth
-channels) -> [BN] -> ReLU -> 3x3 conv (growth channels) that its dense block
-runs. A block keeps one feature buffer as wide as its output: each layer
-reads the channels before its own as a view and writes its growth channels
-after them, so the concatenation copies nothing (Pleiss et al. 2017,
+Each dense layer is two (BN, ReLU, conv) units that its dense block runs:
+[BN] -> ReLU -> 1x1 conv (4 * growth channels), then [BN] -> ReLU -> 3x3 conv
+(growth channels). A block keeps one feature buffer as wide as its output:
+each layer reads the channels before its own as a view and writes its growth
+channels after them, so the concatenation copies nothing (Pleiss et al. 2017,
 "Memory-Efficient Implementation of DenseNets", arXiv:1707.06990). The
 entries' ``layers``, in order, give the parameter listing order.
 
 A forward keeps backward state only for the entries that its trace's one
 backward walk reaches (see ForwardTrace), and each layer's backward takes its
-own state out of the trace as the walk passes it. In train mode a dense
-block with batchnorm keeps O(L) state, not O(L^2): it rebuilds its dense
-layers' relu masks and convolution inputs in backward instead of keeping
-them (see _DenseBlock).
+own state out of the trace as the walk passes it; only the layers read or
+write an entry. In train mode a dense block with batchnorm keeps O(L)
+state, not O(L^2): it runs its units' relus and convolutions in a throwaway
+context and rebuilds their state in backward (see _DenseBlock).
 """
 
 from __future__ import annotations
@@ -161,18 +161,18 @@ class ForwardTrace:
 
 
 class _DenseBlock:
-    """Dense layers, each a plain list [bn1] relu1 conv1 [bn2] relu2 conv2,
-    sharing one feature buffer: a layer reads the channels before its own
-    and writes its growth channels after them. In train mode the layers'
-    bn1 also share one normalized buffer beside it (see BlockNorm), so each
-    channel is normalized once per forward.
+    """Dense layers, each two units (bn, relu, conv), bn None without
+    batchnorm, sharing one feature buffer: a layer reads the channels before
+    its own and writes its growth channels after them. In train mode the
+    layers' bn1 also share one normalized buffer beside it (see BlockNorm),
+    so each channel is normalized once per forward.
 
-    With batchnorm, a train-mode forward keeps no dense-layer relu mask and
-    no conv input, so a block keeps O(L) backward state, not O(L^2): each
-    conv caches only its input's shape and its relu nothing. Just before the
-    walk reaches a conv, the block rebuilds both as forward made them from
-    the cached normalized input of the bn before them, which the walk has
-    not yet taken. Each layer's backward still takes its own state out."""
+    With batchnorm, a train-mode forward runs each unit's relu and conv in a
+    throwaway eval-mode context, dropped with its caches when the conv
+    returns (their outputs do not depend on the mode), so a block keeps O(L)
+    backward state, not O(L^2). Just before the walk reaches a conv, the
+    block caches both as a train-mode forward does, from the output of the
+    bn before them, whose cache the walk has not yet taken."""
 
     def __init__(self, name: str, c_in: int, n_layers: int, growth: int, use_bn: bool):
         self.name = name
@@ -181,53 +181,49 @@ class _DenseBlock:
         self.use_bn = use_bn
         self.c_out = c_in + n_layers * growth
         inner = 4 * growth
-        # (input width, layer list) of each dense layer
+        # (input width, two units) of each dense layer
         self.dense_layers = []
-        # conv -> (bn, relu) before it, when the walk rebuilds its input
-        self.rebuilt = {}
         for l in range(n_layers):
             prefix, c = f"{name}.layer{l}", c_in + l * growth
             bn1 = BatchNorm2d(prefix + ".bn1", c) if use_bn else None
-            relu1, conv1 = ReLU(prefix + ".relu1"), Conv2d(prefix + ".conv1", c, inner, 1)
             bn2 = BatchNorm2d(prefix + ".bn2", inner) if use_bn else None
-            relu2, conv2 = ReLU(prefix + ".relu2"), Conv2d(prefix + ".conv2", inner, growth, 3, pad=1)
-            seq = [layer for layer in (bn1, relu1, conv1, bn2, relu2, conv2) if layer is not None]
-            self.dense_layers.append((c, seq))
-            if use_bn:
-                self.rebuilt.update({conv1: (bn1, relu1), conv2: (bn2, relu2)})
-        self.layers = [layer for _, seq in self.dense_layers for layer in seq]
+            units = [
+                (bn1, ReLU(prefix + ".relu1"), Conv2d(prefix + ".conv1", c, inner, 1)),
+                (bn2, ReLU(prefix + ".relu2"), Conv2d(prefix + ".conv2", inner, growth, 3, pad=1)),
+            ]
+            self.dense_layers.append((c, units))
+        self.layers = [layer for _, units in self.dense_layers for unit in units for layer in unit if layer]
 
     def forward(self, x, ctx):
         n, _, h, w = x.shape
         buf = np.empty((n, self.c_out, h, w))
         buf[:, : self.c_in] = x
-        rebuilt = self.rebuilt if ctx.mode == "train" else {}
-        # in train mode each dense layer's first layer, bn1, runs in a context
-        # that carries the block's shared normalization
-        first_ctx = ctx
-        if self.use_bn and ctx.mode == "train":
-            first_ctx = RunCtx(ctx.tensors, ctx.mode, ctx.caches, BlockNorm.empty(buf.shape))
-        for c, seq in self.dense_layers:
+        rebuilds = self.use_bn and ctx.mode == "train"
+        # in train mode each dense layer's bn1 runs in a context that carries
+        # the block's shared normalization
+        first_ctx = RunCtx(ctx.tensors, ctx.mode, ctx.caches, BlockNorm.empty(buf.shape)) if rebuilds else ctx
+        for c, units in self.dense_layers:
             new = buf[:, :c]
-            for i, layer in enumerate(seq):
-                new = layer.forward(new, first_ctx if i == 0 else ctx)
-                if layer in rebuilt:
-                    del ctx.caches[rebuilt[layer][1].name]
-                    layer.drop_input(ctx)
+            for i, (bn, relu, conv) in enumerate(units):
+                if bn is not None:
+                    new = bn.forward(new, first_ctx if i == 0 else ctx)
+                unit_ctx = RunCtx(ctx.tensors, "eval") if rebuilds else ctx
+                new = conv.forward(relu.forward(new, unit_ctx), unit_ctx)
             buf[:, c : c + self.growth] = new
         return buf
 
     def backward(self, dy, ctx, grads):
         # dy is the walk's own gradient of the buffer: each layer's input
         # gradient adds into it in place
-        rebuilt = self.rebuilt if ctx.mode == "train" else {}
-        for c, seq in reversed(self.dense_layers):
+        rebuilds = self.use_bn and ctx.mode == "train"
+        for c, units in reversed(self.dense_layers):
             d = dy[:, c : c + self.growth]
-            for layer in reversed(seq):
-                if layer in rebuilt:
-                    bn, relu = rebuilt[layer]
-                    layer.restore_input(relu.forward(bn.cached_output(ctx), ctx), ctx)
-                d = layer.backward(d, ctx, grads)
+            for bn, relu, conv in reversed(units):
+                if rebuilds:
+                    conv.restore_input(relu.forward(bn.cached_output(ctx), ctx), ctx)
+                d = relu.backward(conv.backward(d, ctx, grads), ctx, grads)
+                if bn is not None:
+                    d = bn.backward(d, ctx, grads)
             dy[:, :c] += d
         return dy[:, : self.c_in]
 

@@ -187,6 +187,7 @@ class CoxResult:
 
 
 _Z_95 = 1.959964  # two-sided 95% normal quantile, fixed for reproducibility
+_COX_MAX_ITER = 50  # Newton-Raphson steps before cox_fit gives up
 
 
 def _cox_quantities(beta: np.ndarray, x: np.ndarray, times: np.ndarray, events: np.ndarray):
@@ -219,13 +220,13 @@ def _cox_quantities(beta: np.ndarray, x: np.ndarray, times: np.ndarray, events: 
     return ll, score, info
 
 
-def cox_fit(records, covariate_names, max_iter: int = 50) -> CoxResult:
+def cox_fit(records, covariate_names) -> CoxResult:
     """Newton-Raphson fit of a Cox proportional-hazards model (Breslow ties).
 
     Converges when max|score| < 1e-8 or the log-likelihood moves < 1e-10; the
     step is halved while it would decrease the likelihood. A coefficient
-    walking past |beta| = 50, or a singular information matrix, raises
-    DivergedError.
+    walking past |beta| = 50, no convergence in 50 steps, or a singular
+    information matrix raises DivergedError.
     """
     records = list(records)
     if not records:
@@ -249,7 +250,7 @@ def cox_fit(records, covariate_names, max_iter: int = 50) -> CoxResult:
     beta = np.zeros(len(names))
     ll, score, info = _cox_quantities(beta, xc, times, events)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _COX_MAX_ITER + 1):
         try:
             delta = np.linalg.solve(info, score)
         except np.linalg.LinAlgError as exc:
@@ -270,7 +271,7 @@ def cox_fit(records, covariate_names, max_iter: int = 50) -> CoxResult:
         if np.max(np.abs(score)) < 1e-8 or abs(ll - prev_ll) < 1e-10:
             break
     else:
-        raise DivergedError(f"no convergence in {max_iter} iterations")
+        raise DivergedError(f"no convergence in {_COX_MAX_ITER} iterations")
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:

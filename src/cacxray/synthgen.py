@@ -39,6 +39,7 @@ _ELLIPSE_JITTER = 0.03  # uniform center jitter, fraction of image_dim
 _ELLIPSE_AX_RANGE = (0.24, 0.36)  # per-sample axis draw, fraction of image_dim
 _ELLIPSE_AY_RANGE = (0.21, 0.31)
 _BLOB_MIN_SEP = 10.0  # pixels between blob centres, keeps deposits distinct
+_BLOB_ELLIPSE_MARGIN = 0.9  # bound on a blob corner's squared normalized distance from the dark field's centre
 _FAINT_BOX_CUTOFF = 0.15  # blobs dimmer than this fraction of blob_peak get no box
 _MAX_HAZARD_RATIO = 1e150
 _MAX_IMAGE_DIM = 65535  # DICOM Rows and Columns are 16-bit
@@ -130,11 +131,9 @@ def _draw_ellipse(rng: np.random.Generator, dim: int) -> tuple[float, float, flo
     return ecx, ecy, ax, ay
 
 
-def _inside_ellipse(
-    px: float, py: float, ellipse: tuple[float, float, float, float], margin: float = 0.9
-) -> bool:
+def _inside_ellipse(px: float, py: float, ellipse: tuple[float, float, float, float]) -> bool:
     ecx, ecy, ax, ay = ellipse
-    return ((px - ecx) / ax) ** 2 + ((py - ecy) / ay) ** 2 <= margin
+    return ((px - ecx) / ax) ** 2 + ((py - ecy) / ay) ** 2 <= _BLOB_ELLIPSE_MARGIN
 
 
 def _place_blob(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import cacxray
 from cacxray import dicom
 
 # properties run the same examples on every run, keep no example database and
@@ -96,6 +97,17 @@ def remove_element(data: bytes, tag: tuple) -> bytes:
             start = payload - (12 if vr in _LONG_VRS else 8)
             return data[:start] + data[payload + length :]
     raise AssertionError(f"element {tag} not found")
+
+
+def modules_calling(*calls, exempt: str | None) -> list[str]:
+    """The cacxray modules, bar the one named ``exempt``, whose source holds
+    any of ``calls``."""
+    package = Path(cacxray.__file__).parent
+    return [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if path.name != exempt and any(call in path.read_text(encoding="utf-8") for call in calls)
+    ]
 
 
 def benchmark_traced_classes() -> dict[str, list[str]]:

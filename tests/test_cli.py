@@ -645,6 +645,19 @@ def test_input_dim_other_than_crop_dim_exits_2(flow, tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_model_input_dim_other_than_crop_dim_exits_2(flow, tmp_path, capsys, command):
+    # the 16 px model of the flow meets 12 px crops
+    cfg = tmp_path / "dims.ini"
+    cfg.write_text(SMALL_INI.replace("crop_dim = 16", "crop_dim = 12"))
+    rc = main([command, "--config", str(cfg), "--data", str(flow["data"]), "--model", str(flow["model"]),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "input_dim 16" in err and "[preprocess] crop_dim 12" in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_cohort_event_other_than_0_or_1_exits_2(flow, tmp_path):
     (tmp_path / "cohort.csv").write_text("id,time_years,event,ai_cac_category\na,1.0,1,0\nb,2.0,2,1\n")
     rc = main(["survival", "--config", str(flow["cfg"]), "--cohort", str(tmp_path),

@@ -4,11 +4,9 @@ and strict dumper, the atomic writer, and the rule for an id that names a
 file."""
 
 import math
-from pathlib import Path
 
 import pytest
 
-import cacxray
 from cacxray.errors import MalformedFileError, TruncatedFileError
 from cacxray.framing import (
     Reader,
@@ -20,6 +18,8 @@ from cacxray.framing import (
     read_text,
     write_text,
 )
+
+from conftest import modules_calling
 
 
 def test_reader_reads_little_endian_and_stops_at_the_end():
@@ -95,22 +95,13 @@ def test_plain_file_name(name, plain):
     assert plain_file_name(name) is plain
 
 
-def _modules_calling(*calls, exempt="framing.py") -> list[str]:
-    package = Path(cacxray.__file__).parent
-    return [
-        str(path.relative_to(package))
-        for path in sorted(package.rglob("*.py"))
-        if path.name != exempt and any(call in path.read_text(encoding="utf-8") for call in calls)
-    ]
-
-
 def test_only_framing_writes_json_or_csv():
     # one dialect for every text output: no module outside framing forks it
-    assert _modules_calling("json.dumps(", "csv.writer(") == []
+    assert modules_calling("json.dumps(", "csv.writer(", exempt="framing.py") == []
 
 
 def test_only_framing_reads_text_json_or_csv():
     # one decoding and one error mapping for every text input; a file opened
     # by hand, in framing too, would decode by the locale or map its own errors
-    assert _modules_calling("json.loads(", "csv.reader(", ".read_text(") == []
-    assert _modules_calling("open(", exempt=None) == []
+    assert modules_calling("json.loads(", "csv.reader(", ".read_text(", exempt="framing.py") == []
+    assert modules_calling("open(", exempt=None) == []

@@ -2,6 +2,7 @@
 
 import hashlib
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cacxray.errors import InvalidConfigError, ShapeMismatchError, StaleTraceError
 from cacxray.model import network as nw
 from cacxray.model import weights_to_bytes
+from conftest import modules_calling
 from oracles import gradient_check
 
 
@@ -212,8 +214,9 @@ def test_feature_gradient_requires_eval_mode_trace(tiny_net_cfg):
         nw.prediction_feature_gradient(p, trace)
 
 
-def test_backward_spends_its_trace(tiny_net_cfg):
-    p = nw.init_model(tiny_net_cfg, seed=7)
+@pytest.mark.parametrize("use_bn", [True, False])
+def test_backward_spends_its_trace(tiny_net_cfg, use_bn):
+    p = nw.init_model(replace(tiny_net_cfg, use_batchnorm=use_bn), seed=7)
     trace = nw.forward(p, _batch(np.random.default_rng(4), 2, 8), mode="train")
     with pytest.raises(ValueError, match="targets"):  # and leaves the trace unspent
         nw.backward(p, trace, np.zeros(3))
@@ -280,16 +283,20 @@ def test_train_trace_keeps_linear_state_per_bn_dense_block():
                                 head_hidden=5)
         p = nw.init_model(cfg, seed=3)
         trace = nw.forward(p, _batch(np.random.default_rng(3), 2, 16), mode="train")
-        assert not any(".relu" in name for name in trace.caches if name.startswith("block0."))
-        for l in range(n_layers):
-            for conv in (".conv1", ".conv2"):
-                assert trace.caches[f"block0.layer{l}{conv}"][0] is None, (l, conv)
+        block = [name for name in trace.caches if name.startswith("block0.")]
+        assert block and not any(".relu" in name or ".conv" in name for name in block), block
         grown[n_layers] = _cached_bytes(trace.caches, "block0")
         nw.backward(p, trace, np.array([0.3, -0.1]))
         assert not trace.caches
         with pytest.raises(StaleTraceError):
             nw.backward(p, trace, np.array([0.3, -0.1]))
     assert grown[12] - grown[9] == grown[9] - grown[6] > 0
+
+
+def test_only_layers_touches_a_layer_cache():
+    # the cache layout is each layer's own: other modules pass the caches
+    # dict through, and index, pop or delete none of its entries
+    assert modules_calling("caches[", "caches.pop(", exempt="layers.py") == []
 
 
 def test_trace_holds_its_params(tiny_net_cfg):
