@@ -14,7 +14,8 @@ weight init +2, batch shuffling +3, bootstrap +4, cross-validation folds +5.
 Cross-validation initializes each fold's weights from the shuffling seed
 (+3), not from +2.
 
-main runs every command in one order: build and check the config, create
+main runs every command in one order: build and check the config, read
+--model (evaluate, explain) and check its net against the crop, create
 --out and write effective.cfg, call the cmd_* function, then write
 manifest.json (command, seed, version, and the inputs and fields the
 function returns). synth returns None: a dataset's manifest.json is the
@@ -283,9 +284,11 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _load_dataset(data_dir):
-    """Ids, parsed images and CAC scores of a dataset directory. Every id and
-    every row's 'cac' column is checked here (a negative score raises
-    NegativeScoreError); each command then preprocesses only the images it uses."""
+    """Ids, images and CAC scores of a dataset directory. Every id, every
+    image file and every row's 'cac' column is checked here (a negative score
+    raises NegativeScoreError). The images are read again on use, one file at
+    a time: each command preprocesses only the images it uses and drops each
+    one when its crop is made."""
     ids, dicoms, records = read_dataset(data_dir)
     cacs = []
     for r in records:
@@ -342,7 +345,6 @@ def cmd_train(args, cfg, out: Path) -> dict:
     train_idx, test_idx = perm[:n_train], perm[n_train:]
 
     crops = [preprocess_uncalibrated(dicoms[i], cfg["preprocess"]) for i in train_idx]
-    del dicoms  # every file's bytes, test images included
     stats, lt, xtr, ytr = fit_transforms(crops, cacs[train_idx])
     del crops  # training reads only the standardized copies
     params = init_model(cfg["model"], _seed(cfg, "init"))
@@ -362,8 +364,7 @@ def cmd_train(args, cfg, out: Path) -> dict:
 
 def cmd_evaluate(args, cfg, out: Path) -> dict:
     ev = cfg["evaluate"]
-    params, lt, stats = _load_model_dir(args.model)
-    _check_input_dim("--model", params.cfg.input_dim, cfg)
+    params, lt, stats = args.trained
     ids, dicoms, cacs = _load_dataset(args.data)
 
     if args.split == "internal":
@@ -485,8 +486,7 @@ def cmd_survival(args, cfg, out: Path) -> dict:
 
 
 def cmd_explain(args, cfg, out: Path) -> dict:
-    params, _, stats = _load_model_dir(args.model)
-    _check_input_dim("--model", params.cfg.input_dim, cfg)
+    params, _, stats = args.trained
     ids, dicoms, _ = _load_dataset(args.data)
     if args.ids:
         wanted = [s.strip() for s in args.ids.split(",") if s.strip()]
@@ -565,6 +565,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        if "model" in args:  # a net of the wrong size exits 2 before --out exists
+            args.trained = _load_model_dir(args.model)
+            _check_input_dim("--model", args.trained[0].cfg.input_dim, cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _echo_config(out, cfg)

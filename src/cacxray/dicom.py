@@ -11,6 +11,9 @@ element is absent. The parser decodes and the writer encodes from that table,
 through one codec per VR, and both run ``DicomImage.validate`` as their only
 consistency check.
 
+``DicomFiles`` holds the images of a set of files without their pixels: it
+parses each file once when built and reads it again on each access.
+
 Truncation semantics: a byte stream that ends *inside* an element (header or
 value) raises TruncatedFileError, a MalformedFileError; one that ends cleanly
 between elements but never delivered a required tag raises
@@ -22,8 +25,10 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
+from pathlib import Path
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -31,10 +36,11 @@ import numpy as np
 from .errors import (
     MalformedFileError,
     MissingRequiredTagError,
+    TruncatedFileError,
     UnsupportedPhotometricError,
     UnsupportedTransferSyntaxError,
 )
-from .framing import Reader
+from .framing import FileStamp, Reader, read_stamped
 
 EXPLICIT_VR_LE = "1.2.840.10008.1.2.1"
 IMPLICIT_VR_LE = "1.2.840.10008.1.2"
@@ -63,9 +69,10 @@ class DicomImage:
     """Decoded single-frame grayscale image plus the tags the pipeline uses.
 
     ``pixels`` holds stored values (pre rescale, pre photometric inversion)
-    as an integer array of shape (rows, cols). From ``parse_dicom`` it is a
-    read-only view of the file's bytes in the stored dtype (``<u1``, ``<i1``,
-    ``<u2`` or ``<i2``), not a copy.
+    as an integer array of shape (rows, cols). From ``parse_dicom`` or
+    ``DicomFiles`` it is a read-only view of the file's bytes in the stored
+    dtype (``<u1``, ``<i1``, ``<u2`` or ``<i2``), not a copy, so the image
+    holds those bytes for as long as it lives.
     """
 
     rows: int
@@ -293,6 +300,54 @@ def parse_dicom(data: bytes) -> DicomImage:
     img = DicomImage(**fields)
     img.validate()
     return img
+
+
+class _HeldFile(NamedTuple):
+    """What DicomFiles keeps of one file: no pixel byte."""
+
+    path: Path
+    stamp: FileStamp
+    fields: dict  # every DicomImage field but pixels
+    pixel_span: slice  # the pixel bytes within the file
+
+
+class DicomFiles(Sequence[DicomImage]):
+    """The images of the DICOM files ``paths``, in order, read on use.
+
+    Building it reads each file once through ``framing.read_stamped`` and
+    parses it with ``parse_dicom``, so every error a file can raise is raised
+    here. It keeps each file's header fields, the span of its pixel bytes and
+    its stamp, and no pixel byte. Each access (an index is taken by
+    ``operator.index``) reads that one file again and builds and validates the
+    image from the same span; a file that is now too short raises
+    TruncatedFileError and one whose stamp changed MalformedFileError, each
+    naming the file. Nothing is cached: a caller that drops each image holds
+    one file's bytes at a time.
+    """
+
+    def __init__(self, paths):
+        self._held = []
+        for path in map(Path, paths):
+            data, stamp = read_stamped(path)
+            img = parse_dicom(data)
+            # parse_dicom's pixels are a view into data, so their address locates them
+            start = img.pixels.ctypes.data - np.frombuffer(data, np.uint8).ctypes.data
+            fields = {el.field: getattr(img, el.field) for el in _ELEMENTS if el.field != "pixels"}
+            self._held.append(_HeldFile(path, stamp, fields, slice(start, start + img.pixels.nbytes)))
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def __getitem__(self, i) -> DicomImage:
+        path, stamp, fields, span = self._held[index(i)]
+        data, now = read_stamped(path)
+        if len(data) < span.stop:
+            raise TruncatedFileError(f"{path.name} now ends inside its PixelData")
+        if now != stamp:
+            raise MalformedFileError(f"{path.name} changed since it was parsed")
+        img = DicomImage(**fields, pixels=_pixels_from_bytes(memoryview(data)[span], fields))
+        img.validate()
+        return img
 
 
 def real_values(img: DicomImage, stored: np.ndarray) -> np.ndarray:

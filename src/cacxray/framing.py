@@ -1,14 +1,17 @@
-"""The framing of every file the package reads or writes: one bounds-checked
-little-endian reader (DICOM, weights); UTF-8 text whatever the locale, one CSV
+"""The framing of every file the package reads or writes: one binary file
+reader that stamps what it read, and one bounds-checked little-endian reader
+over its bytes (DICOM, weights); UTF-8 text whatever the locale, one CSV
 dialect, one JSON parser and one strict JSON dumper; atomic writes."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import MalformedFileError, TruncatedFileError
 
@@ -37,6 +40,31 @@ class Reader:
         """Read the little-endian struct ``fmt`` (no byte-order prefix)."""
         fmt = "<" + fmt
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+
+class FileStamp(NamedTuple):
+    """What ``stat`` says of a file: a file whose stamp is unchanged is taken
+    to hold the same bytes."""
+
+    size: int
+    mtime_ns: int
+    inode: int
+    device: int
+
+
+def _stamp(path: Path) -> FileStamp:
+    st = path.stat()
+    return FileStamp(st.st_size, st.st_mtime_ns, st.st_ino, st.st_dev)
+
+
+def read_stamped(path: Path) -> tuple[bytes, FileStamp]:
+    """The bytes of the binary file ``path`` and its stamp, taken before and
+    after the read; a file that changed meanwhile raises MalformedFileError."""
+    before = _stamp(path)
+    data = path.read_bytes()
+    if _stamp(path) != before or len(data) != before.size:
+        raise MalformedFileError(f"{path.name} changed while it was read")
+    return data, before
 
 
 def read_text(path: Path) -> str:
@@ -81,10 +109,16 @@ def json_text(doc) -> str:
 
 def write_bytes(path: Path, data: bytes) -> None:
     """Write ``data`` to a temporary file beside ``path``, then rename it over
-    ``path``, so no reader ever sees a partial file."""
+    ``path``, so no reader ever sees a partial file. If the write or the
+    rename fails, the temporary file is removed before the error propagates."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def write_text(path: Path, text: str) -> None:

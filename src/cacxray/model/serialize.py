@@ -27,7 +27,7 @@ from ..errors import (
     ShapeMismatchError,
     TruncatedFileError,
 )
-from ..framing import Reader, json_text, json_value, write_bytes
+from ..framing import Reader, json_text, json_value, read_stamped, write_bytes
 from ..labels import LabelTransform
 from .network import DenseNetConfig, ModelParams, build_net
 
@@ -96,7 +96,8 @@ def save_weights(path, params: ModelParams) -> None:
 
 
 def load_weights(path, cfg: DenseNetConfig) -> ModelParams:
-    return weights_from_bytes(Path(path).read_bytes(), cfg)
+    data, _ = read_stamped(Path(path))
+    return weights_from_bytes(data, cfg)
 
 
 def sidecar_to_json(cfg: DenseNetConfig, lt: LabelTransform) -> str:

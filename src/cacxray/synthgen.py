@@ -17,12 +17,13 @@ content depends only on (seed, i), never on n or on other samples.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dicom import DicomImage, parse_dicom, write_test_dicom
+from .dicom import DicomFiles, DicomImage, write_test_dicom
 from .errors import InvalidConfigError, MalformedFileError
 from .framing import csv_text, json_text, plain_file_name, read_text, write_bytes, write_text
 from .preprocess import resize_bilinear
@@ -320,12 +321,15 @@ def write_dataset(cfg: SynthConfig, samples: list[SynthSample], out_dir) -> None
     write_text(out / "manifest.json", json_text({"kind": "synthetic-cac-dataset", **asdict(cfg)}) + "\n")
 
 
-def read_dataset(data_dir) -> tuple[list[str], list[DicomImage], list[SubjectRecord]]:
-    """Load a dataset directory, images in cohort order; ids must be distinct plain file names."""
+def read_dataset(data_dir) -> tuple[list[str], Sequence[DicomImage], list[SubjectRecord]]:
+    """Load a dataset directory, images in cohort order; ids must be distinct
+    plain file names. Every image file is read and parsed here, so a damaged
+    or missing one raises before this returns, but the images come back as a
+    ``DicomFiles``: each is read again when it is used, and the dataset holds
+    no pixel byte."""
     root = Path(data_dir)
     records = cohort_from_csv(read_text(root / "cohort.csv"))
     ids = [r.id for r in records]
     if len(set(ids)) < len(ids) or not all(map(plain_file_name, ids)):
         raise MalformedFileError("cohort ids must be distinct plain file names")
-    images = [parse_dicom((root / "images" / f"{sid}.dcm").read_bytes()) for sid in ids]
-    return ids, images, records
+    return ids, DicomFiles(root / "images" / f"{sid}.dcm" for sid in ids), records

@@ -655,7 +655,7 @@ def test_model_input_dim_other_than_crop_dim_exits_2(flow, tmp_path, capsys, com
     assert rc == 2
     err = capsys.readouterr().err
     assert "input_dim 16" in err and "[preprocess] crop_dim 12" in err
-    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_cohort_event_other_than_0_or_1_exits_2(flow, tmp_path):

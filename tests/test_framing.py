@@ -4,18 +4,22 @@ and strict dumper, the atomic writer, and the rule for an id that names a
 file."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from cacxray.errors import MalformedFileError, TruncatedFileError
 from cacxray.framing import (
+    FileStamp,
     Reader,
     csv_rows,
     csv_text,
     json_text,
     json_value,
     plain_file_name,
+    read_stamped,
     read_text,
+    write_bytes,
     write_text,
 )
 
@@ -71,6 +75,34 @@ def test_text_round_trips_as_utf8_and_other_bytes_raise(tmp_path):
         read_text(path)
 
 
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    # a directory in the way makes the rename fail after the temp file is written
+    (tmp_path / "report.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_bytes(tmp_path / "report.json", b"abc")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    with pytest.raises(FileNotFoundError):
+        write_bytes(tmp_path / "missing" / "report.json", b"abc")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def test_read_stamped_returns_the_bytes_and_their_stamp(tmp_path, monkeypatch):
+    path = tmp_path / "w.bin"
+    path.write_bytes(b"\x00\x01\x02")
+    st = path.stat()
+    assert read_stamped(path) == (b"\x00\x01\x02", FileStamp(3, st.st_mtime_ns, st.st_ino, st.st_dev))
+    read_bytes = Path.read_bytes
+
+    def growing(self):
+        data = read_bytes(self)
+        self.write_bytes(data + b"\x03")
+        return data
+
+    monkeypatch.setattr(Path, "read_bytes", growing)
+    with pytest.raises(MalformedFileError, match="w.bin changed while it was read"):
+        read_stamped(path)
+
+
 def test_csv_rows_reads_back_csv_text_and_raises_on_what_it_cannot_frame():
     rows = [("a,b", "0.1"), ('say "hi"', ""), ("two\nlines", "-7")]
     assert csv_rows(csv_text(("id", "x"), rows) + "\n\n") == [["id", "x"], *map(list, rows)]
@@ -105,3 +137,8 @@ def test_only_framing_reads_text_json_or_csv():
     # by hand, in framing too, would decode by the locale or map its own errors
     assert modules_calling("json.loads(", "csv.reader(", ".read_text(", exempt="framing.py") == []
     assert modules_calling("open(", exempt=None) == []
+
+
+def test_only_framing_reads_binary_files():
+    # one reader for every binary input, which stamps what it read
+    assert modules_calling(".read_bytes(", exempt="framing.py") == []

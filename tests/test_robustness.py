@@ -1,8 +1,9 @@
 """Damaged input files and the exit-code contract.
 
 Every file the command line reads back from a model directory (weights,
-sidecar, statistics, split), a DICOM image and the cohort file is cut at
-every byte and has every byte replaced in turn by 0x00, 0xff, '"' and ','.
+sidecar, statistics, split), a DICOM image (alone and as the one image of a
+dataset) and the cohort file is cut at every byte and has every byte
+replaced in turn by 0x00, 0xff, '"' and ','.
 Each mutation must load or raise an error that ``main`` maps to an exit
 code; a KeyError, TypeError or IndexError would surface as a traceback.
 Properties then feed any bytes to the weights and DICOM parsers, which must
@@ -120,6 +121,24 @@ _DICOMS = {ts: dicom.write_test_dicom(_IMAGE, transfer_syntax=ts) for ts in (dic
 @pytest.mark.parametrize("ts", list(_DICOMS))
 def test_every_dicom_mutation_loads_or_exits_4(ts):
     _assert_loads_or_exits_4(_DICOMS[ts], dicom.parse_dicom)
+
+
+@pytest.mark.parametrize("ts", list(_DICOMS))
+def test_every_dicom_mutation_in_a_dataset_loads_or_exits_4(tmp_path, ts):
+    # read_dataset keeps no pixel byte and reads the image again on use: both
+    # reads must load or raise what main maps to exit 4
+    (tmp_path / "images").mkdir()
+    record = SubjectRecord(id="s00000", time_years=1.5, event=True, covariates={"cac": 10.0})
+    (tmp_path / "cohort.csv").write_text(cohort_to_csv([record]))
+    path = tmp_path / "images" / "s00000.dcm"
+
+    def load():
+        _, images, _ = read_dataset(tmp_path)
+        images[0]
+
+    for data in _mutations(_DICOMS[ts]):
+        path.write_bytes(data)
+        assert _exit_code(load) in (0, 4), data
 
 
 _COHORT = cohort_to_csv([

@@ -2,16 +2,20 @@
 draws, and on-disk round trips."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cacxray import synthgen as sg
 from cacxray.dicom import parse_dicom, write_test_dicom
-from cacxray.errors import InvalidConfigError, MalformedFileError
+from cacxray.errors import InvalidConfigError, MalformedFileError, TruncatedFileError
+from cacxray.preprocess import PreprocessConfig, preprocess_uncalibrated
 from cacxray.survival import SubjectRecord, cohort_to_csv, log_rank
 
 
@@ -221,6 +225,104 @@ def test_read_dataset_refuses_unsafe_or_repeated_ids_before_reading_images(tmp_p
     rows = [SubjectRecord(id=sid, time_years=1.0, event=True, covariates={"cac": 0.0}) for sid in ids]
     (tmp_path / "cohort.csv").write_text(cohort_to_csv(rows))
     with pytest.raises(MalformedFileError, match="cohort id"):
+        sg.read_dataset(tmp_path)
+
+
+# --- images read on use -----------------------------------------------------------
+
+
+def _dataset(path, n, image_dim=96, seed=16):
+    cfg = _cfg(n=n, image_dim=image_dim, seed=seed)
+    samples = sg.generate_samples(cfg)
+    sg.generate_survival(cfg, samples)
+    sg.write_dataset(cfg, samples, path)
+    return path
+
+
+def test_read_dataset_holds_one_image_file_at_a_time(tmp_path):
+    # 20 files of 512 KB: holding them all, as a list of parsed images did,
+    # peaks at 11 MiB; one file at a time and its preprocessing near 1.7 MiB
+    _dataset(tmp_path, 20, image_dim=512)
+    cfg = PreprocessConfig(resize_dim=78, crop_dim=64)
+    tracemalloc.start()
+    try:
+        _, images, _ = sg.read_dataset(tmp_path)
+        crops = [preprocess_uncalibrated(img, cfg) for img in images]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(crops) == 20
+    assert peak < 3 * 2**20
+
+
+def test_each_access_reads_the_same_image_afresh(tmp_path):
+    ids, images, _ = sg.read_dataset(_dataset(tmp_path, 5))
+    assert len(images) == 5
+    for i, sid in enumerate(ids):
+        want = parse_dicom((tmp_path / "images" / f"{sid}.dcm").read_bytes())
+        for got in (images[i], images[np.int64(i)], images[i - 5]):
+            for f in dataclasses.fields(want):
+                if f.name != "pixels":
+                    assert getattr(got, f.name) == getattr(want, f.name), f.name
+            assert got.pixels.dtype == want.pixels.dtype == np.dtype("<u2")
+            assert got.pixels.shape == want.pixels.shape
+            assert not got.pixels.flags.writeable
+            assert got.pixels.tobytes() == want.pixels.tobytes()
+    first, again = images[0], images[0]
+    assert not np.shares_memory(first.pixels, again.pixels)
+    assert [img.pixels.tobytes() for img in images] == [images[i].pixels.tobytes() for i in range(5)]
+    with pytest.raises(IndexError):
+        images[5]
+    with pytest.raises(TypeError):
+        images[1.0]
+
+
+def _rename_over(path):
+    fresh = path.with_name("fresh.tmp")
+    fresh.write_bytes(path.read_bytes())
+    os.replace(fresh, path)
+
+
+def _touch(path):
+    st = path.stat()
+    path.write_bytes(path.read_bytes()[::-1])  # same size, other bytes
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-2])
+
+
+@pytest.mark.parametrize("change,error", [
+    (_rename_over, MalformedFileError),
+    (_touch, MalformedFileError),
+    (_truncate, TruncatedFileError),
+])
+def test_an_image_file_changed_after_read_dataset_raises_naming_it(tmp_path, change, error):
+    _, images, _ = sg.read_dataset(_dataset(tmp_path, 3))
+    change(tmp_path / "images" / "s00001.dcm")
+    assert [images[i].rows for i in (0, 2)] == [96, 96]
+    with pytest.raises(error, match="s00001.dcm"):
+        images[1]
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_a_damaged_image_anywhere_raises_in_read_dataset(tmp_path, position):
+    _dataset(tmp_path, 5)
+    path = tmp_path / "images" / f"s{position:05d}.dcm"
+    raw = path.read_bytes()
+    img = parse_dicom(raw)
+    # 0x0fff is the 12-bit maximum: one more is out of range
+    pixels = np.array(img.pixels, dtype=np.int32)
+    pixels[0, 0] = 0x1000
+    path.write_bytes(raw[:-img.pixels.nbytes] + pixels.astype("<u2").tobytes())
+    with pytest.raises(MalformedFileError, match="exceed the 12-bit range"):
+        sg.read_dataset(tmp_path)
+    path.write_bytes(raw[:-1])
+    with pytest.raises(TruncatedFileError):
+        sg.read_dataset(tmp_path)
+    path.unlink()
+    with pytest.raises(FileNotFoundError):
         sg.read_dataset(tmp_path)
 
 
