@@ -15,8 +15,9 @@ Cross-validation initializes each fold's weights from the shuffling seed
 (+3), not from +2.
 
 main runs every command in one order: build and check the config, read
---model (evaluate, explain) and check its net against the crop, create
---out and write effective.cfg, call the cmd_* function, then write
+--model (evaluate, explain) and check its net against the crop, read and
+check --data (train, evaluate, crossval, explain), create --out and write
+effective.cfg, call the cmd_* function, then write
 manifest.json (command, seed, version, and the inputs and fields the
 function returns). synth returns None: a dataset's manifest.json is the
 dataset description that synthgen.write_dataset writes. Every file is read
@@ -100,7 +101,7 @@ from .survival import (
     km_to_csv,
     log_rank,
 )
-from .synthgen import SynthConfig, generate_samples, generate_survival, read_dataset, write_dataset
+from .synthgen import SynthConfig, iter_samples, read_dataset, write_dataset
 
 _SEED_OFFSETS = {"synth": 0, "split": 1, "init": 2, "shuffle": 3, "bootstrap": 4, "folds": 5}
 
@@ -326,10 +327,9 @@ def _read_test_ids(model_dir) -> list[str]:
 
 def cmd_synth(args, cfg, out: Path) -> dict | None:
     synth_cfg = cfg["synth"]
-    samples = generate_samples(synth_cfg)
-    generate_survival(synth_cfg, samples)
-    write_dataset(synth_cfg, samples, out)
-    n_pos = sum(1 for s in samples if s.cac > 0)
+    # each image is written as it is made: synth holds no whole dataset
+    records = write_dataset(synth_cfg, iter_samples(synth_cfg), out)
+    n_pos = sum(1 for r in records if r.covariates["cac"] > 0)
     print(f"wrote {synth_cfg.n} samples ({n_pos} with cac > 0) to {out}")
     return None  # write_dataset wrote the dataset's own manifest.json
 
@@ -337,7 +337,7 @@ def cmd_synth(args, cfg, out: Path) -> dict | None:
 def cmd_train(args, cfg, out: Path) -> dict:
     tc = cfg["train"]
     frac = tc.train_fraction
-    ids, dicoms, cacs = _load_dataset(args.data)
+    ids, dicoms, cacs = args.dataset
     n = len(ids)
     split_seed = _seed(cfg, "split")
     perm = np.random.default_rng(split_seed).permutation(n)
@@ -365,7 +365,7 @@ def cmd_train(args, cfg, out: Path) -> dict:
 def cmd_evaluate(args, cfg, out: Path) -> dict:
     ev = cfg["evaluate"]
     params, lt, stats = args.trained
-    ids, dicoms, cacs = _load_dataset(args.data)
+    ids, dicoms, cacs = args.dataset
 
     if args.split == "internal":
         keep = set(_read_test_ids(args.model))
@@ -417,7 +417,7 @@ def cmd_evaluate(args, cfg, out: Path) -> dict:
 
 
 def cmd_crossval(args, cfg, out: Path) -> dict:
-    _, dicoms, cacs = _load_dataset(args.data)
+    _, dicoms, cacs = args.dataset
     crops = [preprocess_uncalibrated(d, cfg["preprocess"]) for d in dicoms]
     k = cfg["crossval"].folds
     report = cross_validate(
@@ -487,7 +487,7 @@ def cmd_survival(args, cfg, out: Path) -> dict:
 
 def cmd_explain(args, cfg, out: Path) -> dict:
     params, _, stats = args.trained
-    ids, dicoms, _ = _load_dataset(args.data)
+    ids, dicoms, _ = args.dataset
     if args.ids:
         wanted = [s.strip() for s in args.ids.split(",") if s.strip()]
         index = {sid: i for i, sid in enumerate(ids)}
@@ -568,6 +568,8 @@ def main(argv=None) -> int:
         if "model" in args:  # a net of the wrong size exits 2 before --out exists
             args.trained = _load_model_dir(args.model)
             _check_input_dim("--model", args.trained[0].cfg.input_dim, cfg)
+        if "data" in args:  # so does a damaged dataset, with exit 4
+            args.dataset = _load_dataset(args.data)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _echo_config(out, cfg)

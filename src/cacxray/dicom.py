@@ -34,6 +34,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import (
+    CacXrayError,
     MalformedFileError,
     MissingRequiredTagError,
     TruncatedFileError,
@@ -102,7 +103,7 @@ class DicomImage:
         if self.pixel_representation not in (0, 1):
             raise MalformedFileError(f"PixelRepresentation {self.pixel_representation} not in {{0, 1}}")
         if self.photometric not in ("MONOCHROME1", "MONOCHROME2"):
-            raise UnsupportedPhotometricError(self.photometric)
+            raise UnsupportedPhotometricError(f"PhotometricInterpretation {self.photometric!r} is not supported")
         for el in _ELEMENTS:
             if el.vr == "DS" and not math.isfinite(getattr(self, el.field)):
                 raise MalformedFileError(f"{el.keyword} must be finite, got {getattr(self, el.field)}")
@@ -279,7 +280,7 @@ def parse_dicom(data: bytes) -> DicomImage:
     r = Reader(data, 132)
     ts = _parse_file_meta(r)
     if ts not in SUPPORTED_TRANSFER_SYNTAXES:
-        raise UnsupportedTransferSyntaxError(ts)
+        raise UnsupportedTransferSyntaxError(f"transfer syntax {ts!r} is not supported")
     explicit = ts == EXPLICIT_VR_LE
 
     found: dict[tuple[int, int], memoryview] = {}
@@ -293,7 +294,7 @@ def parse_dicom(data: bytes) -> DicomImage:
         if el.tag in found:
             fields[el.field] = _CODECS[el.vr][0](found[el.tag], el)
         elif el.default is None:
-            raise MissingRequiredTagError(_name(el))
+            raise MissingRequiredTagError(f"required element {_name(el)} is missing")
         else:
             fields[el.field] = el.default(fields) if callable(el.default) else el.default
     fields["pixels"] = _pixels_from_bytes(fields["pixels"], fields)
@@ -316,8 +317,9 @@ class DicomFiles(Sequence[DicomImage]):
 
     Building it reads each file once through ``framing.read_stamped`` and
     parses it with ``parse_dicom``, so every error a file can raise is raised
-    here. It keeps each file's header fields, the span of its pixel bytes and
-    its stamp, and no pixel byte. Each access (an index is taken by
+    here, of the class ``parse_dicom`` raised, with the file's name in front
+    of its message. It keeps each file's header fields, the span of its pixel
+    bytes and its stamp, and no pixel byte. Each access (an index is taken by
     ``operator.index``) reads that one file again and builds and validates the
     image from the same span; a file that is now too short raises
     TruncatedFileError and one whose stamp changed MalformedFileError, each
@@ -329,7 +331,10 @@ class DicomFiles(Sequence[DicomImage]):
         self._held = []
         for path in map(Path, paths):
             data, stamp = read_stamped(path)
-            img = parse_dicom(data)
+            try:
+                img = parse_dicom(data)
+            except CacXrayError as exc:
+                raise exc.in_file(path.name) from exc
             # parse_dicom's pixels are a view into data, so their address locates them
             start = img.pixels.ctypes.data - np.frombuffer(data, np.uint8).ctypes.data
             fields = {el.field: getattr(img, el.field) for el in _ELEMENTS if el.field != "pixels"}

@@ -14,11 +14,17 @@ TruncatedFileError, a kind of MalformedFileError, whichever format it is:
 both formats read through the one bounds-checked ``framing.Reader``.
 """
 
+from __future__ import annotations
+
 
 class CacXrayError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors. Each is built from its message."""
     exit_code = 5
     label = "error"
+
+    def in_file(self, name: str) -> CacXrayError:
+        """This error, of the same class, with the file ``name`` in front of its message."""
+        return type(self)(f"{name}: {self}")
 
 
 class ConfigError(CacXrayError):

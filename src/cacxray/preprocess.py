@@ -126,7 +126,13 @@ def _resize_window(values_at, shape: tuple[int, int], dim: int, crop: int) -> np
     cols, c0, c1, fc = _window_coords(shape[1], dim, crop)
     v = values_at(rows, cols)
     t = v.take(c0, axis=1) * (1.0 - fc) + v.take(c1, axis=1) * fc
-    return t[r0] * (1.0 - fr)[:, None] + t[r1] * fr[:, None]
+    # in place: the same products and sum, one full-size temporary fewer
+    out = t[r0]
+    out *= (1.0 - fr)[:, None]
+    bottom = t[r1]
+    bottom *= fr[:, None]
+    out += bottom
+    return out
 
 
 def resize_bilinear(values: np.ndarray, target_dim: int) -> np.ndarray:

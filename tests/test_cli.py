@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import cacxray
-from cacxray import cli
+from cacxray import cli, synthgen
 from cacxray.cli import main
 from cacxray.framing import csv_text
 
@@ -803,7 +803,7 @@ def test_negative_cac_in_a_dataset_exits_5_before_any_output(flow, tmp_path, cap
                "--out", str(tmp_path / "o"), "--split", "all"])
     assert rc == 5
     assert capsys.readouterr().err == "degenerate data: negative calcium score: -5.0\n"
-    assert [p.name for p in (tmp_path / "o").iterdir()] == ["effective.cfg"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_tiny_training_split_exits_3(flow, tmp_path):
@@ -891,6 +891,40 @@ def test_dataset_image_with_a_non_finite_decimal_exits_4(flow, tmp_path, capsys,
                "--model", str(flow["model"]), "--out", str(tmp_path / "o"), "--seed", "3"])
     assert rc == 4
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "crossval", "explain"])
+def test_a_damaged_dataset_image_exits_4_naming_it_before_out_exists(flow, tmp_path, capsys, command):
+    # the last stored pixel value becomes 0xff.. and leaves the 12-bit range
+    data = tmp_path / "data"
+    shutil.copytree(flow["data"], data)
+    image = data / "images" / "s00003.dcm"
+    image.write_bytes(image.read_bytes()[:-1] + b"\xff")
+    out = tmp_path / "o"
+    args = [command, "--config", str(flow["cfg"]), "--data", str(data), "--out", str(out)]
+    if command in ("evaluate", "explain"):
+        args += ["--model", str(flow["model"])]
+    assert main(args) == 4
+    assert capsys.readouterr().err.startswith("i/o error: s00003.dcm: stored pixel values [")
+    assert not out.exists()
+
+
+def test_synth_holds_an_image_per_worker_not_the_dataset(monkeypatch, tmp_path):
+    # two workers each make an image and its noise draw while the writer
+    # holds one sample and its file's bytes: about 11 MiB; holding all 20
+    # images, as the list-based synth did, peaked at 51 MiB
+    monkeypatch.setattr(synthgen, "_usable_cpus", lambda: 2)
+    cfg = tmp_path / "big.ini"
+    cfg.write_text("[synth]\nn = 20\nimage_dim = 512\n")
+    tracemalloc.start()
+    try:
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(list((tmp_path / "d" / "images").iterdir())) == 20
+    assert peak < 8 * 512 * 512 * 8
 
 
 def test_one_class_evaluation_exits_5(flow, tmp_path, capsys):

@@ -14,9 +14,18 @@ import pytest
 
 from cacxray import synthgen as sg
 from cacxray.dicom import parse_dicom, write_test_dicom
-from cacxray.errors import InvalidConfigError, MalformedFileError, TruncatedFileError
+from cacxray.errors import (
+    InvalidConfigError,
+    MalformedFileError,
+    MissingRequiredTagError,
+    TruncatedFileError,
+    UnsupportedPhotometricError,
+    UnsupportedTransferSyntaxError,
+)
 from cacxray.preprocess import PreprocessConfig, preprocess_uncalibrated
 from cacxray.survival import SubjectRecord, cohort_to_csv, log_rank
+
+from conftest import remove_element, replace_element_payload
 
 
 def _cfg(**kw):
@@ -61,6 +70,21 @@ def test_different_seed_different_images():
     a = sg.generate_samples(_cfg(n=3, seed=0))
     b = sg.generate_samples(_cfg(n=3, seed=1))
     assert not np.array_equal(a[0].image, b[0].image)
+
+
+@pytest.mark.parametrize("dim", [96, 160])
+def test_generate_samples_equals_the_serial_loop_byte_for_byte(monkeypatch, dim):
+    # 96 px is made on one thread, 160 px on the pool; three workers over
+    # seven samples leave iter_samples a short last chunk
+    monkeypatch.setattr(sg, "_usable_cpus", lambda: 3)
+    cfg = _cfg(n=7, image_dim=dim, seed=21)
+    assert sg._workers(cfg, cfg.n) == (1 if dim < sg._POOL_MIN_DIM else 3)
+    serial = [sg._generate_one(cfg, i) for i in range(cfg.n)]
+    for made in (sg.generate_samples(cfg), list(sg.iter_samples(cfg))):
+        assert len(made) == len(serial)
+        for s, t in zip(made, serial):
+            assert s.image.tobytes() == t.image.tobytes()
+            assert dataclasses.replace(s, image=None) == dataclasses.replace(t, image=None)
 
 
 # --- image and label content ------------------------------------------------------
@@ -255,6 +279,23 @@ def test_read_dataset_holds_one_image_file_at_a_time(tmp_path):
     assert peak < 3 * 2**20
 
 
+@pytest.mark.parametrize("damage, error, says", [
+    (lambda b: b[:-1] + b"\xff", MalformedFileError, "exceed the 12-bit range"),
+    (lambda b: remove_element(b, (0x0028, 0x1050)), MissingRequiredTagError, "WindowCenter (0028,1050)"),
+    (lambda b: replace_element_payload(b, (0x0028, 0x0004), b"RGB "), UnsupportedPhotometricError, "'RGB'"),
+    (lambda b: replace_element_payload(b, (0x0002, 0x0010), b"1.2.840.10008.1.2.4.50"),
+     UnsupportedTransferSyntaxError, "1.2.840.10008.1.2.4.50"),
+])
+def test_read_dataset_names_a_damaged_image_and_keeps_its_error(tmp_path, damage, error, says):
+    path = _dataset(tmp_path, 6)
+    image = path / "images" / "s00003.dcm"
+    image.write_bytes(damage(image.read_bytes()))
+    with pytest.raises(error) as info:
+        sg.read_dataset(path)
+    assert type(info.value) is error
+    assert str(info.value).startswith("s00003.dcm: ") and says in str(info.value)
+
+
 def test_each_access_reads_the_same_image_afresh(tmp_path):
     ids, images, _ = sg.read_dataset(_dataset(tmp_path, 5))
     assert len(images) == 5
@@ -381,6 +422,29 @@ def test_blobs_csv_round_trip():
     got = [(r[0], tuple(int(v) for v in r[1:])) for r in rows[1:]]
     want = [(s.id, tuple(b)) for s in samples for b in s.blob_boxes]
     assert got == want and want
+
+
+def test_write_dataset_of_a_stream_equals_the_dataset_of_a_list(tmp_path):
+    # the stream is read once and no follow-up is drawn before it is written
+    cfg = _cfg(n=6, image_dim=160, seed=22)
+    samples = sg.generate_samples(cfg)
+    sg.generate_survival(cfg, samples)
+    sg.write_dataset(cfg, samples, tmp_path / "a")
+    records = sg.write_dataset(cfg, sg.iter_samples(cfg), tmp_path / "b")
+    assert records == [s.record for s in samples]
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())
+    assert len(files) == 6 + 3
+    for rel in files:
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def test_sample_to_dicom_holds_pixels_in_the_stored_dtype():
+    s = sg.generate_samples(_cfg(n=2))[1]
+    img = sg.sample_to_dicom(s)
+    assert img.pixels.dtype == np.dtype("<u2")
+    assert np.array_equal(img.pixels, s.image)
+    wide = dataclasses.replace(img, pixels=s.image.astype(np.int32))
+    assert write_test_dicom(img) == write_test_dicom(wide)
 
 
 # --- config validation ------------------------------------------------------------
