@@ -16,8 +16,8 @@ Cross-validation initializes each fold's weights from the shuffling seed
 
 main runs every command in one order: build and check the config, read
 --model (evaluate, explain) and check its net against the crop, read and
-check --data (train, evaluate, crossval, explain), create --out and write
-effective.cfg, call the cmd_* function, then write
+check --data (train, evaluate, crossval, explain) or --cohort (survival),
+create --out and write effective.cfg, call the cmd_* function, then write
 manifest.json (command, seed, version, and the inputs and fields the
 function returns). synth returns None: a dataset's manifest.json is the
 dataset description that synthgen.write_dataset writes. Every file is read
@@ -301,6 +301,20 @@ def _load_dataset(data_dir):
     return ids, dicoms, cacs
 
 
+def _load_cohort(cohort, sv):
+    """Records of a cohort file, or of a dataset directory's cohort.csv, each
+    checked to hold the [survival] group and adjust columns."""
+    cohort_path = Path(cohort)
+    if cohort_path.is_dir():
+        cohort_path = cohort_path / "cohort.csv"
+    records = cohort_from_csv(read_text(cohort_path))
+    for r in records:
+        for key, col in (("group", sv.group), ("adjust", sv.adjust)):
+            if col not in r.covariates:
+                raise InvalidConfigError(f"subject {r.id} lacks the [survival] {key} column {col!r}")
+    return records
+
+
 def _load_model_dir(model_dir):
     """Parameters, label transform and pixel statistics of a train output;
     a damaged file raises an UnreadableInputError."""
@@ -441,16 +455,9 @@ def cmd_crossval(args, cfg, out: Path) -> dict:
 
 
 def cmd_survival(args, cfg, out: Path) -> dict:
-    cohort_path = Path(args.cohort)
-    if cohort_path.is_dir():
-        cohort_path = cohort_path / "cohort.csv"
-    records = cohort_from_csv(read_text(cohort_path))
+    records = args.records
     sv = cfg["survival"]
     group_cov, adjust_cov, horizon = sv.group, sv.adjust, sv.horizon_years
-    for r in records:
-        for key, col in (("group", group_cov), ("adjust", adjust_cov)):
-            if col not in r.covariates:
-                raise InvalidConfigError(f"subject {r.id} lacks the [survival] {key} column {col!r}")
     zero = [r for r in records if r.covariates[group_cov] <= 0]
     positive = [r for r in records if r.covariates[group_cov] > 0]
     km_zero = kaplan_meier(zero)
@@ -570,6 +577,8 @@ def main(argv=None) -> int:
             _check_input_dim("--model", args.trained[0].cfg.input_dim, cfg)
         if "data" in args:  # so does a damaged dataset, with exit 4
             args.dataset = _load_dataset(args.data)
+        if "cohort" in args:  # and a bad cohort, with exit 2 or 4
+            args.records = _load_cohort(args.cohort, cfg["survival"])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _echo_config(out, cfg)

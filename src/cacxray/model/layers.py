@@ -16,8 +16,12 @@ normalized buffer, see BlockNorm) with the inverse standard deviation. Eval
 mode serves only an input-gradient walk: a stride-1 convolution keeps its
 input's shape, the stem and a linear layer nothing, and batch normalization
 its inverse standard deviation. In either mode ReLU caches its mask, max
-pooling its argmax and the other pools their input's shape. The stem's
-input is the image, so its backward computes the weight gradient only.
+pooling its argmax as one byte and the other pools their input's shape. The
+stem's input is the image, so its backward computes the weight gradient only.
+A backward lets go of each array once it has read it for the last time: a
+stride-1 convolution frees its padded input once the weight gradient is
+taken, before its input gradient is made, and batch normalization works in
+one scratch array beside its input gradient.
 A dense block with batch normalization keeps less in train mode: it runs
 the relu and convolution after each of its batch normalizations in a
 throwaway eval-mode context, and caches their train-mode state from the
@@ -220,8 +224,10 @@ class Conv2d(Layer):
             dyf_flat = dyf.reshape(rows, self.c_out)
             xf_flat = xf.reshape(rows, c)
             dwk = np.stack([np.dot(dyf_flat[: rows - off].T, xf_flat[off:]) for off, _ in shifts])
+            del dyf_flat, xf_flat
             dw = np.ascontiguousarray(dwk.reshape(k, k, self.c_out, c).transpose(2, 3, 0, 1))
             grads[self.wname] = grads.get(self.wname, 0.0) + dw
+        del xf  # read last by the weight gradient: freed before dxf is made
         # the first shift writes rows ..m and the rest start at zero; the
         # other shifts add into both
         dxf = np.empty((n, hp * wp, c))
@@ -229,6 +235,7 @@ class Conv2d(Layer):
         dxf[:, m:] = 0.0
         for off, wi in shifts[1:]:
             dxf[:, off : off + m] += dyf[:, :m] @ wi
+        del dyf  # freed before the NCHW copy of dx is made
         dx = dxf.reshape(n, hp, wp, c)[:, p : p + h, p : p + wid]
         return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
 
@@ -352,13 +359,15 @@ class BatchNorm2d(Layer):
         if ctx.mode != "train":
             return dxhat * ctx.caches.pop(self.name)
         xhat, inv = ctx.caches.pop(self.name)
+        # one scratch array serves dy * xhat, dxhat * xhat and xhat * s2 in turn
+        t = np.empty_like(dxhat)
         if grads is not None:
-            grads[self.gname] = grads.get(self.gname, 0.0) + np.sum(dy * xhat, axis=self.AXES)
+            gx = np.sum(np.multiply(dy, xhat, out=t), axis=self.AXES)
+            grads[self.gname] = grads.get(self.gname, 0.0) + gx
             grads[self.bname] = grads.get(self.bname, 0.0) + np.sum(dy, axis=self.AXES)
         nel = dy.shape[0] * dy.shape[2] * dy.shape[3]
         s1 = np.sum(dxhat, axis=self.AXES, keepdims=True)
-        t = dxhat * xhat
-        s2 = np.sum(t, axis=self.AXES, keepdims=True)
+        s2 = np.sum(np.multiply(dxhat, xhat, out=t), axis=self.AXES, keepdims=True)
         # (inv / nel) * (nel * dxhat - s1 - xhat * s2), in place on dxhat
         dxhat *= nel
         dxhat -= s1
@@ -402,7 +411,8 @@ class MaxPool2x2(Layer):
         win = np.stack([x[:, :, i : h2 * 2 : 2, j : w2 * 2 : 2] for i, j in self.OFFSETS], axis=-1)
         idx = np.argmax(win, axis=-1)
         y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        ctx.caches[self.name] = (idx, x.shape)
+        # an index into OFFSETS: one byte holds it
+        ctx.caches[self.name] = (idx.astype(np.int8), x.shape)
         return y
 
     def backward(self, dy, ctx, grads):

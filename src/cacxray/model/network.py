@@ -17,7 +17,8 @@ backward walk reaches (see ForwardTrace), and each layer's backward takes its
 own state out of the trace as the walk passes it; only the layers read or
 write an entry. In train mode a dense block with batchnorm keeps O(L)
 state, not O(L^2): it runs its units' relus and convolutions in a throwaway
-context and rebuilds their state in backward (see _DenseBlock).
+context and rebuilds their state in backward (see _DenseBlock). A train
+trace keeps no ``features``: only an eval walk's callers read them.
 """
 
 from __future__ import annotations
@@ -116,6 +117,24 @@ def feature_map_dim(cfg: DenseNetConfig) -> int:
     return d
 
 
+def eval_item_bytes(cfg: DenseNetConfig) -> int:
+    """Estimated peak float64 bytes of one item's eval forward, from the
+    widths alone. The peak falls in one of two places: the stem convolution,
+    which holds its im2col matrix, its GEMM output and that output's NCHW
+    copy, or the first dense block's last layer, which holds the block's
+    buffer, four arrays as wide as its input (the batchnorm's normalized
+    input and output, the ReLU output, the convolution's padded copy) and
+    two as wide as its first convolution's output (the GEMM's and its NCHW
+    copy)."""
+    net = build_net(cfg)
+    stem, block = net.entries[0], net.entries[net.first_block_index]
+    side = (cfg.input_dim - 1) // 2 + 1  # 7x7 stride-2 conv, pad 3
+    stem_floats = side * side * (stem.kernel**2 * stem.c_in + 2 * stem.c_out)
+    widest_input = block.c_out - block.growth
+    block_floats = (side // 2) ** 2 * (block.c_out + 4 * widest_input + 2 * 4 * block.growth)
+    return 8 * max(stem_floats, block_floats)
+
+
 @dataclass(eq=False)
 class ModelParams:
     """Named float64 tensors plus the config that shaped them.
@@ -147,11 +166,13 @@ class ForwardTrace:
     mode: a train walk takes parameter gradients, an eval walk the input
     gradient alone. Each layer's backward takes its state out, so a finished
     walk leaves ``caches`` empty; a second walk, or one on other ``params``
-    than the trace holds, raises StaleTraceError.
+    than the trace holds, raises StaleTraceError. ``features`` is the first
+    dense block's output, which the eval walk's gradient is taken against;
+    a train trace keeps None there, as its walk never reads it.
     """
 
     predictions: np.ndarray  # (N,)
-    features: np.ndarray  # first dense block output (N, C, h, w), the finest block grid
+    features: np.ndarray | None  # eval: first dense block output (N, C, h, w), the finest block grid
     mode: str
     walk_to: int  # index into the net's entries
     caches: dict
@@ -343,8 +364,8 @@ def forward(params: ModelParams, batch, mode: str = "eval", freeze_policy: str =
         # an entry below the walk gets its own eval-mode context, dropped with
         # its caches as soon as the entry returns
         h = entry.forward(h, ctx if i >= walk_to else RunCtx(tensors=params.tensors, mode="eval"))
-        if i == net.first_block_index:
-            features = h
+        if i == net.first_block_index and mode == "eval":
+            features = h  # read only by the eval walk's callers (Grad-CAM)
     return ForwardTrace(
         predictions=h[:, 0],
         features=features,

@@ -7,7 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyDatasetError, InvalidConfigError, ShapeMismatchError, TrainingFailedError
-from .network import FREEZE_POLICIES, ModelParams, backward, forward, loss_mae
+from .network import FREEZE_POLICIES, ModelParams, backward, eval_item_bytes, forward, loss_mae
+
+# predict's budget for one eval forward's estimated activations
+# (eval_item_bytes). Measured with tracemalloc, a batch-1 eval forward of
+# DenseNetConfig(input_dim=D) peaks at 11.9 / 47.6 / 190.3 MB at
+# D = 128 / 256 / 512, where the estimate reads 11.5 / 46.1 / 184.5 MB, and
+# one of the desk preset at 0.74 MB (estimate 0.66 MB); a second item doubles
+# each peak. So the desk preset keeps chunks of 16, and 512 px and up score
+# one item at a time. That is also faster there: on a 2-core VM, 4 items at
+# 512 px took 10.2 s and 844 MB peak RSS in one chunk, 8.5 s and 323 MB one
+# at a time.
+PREDICT_CHUNK_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -82,9 +93,13 @@ def train(dataset, tc: TrainConfig, init: ModelParams) -> tuple[ModelParams, lis
 
 
 def predict(params: ModelParams, images, batch_size: int = 16) -> np.ndarray:
-    """Eval-mode predictions in transformed label space, batched for memory."""
+    """Eval-mode predictions in transformed label space, batched for memory.
+
+    Each eval forward takes the most items whose estimated activations fit
+    PREDICT_CHUNK_BYTES, at least 1 and at most ``batch_size``. An item's
+    prediction does not depend on the chunk it comes in."""
+    size = max(1, min(batch_size, PREDICT_CHUNK_BYTES // eval_item_bytes(params.cfg)))
     out = []
-    for start in range(0, len(images), batch_size):
-        chunk = images[start : start + batch_size]
-        out.append(forward(params, chunk, "eval").predictions)
+    for start in range(0, len(images), size):
+        out.append(forward(params, images[start : start + size], "eval").predictions)
     return np.concatenate(out) if out else np.empty(0)

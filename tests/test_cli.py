@@ -547,9 +547,9 @@ def test_every_config_key_takes_hostile_values(flow, tmp_path, section, key, val
     argv = [a.format(data=flow["data"], model=flow["model"]) for a in _SECTION_COMMANDS[section]]
     rc = main(argv + ["--config", str(cfg), "--out", str(out)])
     assert rc in (0, 2, 3, 4, 5)
-    # every value is checked when the config is read; only [survival] names
-    # cohort columns, which the data alone can check
-    if rc == 2 and section != "survival":
+    # every value is checked when the config is read, and the cohort columns
+    # that [survival] names when the cohort is, before --out is made
+    if rc == 2:
         assert not out.exists()
     for path in out.rglob("*.json"):
         json.loads(path.read_text(), parse_constant=_reject_constant)
@@ -663,6 +663,15 @@ def test_cohort_event_other_than_0_or_1_exits_2(flow, tmp_path):
     rc = main(["survival", "--config", str(flow["cfg"]), "--cohort", str(tmp_path),
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_a_bad_cohort_exits_2_before_out_exists(flow, tmp_path, capsys):
+    (tmp_path / "cohort.csv").write_text("id,time_years,event,ai_cac_category\ns1,1.0,maybe,0\ns2,2.0,0,1\n")
+    out = tmp_path / "o"
+    rc = main(["survival", "--config", str(flow["cfg"]), "--cohort", str(tmp_path), "--out", str(out)])
+    assert rc == 2
+    assert "subject s1: event must be 0 or 1, got 'maybe'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cohort_missing_event_column_exits_2(flow, tmp_path):

@@ -1,5 +1,7 @@
 """Hand-checkable forward semantics of the individual layers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,3 +330,49 @@ def test_shifted_conv_backward_equals_the_zero_filled_oracle(n, c, c_out, k, h, 
     expected = conv_backward_shifted(conv, dy, ctx.caches[conv.name], tensors, oracle_grads)
     assert conv.backward(dy, ctx, grads).tobytes() == expected.tobytes()
     assert grads[conv.wname].tobytes() == oracle_grads[conv.wname].tobytes()
+
+
+def _backward_peak(layer, x, dy, tensors, *, hold=False):
+    """tracemalloc peak of one train-mode backward over the memory traced
+    when it starts. The forward before it is traced too, so an array it
+    cached counts once freed; ``hold`` keeps that cache alive to the end."""
+    ctx = _ctx(tensors, mode="train")
+    tracemalloc.start()
+    try:
+        layer.forward(x, ctx)
+        held = dict(ctx.caches) if hold else None  # alive until the return
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        layer.backward(dy, ctx, {})
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_backward_frees_its_padded_input_after_the_weight_gradient(k):
+    # the padded input xf is read last by the weight gradient, so the input
+    # gradient's arrays are made after it is gone
+    rng = np.random.default_rng(15)
+    n, c, h, w = 2, 16, 48, 48
+    conv = Conv2d("c", c, 12, k, pad=k // 2)
+    tensors = {}
+    conv.init_params(rng, tensors)
+    x = rng.standard_normal((n, c, h, w))
+    dy = rng.standard_normal((n, 12, h, w))
+    xf_bytes = 8 * n * c * (h + k - 1) * (w + k - 1)
+    freed = _backward_peak(conv, x, dy, tensors)
+    held = _backward_peak(conv, x, dy, tensors, hold=True)
+    assert held - freed > 0.95 * xf_bytes, (held / xf_bytes, freed / xf_bytes)
+
+
+def test_batchnorm_backward_holds_two_arrays_beside_its_gradient():
+    # dxhat and one scratch array for dy * xhat, dxhat * xhat and xhat * s2;
+    # the slack covers numpy's reduction buffers
+    rng = np.random.default_rng(16)
+    bn = BatchNorm2d("bn", 16)
+    tensors = {}
+    bn.init_params(rng, tensors)
+    x = rng.standard_normal((2, 16, 64, 64))
+    dy = rng.standard_normal(x.shape)
+    assert _backward_peak(bn, x, dy, tensors) <= 2 * dy.nbytes + 2**17

@@ -1,7 +1,9 @@
 """Whole-network contracts: channel arithmetic, forward semantics, gradients."""
 
 import hashlib
+import tracemalloc
 import weakref
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,25 @@ def _batch(rng, n, dim):
 
 def _head_input_width(cfg):
     return dict(nw.build_net(cfg).param_shapes())["head.fc1.w"][1]
+
+
+@contextmanager
+def _first_block_outputs(cfg):
+    """A list of what each forward of cfg's first dense block returns, while
+    the context is open."""
+    net = nw.build_net(cfg)
+    block = net.entries[net.first_block_index]
+    outputs = []
+
+    def recorded(x, ctx, forward=block.forward):
+        outputs.append(forward(x, ctx))
+        return outputs[-1]
+
+    block.forward = recorded
+    try:
+        yield outputs
+    finally:
+        del block.forward
 
 
 # --- channel bookkeeping -----------------------------------------------------------
@@ -259,6 +280,44 @@ def test_eval_trace_keeps_no_activation(tiny_net_cfg):
                 assert a.size <= a.shape[1], (name, a.shape)
 
 
+def test_only_an_eval_trace_keeps_the_first_block_output(tiny_net_cfg):
+    # the eval walk's callers read the first block's output; the train walk
+    # never does, so a train trace lets it go
+    p = nw.init_model(tiny_net_cfg, seed=7)
+    batch = _batch(np.random.default_rng(4), 2, 8)
+    with _first_block_outputs(tiny_net_cfg) as outputs:
+        trained = nw.forward(p, batch, mode="train")
+        evaluated = nw.forward(p, batch, mode="eval")
+    assert trained.features is None
+    assert len(outputs) == 2 and np.array_equal(evaluated.features, outputs[1])
+
+
+def test_stem_pool_caches_a_one_byte_argmax(tiny_net_cfg):
+    p = nw.init_model(tiny_net_cfg, seed=7)
+    trace = nw.forward(p, _batch(np.random.default_rng(4), 2, 8), mode="train")
+    idx, _ = trace.caches["stem.pool"]
+    assert idx.dtype == np.int8 and set(np.unique(idx)) <= {0, 1, 2, 3}
+
+
+def test_paper_layout_train_step_peak_is_bounded():
+    # tracemalloc peak of one DenseNetConfig(input_dim=128) batch-2 train
+    # step over the memory traced before it: 97.81 MB when the train trace
+    # kept the first block's output, every conv backward held its padded
+    # input and padded output gradient to its end and max pooling kept an
+    # int64 argmax; 87.27 MB without them
+    cfg = nw.DenseNetConfig(input_dim=128)
+    p = nw.init_model(cfg, seed=3)
+    batch = _batch(np.random.default_rng(3), 2, 128)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nw.backward(p, nw.forward(p, batch, mode="train"), np.array([0.3, -0.1]))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 92.5e6, peak / 1e6
+
+
 def _cached_bytes(caches, prefix):
     """Bytes of the arrays cached under names that start with prefix, each
     base array counted once."""
@@ -356,7 +415,10 @@ def test_frozen_prefix_runs_as_eval():
             p.tensors[name][...] = rng.uniform(0.5, 1.5, p.tensors[name].shape)
     before = {k: v.copy() for k, v in p.tensors.items()}
     batch = _batch(rng, 4, cfg.input_dim)
-    trace = nw.forward(p, batch, mode="train", freeze_policy="last_block_and_head")
+    # a train trace keeps no features, so the frozen prefix's output is read
+    # where the first block returns it
+    with _first_block_outputs(cfg) as outputs:
+        nw.forward(p, batch, mode="train", freeze_policy="last_block_and_head")
     last = f"block{len(cfg.block_layers) - 1}."
     moments = [k for k in p.tensors if k.endswith((".running_mean", ".running_var"))]
     assert any(not k.startswith(last) for k in moments)
@@ -365,7 +427,7 @@ def test_frozen_prefix_runs_as_eval():
             assert not np.array_equal(p.tensors[k], before[k]), k
         else:
             assert np.array_equal(p.tensors[k], before[k]), k
-    assert np.array_equal(trace.features, nw.forward(p, batch, mode="eval").features)
+    assert np.array_equal(outputs[0], nw.forward(p, batch, mode="eval").features)
 
 
 def test_freeze_policy_checked_in_eval_mode(tiny_net_cfg):

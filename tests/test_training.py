@@ -1,10 +1,13 @@
 """Optimizer step semantics and the training loop."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cacxray.errors import EmptyDatasetError, InvalidConfigError, ShapeMismatchError
 from cacxray.model import network as nw
+from cacxray.model import training
 from cacxray.model.training import TrainConfig, predict, sgd_step, train
 
 
@@ -150,3 +153,21 @@ def test_predict_matches_eval_forward(tiny_net_cfg):
         direct = nw.forward(p, imgs, mode="eval").predictions
         for batch_size in range(1, 6):
             assert np.array_equal(predict(p, imgs, batch_size=batch_size), direct), (cfg, batch_size)
+
+
+@pytest.mark.parametrize(
+    "cfg,chunk",
+    [(nw.desk_config(), 16), (nw.DenseNetConfig(), 1), (nw.DenseNetConfig(input_dim=512), 1)],
+    ids=["desk", "1024 px", "512 px"],
+)
+def test_predict_chunks_by_the_estimated_activation_bytes(monkeypatch, cfg, chunk):
+    # the chunk comes from the widths alone: no net is run
+    sizes = []
+
+    def forward(params, images, mode):
+        sizes.append(len(images))
+        return SimpleNamespace(predictions=np.zeros(len(images)))
+
+    monkeypatch.setattr(training, "forward", forward)
+    assert len(predict(nw.ModelParams(cfg=cfg, tensors={}), [None] * 20, 16)) == 20
+    assert sizes[0] == chunk and sum(sizes) == 20
