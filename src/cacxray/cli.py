@@ -12,18 +12,21 @@ its values when it is built, so every command rejects a bad value, named as
 every random stream through fixed offsets: synth +0, train/test split +1,
 weight init +2, batch shuffling +3, bootstrap +4, cross-validation folds +5.
 Cross-validation initializes each fold's weights from the shuffling seed
-(+3), not from +2.
+(+3), not from +2; train and each fold fit through _fit.
 
 main runs every command in one order: build and check the config, read
 --model (evaluate, explain) and check its net against the crop, read and
 check --data (train, evaluate, crossval, explain) or --cohort (survival),
+resolve and check what a command selects from --data (evaluate's --split
+internal test ids, explain's --ids, crossval's folds against the subjects),
 create --out and write effective.cfg, call the cmd_* function, then write
 manifest.json (command, seed, version, and the inputs and fields the
-function returns). synth returns None: a dataset's manifest.json is the
-dataset description that synthgen.write_dataset writes. Every file is read
-and written through framing: text as UTF-8 (the --config file included),
-outputs atomically (temp file + rename). effective.cfg holds every setting,
-master seed included, so passing it back as --config repeats the run.
+function returns). So every input is checked before --out exists. synth
+returns None: a dataset's manifest.json is the dataset description that
+synthgen.write_dataset writes. Every file is read and written through
+framing: text as UTF-8 (the --config file included), outputs atomically
+(temp file + rename). effective.cfg holds every setting, master seed
+included, so passing it back as --config repeats the run.
 
 Exit codes come only from the category of the CacXrayError raised (see
 errors.py; an OSError counts as unreadable input, any other exception is a
@@ -45,6 +48,7 @@ import math
 import sys
 import typing
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +59,7 @@ from .errors import (
     EmptyCohortError,
     InvalidConfigError,
     MalformedFileError,
+    TooFewSamplesError,
     UnreadableInputError,
 )
 from .explain import export_saliency, gradcam
@@ -336,6 +341,48 @@ def _read_test_ids(model_dir) -> list[str]:
     return ids
 
 
+def _select(args, cfg) -> list[int]:
+    """Indices of the --data images a command reads, resolved and checked
+    before --out exists: evaluate --split internal's test ids from
+    split.json, explain's --ids or its first --limit, every image otherwise.
+    crossval's folds may not outnumber the subjects."""
+    ids = args.dataset[0]
+    sel = list(range(len(ids)))
+    if args.command == "evaluate":
+        if args.split == "internal":
+            keep = set(_read_test_ids(args.model))
+            sel = [i for i, sid in enumerate(ids) if sid in keep]
+            missing = keep - {ids[i] for i in sel}
+            if missing:
+                raise InvalidConfigError(f"test ids missing from the dataset: {sorted(missing)[:5]}")
+        if not sel:
+            raise EmptyCohortError("evaluation set is empty")
+    elif args.command == "explain":
+        if args.ids:
+            wanted = [s.strip() for s in args.ids.split(",") if s.strip()]
+            index = {sid: i for i, sid in enumerate(ids)}
+            missing = [w for w in wanted if w not in index]
+            if missing:
+                raise InvalidConfigError(f"ids not in the dataset: {missing[:5]}")
+            sel = [index[w] for w in wanted]
+        else:
+            sel = sel[: args.limit]
+    elif args.command == "crossval" and len(ids) < cfg["crossval"].folds:
+        raise TooFewSamplesError(f"cannot split {len(ids)} samples into {cfg['crossval'].folds} folds")
+    return sel
+
+
+def _fit(xtr, ytr, cfg, init_seed: int):
+    """(params, history) of the [model] net from init_model(init_seed), trained by [train] on xtr, ytr."""
+    return train(list(zip(xtr, ytr)), cfg["train"], init_model(cfg["model"], init_seed))
+
+
+def _fit_fold(cfg, xtr, ytr):
+    """crossval's fold trainer, from the shuffling seed (+3); module-level so a partial of it pickles."""
+    fitted, _ = _fit(xtr, ytr, cfg, _seed(cfg, "shuffle"))
+    return partial(predict, fitted)
+
+
 # --- commands -----------------------------------------------------------------
 
 
@@ -361,8 +408,7 @@ def cmd_train(args, cfg, out: Path) -> dict:
     crops = [preprocess_uncalibrated(dicoms[i], cfg["preprocess"]) for i in train_idx]
     stats, lt, xtr, ytr = fit_transforms(crops, cacs[train_idx])
     del crops  # training reads only the standardized copies
-    params = init_model(cfg["model"], _seed(cfg, "init"))
-    fitted, history = train(list(zip(xtr, ytr)), tc, params)
+    fitted, history = _fit(xtr, ytr, cfg, _seed(cfg, "init"))
 
     save_weights(out / "weights.cacw", fitted)
     write_text(out / "sidecar.json", sidecar_to_json(cfg["model"], lt) + "\n")
@@ -380,23 +426,11 @@ def cmd_evaluate(args, cfg, out: Path) -> dict:
     ev = cfg["evaluate"]
     params, lt, stats = args.trained
     ids, dicoms, cacs = args.dataset
-
-    if args.split == "internal":
-        keep = set(_read_test_ids(args.model))
-        sel = [i for i, sid in enumerate(ids) if sid in keep]
-        missing = keep - {ids[i] for i in sel}
-        if missing:
-            raise InvalidConfigError(f"test ids missing from the dataset: {sorted(missing)[:5]}")
-    else:
-        sel = list(range(len(ids)))
-    if not sel:
-        raise EmptyCohortError("evaluation set is empty")
-
-    x = [standardize(preprocess_uncalibrated(dicoms[i], cfg["preprocess"]), stats) for i in sel]
+    x = [standardize(preprocess_uncalibrated(dicoms[i], cfg["preprocess"]), stats) for i in args.sel]
     scores = predict(params, x)
     samples = [
         ScoredSample(score=float(scores[j]), truth_cac=float(cacs[i]), id=ids[i])
-        for j, i in enumerate(sel)
+        for j, i in enumerate(args.sel)
     ]
     truth_th = ev.truth_threshold
     threshold = transform_threshold(truth_th, lt)
@@ -437,8 +471,7 @@ def cmd_crossval(args, cfg, out: Path) -> dict:
     report = cross_validate(
         crops,
         cacs,
-        cfg["model"],
-        cfg["train"],
+        partial(_fit_fold, cfg),
         k=k,
         seed=_seed(cfg, "folds"),
         truth_threshold=cfg["evaluate"].truth_threshold,
@@ -495,23 +528,14 @@ def cmd_survival(args, cfg, out: Path) -> dict:
 def cmd_explain(args, cfg, out: Path) -> dict:
     params, _, stats = args.trained
     ids, dicoms, _ = args.dataset
-    if args.ids:
-        wanted = [s.strip() for s in args.ids.split(",") if s.strip()]
-        index = {sid: i for i, sid in enumerate(ids)}
-        missing = [w for w in wanted if w not in index]
-        if missing:
-            raise InvalidConfigError(f"ids not in the dataset: {missing[:5]}")
-        sel = [index[w] for w in wanted]
-    else:
-        sel = list(range(min(len(ids), args.limit)))
     written = []
-    for i in sel:
+    for i in args.sel:
         x = standardize(preprocess_uncalibrated(dicoms[i], cfg["preprocess"]), stats)
         sal = gradcam(params, x)
         map_path, overlay_path = export_saliency(sal, x, out, ids[i])
         written.append(map_path.name)
         written.append(overlay_path.name)
-    print(f"wrote {len(written)} saliency files for {len(sel)} images to {out}")
+    print(f"wrote {len(written)} saliency files for {len(args.sel)} images to {out}")
     return {"inputs": {"data": str(args.data), "model": str(args.model)}, "files": written}
 
 
@@ -575,8 +599,9 @@ def main(argv=None) -> int:
         if "model" in args:  # a net of the wrong size exits 2 before --out exists
             args.trained = _load_model_dir(args.model)
             _check_input_dim("--model", args.trained[0].cfg.input_dim, cfg)
-        if "data" in args:  # so does a damaged dataset, with exit 4
+        if "data" in args:  # so does a damaged dataset, with exit 4, and a bad selection
             args.dataset = _load_dataset(args.data)
+            args.sel = _select(args, cfg)
         if "cohort" in args:  # and a bad cohort, with exit 2 or 4
             args.records = _load_cohort(args.cohort, cfg["survival"])
         out = Path(args.out)

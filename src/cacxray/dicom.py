@@ -216,7 +216,8 @@ def _read_element(r: Reader, explicit: bool) -> tuple[tuple[int, int], memoryvie
     what = f"element {_fmt_tag(tag)}"
     if explicit:
         vr = r.take(2, f"{what} VR")
-        if vr in _LONG_VRS:
+        # as bytes: hashing a memoryview hashes the whole file behind it
+        if bytes(vr) in _LONG_VRS:
             r.take(2, f"{what} reserved bytes")
             (length,) = r.unpack("I", f"{what} length")
         else:

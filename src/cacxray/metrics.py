@@ -31,7 +31,6 @@ from .labels import (
     transform,
     transform_threshold,
 )
-from .model import init_model, predict, train
 from .preprocess import compute_dataset_stats, standardize
 
 
@@ -307,43 +306,31 @@ def fit_transforms(images, cacs):
     return stats, lt, [standardize(x, stats) for x in images], transform(cacs, lt)
 
 
-def _default_train_fn(train_images, train_targets, net_cfg, train_cfg):
-    params = init_model(net_cfg, train_cfg.seed)
-    fitted, _ = train(list(zip(train_images, train_targets)), train_cfg, params)
-    return lambda imgs: predict(fitted, imgs)
-
-
 def cross_validate(
     images,
     cacs,
-    net_cfg,
-    train_cfg,
+    train_fn,
     k: int = 5,
     seed: int = 0,
     truth_threshold: float = 0.0,
     rauc_grid=(0.0, 100.0, 400.0),
-    train_fn=None,
 ) -> CrossValReport:
     """k-fold cross-validation with per-fold refitting.
 
     ``images`` are pre-standardization crops; every fold fits its transforms
     on its own training portion only (fit_transforms), so nothing fitted ever
-    sees a test subject. ``train_fn(images, targets,
-    net_cfg, train_cfg) -> predictor`` defaults to training the network from a
-    fresh seeded init.
-    """
+    sees a test subject. ``train_fn(xtr, ytr) -> predictor`` fits a fold's
+    standardized images and transformed targets; it scores in that space."""
     cacs = np.asarray(cacs, dtype=np.float64)
     n = len(images)
     if n != cacs.size:
         raise ValueError("images and cacs disagree in length")
-    if train_fn is None:
-        train_fn = _default_train_fn
     folds = kfold_split(n, k, seed)
     reports = []
     for f, test_idx in enumerate(folds):
         train_idx = np.concatenate([folds[j] for j in range(k) if j != f])
         stats, lt, xtr, ytr = fit_transforms([images[i] for i in train_idx], cacs[train_idx])
-        predictor = train_fn(xtr, ytr, net_cfg, train_cfg)
+        predictor = train_fn(xtr, ytr)
         xte = [standardize(images[i], stats) for i in test_idx]
         preds = np.asarray(predictor(xte), dtype=np.float64)
         th = transform_threshold(truth_threshold, lt)

@@ -319,13 +319,14 @@ def iter_samples(cfg: SynthConfig) -> Iterator[SynthSample]:
 
 
 def generate_survival(cfg: SynthConfig, samples: list[SynthSample]) -> list[SubjectRecord]:
-    """Draw follow-up for every sample, the i-th from default_rng([seed, i, 1]):
-    exponential event time with rate baseline_hazard * hazard_ratio **
-    category, administratively censored at min(max_followup, U(0, 1.5 *
-    max_followup)). Updates each sample.record and returns the records."""
+    """Draw follow-up for every sample, sample i (id s{i:05d}) from
+    default_rng([seed, i, 1]) wherever it stands in ``samples``: exponential
+    event time with rate baseline_hazard * hazard_ratio ** category,
+    administratively censored at min(max_followup, U(0, 1.5 * max_followup)).
+    Updates each sample.record and returns the records."""
     records = []
-    for i, sample in enumerate(samples):
-        rng = np.random.default_rng([cfg.seed, i, 1])
+    for sample in samples:
+        rng = np.random.default_rng([cfg.seed, int(sample.id[1:]), 1])
         rate = cfg.baseline_hazard * cfg.hazard_ratio ** sample.category
         t_event = rng.exponential(1.0 / rate) if rate > 0 else np.inf
         censor = max(min(cfg.max_followup_years, rng.uniform(0.0, 1.5 * cfg.max_followup_years)), 1e-3)
@@ -364,12 +365,12 @@ def blobs_to_csv(samples: list[SynthSample]) -> str:
 
 def write_dataset(cfg: SynthConfig, samples: Iterable[SynthSample], out_dir) -> list[SubjectRecord]:
     """Lay out a dataset directory: images/<id>.dcm, cohort.csv, blobs.csv,
-    manifest.json, and return the cohort's records. ``samples`` (sample i at
-    position i) is read once: each image is written as its sample arrives,
-    and only the rest of the sample is kept. The follow-up of every sample is
-    drawn here (generate_survival), so a caller need not draw it first; the
-    draws depend only on (seed, i, category), so drawing again changes no
-    byte. Byte-identical for identical (cfg, samples); every file is written
+    manifest.json, and return the cohort's records. ``samples`` is read
+    once: each image is written as its sample arrives, and only the rest of
+    the sample is kept. The follow-up of every sample is drawn here
+    (generate_survival), so a caller need not draw it first; the draws
+    depend only on (seed, i, category), so drawing again changes no byte.
+    Byte-identical for identical (cfg, samples); every file is written
     atomically."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)

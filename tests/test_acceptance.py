@@ -369,8 +369,8 @@ def test_criterion_09_cross_validation_harness():
     tc = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, weight_decay=1e-4, seed=5)
 
     def recording_train_fn(sink):
-        def fn(xtr, ytr, cfg, train_cfg):
-            fitted, _ = train(list(zip(xtr, ytr)), train_cfg, init_model(cfg, train_cfg.seed))
+        def fn(xtr, ytr):
+            fitted, _ = train(list(zip(xtr, ytr)), tc, init_model(net_cfg, tc.seed))
             sink.append(weights_to_bytes(fitted))
             return lambda imgs: predict(fitted, imgs)
 
@@ -379,9 +379,7 @@ def test_criterion_09_cross_validation_harness():
     k, fold_seed = 3, 92
     folds = mx.kfold_split(len(images), k, seed=fold_seed)
     ref, perturbed_sink = [], []
-    report = mx.cross_validate(
-        images, cacs, net_cfg, tc, k=k, seed=fold_seed, train_fn=recording_train_fn(ref)
-    )
+    report = mx.cross_validate(images, cacs, recording_train_fn(ref), k=k, seed=fold_seed)
     header = mx.crossval_to_csv(report).splitlines()
     assert header[0] == "fold,accuracy,balanced_accuracy,sensitivity,specificity,rauc"
     assert [line.split(",")[0] for line in header[1:]] == ["1", "2", "3", "Mean"]
@@ -391,10 +389,7 @@ def test_criterion_09_cross_validation_harness():
     # the class counts, so every fold stays evaluable and the label change is
     # guaranteed to flip training residual signs in the folds that see it
     tampered[folds[0]] = cacs[folds[0]][::-1]
-    mx.cross_validate(
-        images, tampered, net_cfg, tc, k=k, seed=fold_seed,
-        train_fn=recording_train_fn(perturbed_sink),
-    )
+    mx.cross_validate(images, tampered, recording_train_fn(perturbed_sink), k=k, seed=fold_seed)
     unchanged = ref[0] == perturbed_sink[0]
     others_changed = any(a != b for a, b in zip(ref[1:], perturbed_sink[1:]))
     print(

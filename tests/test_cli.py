@@ -7,14 +7,17 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import shutil
 import struct
 import subprocess
 import sys
 import tracemalloc
 import typing
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cacxray
@@ -169,6 +172,14 @@ def test_crossval_outputs(flow):
     assert [r[0] for r in rows[1:]] == ["1", "2", "3", "Mean"]
     doc = json.loads((flow["cv"] / "crossval.json").read_text())
     assert len(doc["folds"]) == 3
+
+
+def test_crossval_fold_trainer_and_its_predictor_pickle():
+    # so a worker pool could send a fold and its result to another process
+    trainer = pickle.loads(pickle.dumps(partial(cli._fit_fold, cli._PRESETS)))
+    x = [np.full((64, 64), v) for v in (-1.0, 0.0, 1.0)]
+    predictor = trainer(x, np.array([0.0, 0.5, 1.0]))
+    assert pickle.loads(pickle.dumps(predictor))(x).tobytes() == predictor(x).tobytes()
 
 
 def test_crossval_folds_flag_is_echoed_and_repeats_the_run(flow, tmp_path):
@@ -485,6 +496,14 @@ def test_crossval_folds_flag_takes_the_ini_bound(flow, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_crossval_more_folds_than_subjects_exits_5(flow, tmp_path, capsys):
+    rc = main(["crossval", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
+               "--out", str(tmp_path / "o"), "--seed", "3", "--folds", "40"])
+    assert rc == 5
+    assert capsys.readouterr().err == "degenerate data: cannot split 32 samples into 40 folds\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_crossval_fold_with_one_truth_class_exits_5(flow, tmp_path, capsys):
     # 32 folds of one subject each: the first fold holds a single class
     rc = main(["crossval", "--config", str(flow["cfg"]), "--data", str(flow["data"]),
@@ -782,6 +801,7 @@ def test_internal_split_that_names_no_usable_test_set_is_refused(flow, tmp_path,
                "--model", str(model), "--out", str(tmp_path / "o"), "--split", "internal"])
     assert rc == code
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_explain_unknown_id_exits_2(flow, tmp_path, capsys):
@@ -789,6 +809,7 @@ def test_explain_unknown_id_exits_2(flow, tmp_path, capsys):
                "--model", str(flow["model"]), "--out", str(tmp_path / "o"), "--ids", "s00000,nobody"])
     assert rc == 2
     assert "ids not in the dataset: ['nobody']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_crossval_fold_with_one_training_sample_exits_3(flow, tmp_path, capsys):
@@ -1033,6 +1054,7 @@ def test_damaged_model_directory_exits_4(flow, tmp_path, capsys, case):
                "--model", str(model), "--out", str(tmp_path / "o"), "--seed", "3"])
     assert rc == 4
     assert capsys.readouterr().err.startswith("i/o error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_holds_one_crop_per_training_image_while_it_trains(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cacxray import dicom
+from cacxray import dicom, framing
 from cacxray.errors import (
     CacXrayError,
     MalformedFileError,
@@ -315,3 +315,13 @@ def test_writer_refuses_foreign_transfer_syntax():
     img = random_dicom(np.random.default_rng(9))
     with pytest.raises(ValueError):
         dicom.write_test_dicom(img, transfer_syntax="1.2.840.10008.1.2.4.70")
+
+
+@pytest.mark.parametrize("vr,value", [("OW", b"\x01\x02\x03\x04"), ("US", b"\x10\x00")])
+def test_explicit_vr_element_reads_from_a_writable_buffer(vr, value):
+    # the VR is looked up as bytes: a memoryview over a bytearray cannot be
+    # hashed, and one over bytes hashes the whole file behind it
+    data = bytearray(dicom._encode_element(TAG_ROWS, vr, value))
+    tag, got = dicom._read_element(framing.Reader(data), explicit=True)
+    assert tag == TAG_ROWS
+    assert bytes(got) == value

@@ -356,7 +356,7 @@ def _toy_cv_inputs(n=30, seed=39):
     return images, cacs
 
 
-def _interp_train_fn(xtr, ytr, net_cfg, train_cfg):
+def _interp_train_fn(xtr, ytr):
     means = np.array([x.mean() for x in xtr])
     order = np.argsort(means)
     mgrid, ygrid = means[order], np.asarray(ytr)[order]
@@ -369,9 +369,7 @@ def _interp_train_fn(xtr, ytr, net_cfg, train_cfg):
 
 def test_cross_validate_perfect_predictor_all_ones():
     images, cacs = _toy_cv_inputs()
-    report = mx.cross_validate(
-        images, cacs, net_cfg=None, train_cfg=None, k=5, seed=2, train_fn=_interp_train_fn
-    )
+    report = mx.cross_validate(images, cacs, _interp_train_fn, k=5, seed=2)
     assert len(report.folds) == 5
     for fold in report.folds:
         assert fold.accuracy == 1.0
@@ -383,9 +381,7 @@ def test_cross_validate_perfect_predictor_all_ones():
 
 def test_cross_validate_mean_row_is_arithmetic_mean():
     images, cacs = _toy_cv_inputs()
-    report = mx.cross_validate(
-        images, cacs, net_cfg=None, train_cfg=None, k=5, seed=3, train_fn=_interp_train_fn
-    )
+    report = mx.cross_validate(images, cacs, _interp_train_fn, k=5, seed=3)
     for key in ("accuracy", "balanced_accuracy", "sensitivity", "specificity", "rauc"):
         vals = [getattr(f, key) for f in report.folds]
         assert report.mean[key] == pytest.approx(np.mean(vals), abs=1e-12)
@@ -393,9 +389,7 @@ def test_cross_validate_mean_row_is_arithmetic_mean():
 
 def test_crossval_csv_columns_and_mean_row():
     images, cacs = _toy_cv_inputs()
-    report = mx.cross_validate(
-        images, cacs, net_cfg=None, train_cfg=None, k=5, seed=4, train_fn=_interp_train_fn
-    )
+    report = mx.cross_validate(images, cacs, _interp_train_fn, k=5, seed=4)
     lines = mx.crossval_to_csv(report).strip().split("\n")
     assert lines[0] == "fold,accuracy,balanced_accuracy,sensitivity,specificity,rauc"
     assert len(lines) == 1 + 5 + 1
@@ -419,25 +413,23 @@ def test_cross_validate_never_reads_held_out_labels():
     digests_a, digests_b = [], []
 
     def recording_train_fn(sink):
-        def fn(xtr, ytr, net_cfg, train_cfg):
+        def fn(xtr, ytr):
             h = hashlib.sha256()
             for x in xtr:
                 h.update(np.ascontiguousarray(x).tobytes())
             h.update(np.ascontiguousarray(np.asarray(ytr)).tobytes())
             sink.append(h.hexdigest())
-            return _interp_train_fn(xtr, ytr, net_cfg, train_cfg)
+            return _interp_train_fn(xtr, ytr)
 
         return fn
 
-    mx.cross_validate(images, cacs, None, None, k=k, seed=seed,
-                      train_fn=recording_train_fn(digests_a))
+    mx.cross_validate(images, cacs, recording_train_fn(digests_a), k=k, seed=seed)
     perturbed = np.array(cacs, copy=True)
     # class-preserving distortion: zero stays zero so every fold keeps both
     # truth classes and the perturbed run can still be evaluated
     f0 = perturbed[folds[0]]
     perturbed[folds[0]] = np.where(f0 > 0, f0 * 0.5 + 7.0, 0.0)
-    mx.cross_validate(images, perturbed, None, None, k=k, seed=seed,
-                      train_fn=recording_train_fn(digests_b))
+    mx.cross_validate(images, perturbed, recording_train_fn(digests_b), k=k, seed=seed)
     # fold 0 trains on folds 1..4 whose labels are untouched
     assert digests_a[0] == digests_b[0]
     # the other folds do see the perturbed labels in their training split
@@ -503,7 +495,7 @@ def test_crossval_csv_bits_are_pinned():
     images, cacs = _toy_cv_inputs(n=60, seed=45)
     noise = np.random.default_rng(46).normal(0.0, 400.0, len(images))
     noisy = [x + e for x, e in zip(images, noise)]
-    report = mx.cross_validate(noisy, cacs, None, None, k=5, seed=7, train_fn=_interp_train_fn)
+    report = mx.cross_validate(noisy, cacs, _interp_train_fn, k=5, seed=7)
     assert hashlib.sha256(mx.crossval_to_csv(report).encode()).hexdigest() == (
         "8a607de708a7640b5b4f284d077f00471d837d910f222ee017a92ec4327b17e6"
     )

